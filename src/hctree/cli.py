@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
     ConvergenceError,
@@ -388,20 +386,6 @@ def _sweep_value(args, lam: float):
     return rep.verdict.value
 
 
-def _worker_count(points: int) -> int:
-    raw = os.environ.get("HC_TREE_THREADS")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise DomainError(f"HC_TREE_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise DomainError(f"HC_TREE_THREADS must be >= 1, got {cap}")
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, points))
-
-
 def _cmd_sweep(args) -> int:
     _need(args, "-k/--k", "k")
     lmin = _need(args, "-lmin/--lambda-min", "lambda_min")
@@ -409,8 +393,7 @@ def _cmd_sweep(args) -> int:
     if args.quantity is None:
         raise DomainError("missing required flag --quantity")
     grid = _grid(lmin, lmax, args.points, args.scale)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(grid))) as pool:
-        values = list(pool.map(lambda lam: _sweep_value(args, lam), grid))
+    values = [_sweep_value(args, lam) for lam in grid]
 
     if args.json:
         rows = [

@@ -11,13 +11,15 @@ W leaves four planes invariant:
     I3: z1=z2, z3=z4     I4: z1=z4, z2=z3
 
 and the fixed points on I2, I3, I4 are found by a damped-Newton multistart
-on the corresponding 2-variable reduction.
+on the corresponding 2-variable reduction, all starts as one numpy batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     BoundaryLaw,
@@ -43,7 +45,8 @@ _GRID_POINTS = 32
 _GRID_LO = 1e-4
 _GRID_HI = 10.0
 _NEWTON_MAX_ITER = 100
-_NEWTON_MIN_STEP_FACTOR = 2.0 ** -20
+# the full Newton step, then halvings down to 2**-20
+_STEP_GROUPS = np.split(np.ldexp(1.0, -np.arange(21)), [1, 2, 4, 8, 16])
 _ITERATE_FLOOR = 1e-30
 _POLISH_FLOOR = 1e-15
 _ROOT_UNCERTAINTY = 1e-6
@@ -72,27 +75,46 @@ class WeakPeriodicParams:
         return ModelParams(self.k, self.lam)
 
 
-def _component(k: int, i: int, lam: float, za: float, zb: float, zc: float) -> float:
-    # za feeds both numerator and the powered part of the middle factor,
-    # zb the additive part, zc the plain divisor
-    base = 1.0 + lam * za
-    mid = base ** (k / i) + lam * zb ** (1.0 - 1.0 / i)
-    return base ** k / (mid ** i * (1.0 + lam * zc) ** (k - i))
+# inputs of W's four components: za feeds the numerator and the powered part
+# of the middle factor, zb the additive part, zc the plain divisor
+_ZA, _ZB, _ZC = [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]
+_MAP_BLOCK = 512
 
 
-def weak_system_map(wp: WeakPeriodicParams, z) -> tuple[float, float, float, float]:
-    """One application of the four-component update W."""
-    z1, z2, z3, z4 = (float(v) for v in z)
-    for v in (z1, z2, z3, z4):
-        if not (v > 0) or not math.isfinite(v):
-            raise DomainError(f"weak-system values must be positive, got {z!r}")
+def weak_system_map(wp: WeakPeriodicParams, z):
+    """One application of the four-component update W.
+
+    A 4-sequence gives a tuple of four floats; a non-positive or non-finite
+    entry raises DomainError and an overflowing power OverflowError. An
+    array of shape (..., 4) maps row by row, and a row that would raise
+    comes back as NaN.
+    """
+    arr = np.asarray(z, dtype=float)
+    if arr.shape[-1:] != (4,):
+        raise DomainError(f"weak-system values must have 4 components, got {z!r}")
     k, i, lam = wp.k, wp.i, wp.lam
-    return (
-        _component(k, i, lam, z3, z4, z2),
-        _component(k, i, lam, z4, z3, z1),
-        _component(k, i, lam, z1, z2, z4),
-        _component(k, i, lam, z2, z1, z3),
-    )
+    rows = arr.reshape(-1, 4)
+    out, no_overflow = np.empty_like(rows), np.empty(len(rows), dtype=bool)
+    # a block of rows at a time keeps the temporaries of a large batch small
+    for block in (slice(lo, lo + _MAP_BLOCK) for lo in range(0, len(rows), _MAP_BLOCK)):
+        with np.errstate(all="ignore"):
+            base = 1.0 + lam * rows[block][:, _ZA]
+            num = base ** k
+            den = (base ** (k / i) + lam * rows[block][:, _ZB] ** (1.0 - 1.0 / i)) ** i
+            # base >= 1, so no other power in a row exceeds its largest num
+            no_overflow[block] = (np.isfinite(num) & np.isfinite(den)).all(axis=1)
+            den *= (1.0 + lam * rows[block][:, _ZC]) ** (k - i)
+            np.divide(num, den, out=out[block])
+    out, no_overflow = out.reshape(arr.shape), no_overflow.reshape(arr.shape[:-1])
+    in_domain = ((arr > 0) & np.isfinite(arr)).all(axis=-1)
+    if arr.ndim == 1:
+        if not in_domain:
+            raise DomainError(f"weak-system values must be positive, got {z!r}")
+        if not no_overflow:
+            raise OverflowError(f"weak-system power overflows at {z!r}")
+        return tuple(out.tolist())
+    out[~(in_domain & no_overflow)] = np.nan
+    return out
 
 
 def _in_set(set_id: str, z, tol: float) -> bool:
@@ -116,98 +138,109 @@ def invariant_set_check(wp: WeakPeriodicParams, set_id: str, z, tol: float = 1e-
     return _in_set(set_id, weak_system_map(wp, z), tol)
 
 
-def _embed(set_id: str, a: float, b: float) -> tuple[float, float, float, float]:
-    if set_id == "I2":
-        return (a, b, a, b)
-    if set_id == "I3":
-        return (a, a, b, b)
-    if set_id == "I4":
-        return (a, b, b, a)
-    raise DomainError(f"solver supports sets {SOLVE_SETS}, got {set_id!r}")
+# which of the plane coordinates (a, b) fills each of z1..z4
+_EMBED = {"I2": [0, 1, 0, 1], "I3": [0, 0, 1, 1], "I4": [0, 1, 1, 0]}
 
 
-def _project(set_id: str, z) -> tuple[float, float]:
-    if set_id == "I3":
-        return (z[0], z[2])
-    return (z[0], z[1])
-
-
-def _reduced_map(wp: WeakPeriodicParams, set_id: str, a: float, b: float) -> tuple[float, float]:
-    return _project(set_id, weak_system_map(wp, _embed(set_id, a, b)))
-
-
-def _newton_from(wp, set_id, a, b, tol):
-    """Damped Newton on G(v) = reduced(v) - v; central-difference Jacobian.
+def _newton(wp, set_id, v, tol):
+    """Damped Newton on G(v) = reduced(v) - v from every start (row of v) at
+    once; central-difference Jacobian. Returns the accepted roots as rows.
 
     Polishes past the requested tolerance down to the attainable floor (near
     a bifurcation the residual goes flat well above zero, and iterates that
     merely sit inside the flat region would otherwise pass for extra roots),
-    then returns the best iterate if it meets tol, else None. The step is
-    halved while the sup-norm residual fails to decrease; iterates are
-    floored at a tiny positive value so the map stays inside its domain.
+    then keeps a start's best iterate if it meets tol. The step is halved
+    while the sup-norm residual fails to decrease; iterates are floored at a
+    tiny positive value so the map stays inside its domain. A start stops
+    where W is undefined at a probe, the Jacobian is singular or no halving
+    helps; a trial point where W is undefined just halves the step.
     """
+    embed = _EMBED[set_id]
+    project = [embed.index(0), embed.index(1)]
 
-    def g(a, b):
-        ra, rb = _reduced_map(wp, set_id, a, b)
-        return ra - a, rb - b
+    def g(v):
+        return weak_system_map(wp, v[..., embed])[..., project] - v
 
-    try:
-        ga, gb = g(a, b)
-    except (OverflowError, ValueError):
-        return None
-    best = None  # (residual, a, b, undamped step size = distance-to-root estimate)
+    gv = g(v)
+    # best iterate per start: residual (inf until one is recorded), point,
+    # undamped step size = distance-to-root estimate
+    best_res, best_v, best_step = np.full(len(v), np.inf), v.copy(), np.full(len(v), np.inf)
+    rows = np.flatnonzero(np.isfinite(gv[:, 0]))
+    v, gv = v[rows], gv[rows]
     for _ in range(_NEWTON_MAX_ITER):
-        res = max(abs(ga), abs(gb))
-        if res <= _POLISH_FLOOR * max(1.0, abs(a), abs(b)):
-            best = (res, a, b, 0.0)
+        res = np.abs(gv).max(axis=1)
+        polished = res <= _POLISH_FLOOR * np.maximum(1.0, np.abs(v).max(axis=1))
+        done = rows[polished]
+        best_res[done], best_v[done], best_step[done] = res[polished], v[polished], 0.0
+        rows, v, gv, res = rows[~polished], v[~polished], gv[~polished], res[~polished]
+        if rows.size == 0:
             break
-        ha = max(1e-7 * abs(a), 1e-9)
-        hb = max(1e-7 * abs(b), 1e-9)
-        try:
-            gpa = g(a + ha, b)
-            gma = g(max(a - ha, _ITERATE_FLOOR), b)
-            gpb = g(a, b + hb)
-            gmb = g(a, max(b - hb, _ITERATE_FLOOR))
-        except (OverflowError, ValueError):
-            break
-        da = a - max(a - ha, _ITERATE_FLOOR) + ha
-        db = b - max(b - hb, _ITERATE_FLOOR) + hb
-        j00 = (gpa[0] - gma[0]) / da
-        j10 = (gpa[1] - gma[1]) / da
-        j01 = (gpb[0] - gmb[0]) / db
-        j11 = (gpb[1] - gmb[1]) / db
-        det = j00 * j11 - j01 * j10
-        if det == 0.0 or not math.isfinite(det):
-            break
-        step_a = -(j11 * ga - j01 * gb) / det
-        step_b = -(-j10 * ga + j00 * gb) / det
-        if best is None or res < best[0]:
-            best = (res, a, b, max(abs(step_a), abs(step_b)))
-        factor = 1.0
-        while factor >= _NEWTON_MIN_STEP_FACTOR:
-            na = max(a + factor * step_a, _ITERATE_FLOOR)
-            nb = max(b + factor * step_b, _ITERATE_FLOOR)
-            try:
-                nga, ngb = g(na, nb)
-            except (OverflowError, ValueError):
-                factor *= 0.5
-                continue
-            if max(abs(nga), abs(ngb)) < res:
-                a, b, ga, gb = na, nb, nga, ngb
+        h = np.maximum(1e-7 * np.abs(v), 1e-9)
+        lo = np.maximum(v - h, _ITERATE_FLOOR)
+        # +h and the floored -h along a, then along b
+        along = np.eye(2, dtype=bool)
+        gp = g(np.stack([np.where(axis, x, v) for axis in along for x in (v + h, lo)]))
+        d = v - lo + h
+        ga, gb = gv.T
+        with np.errstate(all="ignore"):
+            j00, j10 = ((gp[0] - gp[1]) / d[:, :1]).T
+            j01, j11 = ((gp[2] - gp[3]) / d[:, 1:]).T
+            det = j00 * j11 - j01 * j10
+            step = -np.stack((j11 * ga - j01 * gb, -j10 * ga + j00 * gb), axis=1) / det[:, None]
+        go = np.isfinite(gp).all(axis=(0, 2)) & (det != 0.0) & np.isfinite(det)
+        rows, v, gv, res, step = rows[go], v[go], gv[go], res[go], step[go]
+        better = res < best_res[rows]
+        done = rows[better]
+        best_res[done], best_v[done] = res[better], v[better]
+        best_step[done] = np.abs(step[better]).max(axis=1)
+        # halving line search: each start takes the longest of its steps that
+        # lowers the residual, tried in groups of doubling size with one map
+        # evaluation per group for the starts still pending
+        moved = np.zeros(rows.size, dtype=bool)
+        pending = np.arange(rows.size)
+        for factors in _STEP_GROUPS:
+            if pending.size == 0:
                 break
-            factor *= 0.5
-        else:
-            break
-    if best is None:
-        return None
-    res, a, b, step_size = best
-    if res > tol:
-        return None
+            trial = np.maximum(v[pending] + factors[:, None, None] * step[pending], _ITERATE_FLOOR)
+            g_trial = g(trial)
+            lower = np.abs(g_trial).max(axis=2) < res[pending]
+            take = lower.any(axis=0)
+            longest = lower.argmax(axis=0)[take]
+            hit = pending[take]
+            v[hit], gv[hit], moved[hit] = trial[longest, take], g_trial[longest, take], True
+            pending = pending[~take]
+        rows, v, gv = rows[moved], v[moved], gv[moved]
     # a small residual in a near-flat region is not a root; the full Newton
     # step says how far the nearest actual root still is
-    if step_size > _ROOT_UNCERTAINTY * max(1.0, abs(a), abs(b)):
-        return None
-    return (a, b)
+    scale = np.maximum(1.0, np.abs(best_v).max(axis=1))
+    return best_v[(best_res <= tol) & (best_step <= _ROOT_UNCERTAINTY * scale)]
+
+
+def _components(points, radius):
+    """Component labels of the graph joining points closer than radius in the
+    sup norm. A cell of side radius is a clique of it (up to rounding of
+    points / radius), so only points in neighbouring cells need a pair test."""
+    cells, cell_of = np.unique(np.floor(points / radius).astype(np.int64), axis=0,
+                               return_inverse=True)
+    members = np.split(np.argsort(cell_of, kind="stable"),
+                       np.cumsum(np.bincount(cell_of, minlength=len(cells)))[:-1])
+    index = {cell: n for n, cell in enumerate(map(tuple, cells.tolist()))}
+    root = list(range(len(cells)))
+
+    def find(n):
+        while root[n] != n:
+            root[n] = n = root[root[n]]
+        return n
+
+    for n, (ca, cb) in enumerate(cells.tolist()):
+        for da, db in ((0, 1), (1, -1), (1, 0), (1, 1)):
+            m = index.get((ca + da, cb + db))
+            if m is None or find(n) == find(m):
+                continue
+            p, q = points[members[n]], points[members[m]]
+            if any((np.abs(q - x).max(axis=1) < radius).any() for x in p):
+                root[find(n)] = find(m)
+    return np.array([find(c) for c in cell_of.tolist()], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -260,43 +293,21 @@ def solve_weak_periodic(
     # transitively at that scale or the blot masquerades as many solutions.
     merge_radius = max(_DEDUP_TOL, 8.0 * math.sqrt(tol))
     ratio = (_GRID_HI / _GRID_LO) ** (1.0 / (grid_points - 1))
-    grid = [_GRID_LO * ratio ** j for j in range(grid_points)]
-    clusters: list[list[tuple[float, float]]] = []
-    for a0 in grid:
-        for b0 in grid:
-            got = _newton_from(wp, invariant_set, a0, b0, tol)
-            if got is None:
-                continue
-            a, b = got
-            if not (a > 1e-12 and b > 1e-12 and a < 1e9 and b < 1e9):
-                continue
-            home = None
-            for cluster in clusters:
-                if any(max(abs(a - fa), abs(b - fb)) < merge_radius for fa, fb in cluster):
-                    if home is None:
-                        home = cluster
-                        cluster.append((a, b))
-                    else:
-                        home.extend(cluster)
-                        cluster.clear()
-            if home is None:
-                clusters.append([(a, b)])
-
-    def full_residual(a: float, b: float) -> float:
-        z = _embed(invariant_set, a, b)
-        image = weak_system_map(wp, z)
-        return max(abs(zi - wi) for zi, wi in zip(z, image))
-
-    found = sorted(
-        min(cluster, key=lambda p: (full_residual(*p), p))
-        for cluster in clusters
-        if cluster
-    )
+    grid = np.array([_GRID_LO * ratio ** j for j in range(grid_points)])
+    starts = np.stack((np.repeat(grid, grid_points), np.tile(grid, grid_points)), axis=1)
+    points = _newton(wp, invariant_set, starts, tol)
+    points = points[((points > 1e-12) & (points < 1e9)).all(axis=1)]
+    embedded = points[:, _EMBED[invariant_set]]
+    full_residual = np.abs(embedded - weak_system_map(wp, embedded)).max(axis=1, initial=0.0)
+    # one representative per cluster: least residual, ties to the lower point
+    labels = _components(points, merge_radius)
+    by_residual = np.lexsort((points[:, 1], points[:, 0], full_residual))
+    chosen = by_residual[np.unique(labels[by_residual], return_index=True)[1]]
+    # the embedding keeps the order of (a, b)
+    found = sorted((tuple(embedded[n].tolist()), full_residual[n].item()) for n in chosen)
 
     laws, residuals, ti_flags = [], [], []
-    for a, b in found:
-        z = _embed(invariant_set, a, b)
-        res = full_residual(a, b)
+    for z, res in found:
         if res > tol:
             raise ConvergenceError(
                 "accepted fixed point fails the full 4-component residual",

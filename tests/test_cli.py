@@ -203,23 +203,6 @@ class TestSweepCommand:
         assert code == 1
         assert "error" in err.lower()
 
-    def test_thread_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("HC_TREE_THREADS", "2")
-        code, out, _ = run(
-            capsys, "sweep", "-k", "2", "--quantity", "s2",
-            "-lmin", "5", "-lmax", "6", "-n", "4",
-        )
-        assert code == 0
-        assert len(out.strip().split("\n")) == 5
-
-    def test_bad_thread_cap_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("HC_TREE_THREADS", "abc")
-        code, _, _ = run(
-            capsys, "sweep", "-k", "2", "--quantity", "s2",
-            "-lmin", "5", "-lmax", "6", "-n", "2",
-        )
-        assert code == 2
-
 
 class TestOracleCommand:
     def test_ti_mode_passes(self, capsys):

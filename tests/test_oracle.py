@@ -136,6 +136,14 @@ class TestPartitionFunction:
         b = partition_function(ball, 1.5, 0.3, method="recursion")
         assert a == pytest.approx(b, rel=1e-13)
 
+    def test_float_cross_check_holds_on_a_larger_ball(self):
+        # the two methods agree to about 1e-15 here; a naive float sum over
+        # the enumeration drifted 1.35e-12 apart and failed the 1e-12 check
+        ball = FiniteBall(4, 2)
+        total = partition_function(ball, 0.3, 0.3)
+        assert total == pytest.approx(partition_function(ball, 0.3, 0.3, method="enumeration"),
+                                      rel=1e-14)
+
     def test_rejects_bad_activity(self):
         with pytest.raises(DomainError):
             partition_function(FiniteBall(2, 1), 0.0, 0.5)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,19 @@ from hctree.weakperiodic import (
 )
 
 positives = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+
+
+def plain_float_map(k, i, lam, z):
+    """W one component at a time in Python floats, as a reference."""
+
+    def component(za, zb, zc):
+        base = 1.0 + lam * za
+        mid = base ** (k / i) + lam * zb ** (1.0 - 1.0 / i)
+        return base ** k / (mid ** i * (1.0 + lam * zc) ** (k - i))
+
+    z1, z2, z3, z4 = z
+    return (component(z3, z4, z2), component(z4, z3, z1),
+            component(z1, z2, z4), component(z2, z1, z3))
 
 
 class TestParams:
@@ -49,6 +63,36 @@ class TestSystemMap:
         wp = WeakPeriodicParams(2, 1, 1.0)
         with pytest.raises(DomainError):
             weak_system_map(wp, (1.0, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, -1.0, math.nan])
+    def test_scalar_call_rejects_bad_component(self, bad):
+        wp = WeakPeriodicParams(3, 2, 2.0)
+        with pytest.raises(DomainError):
+            weak_system_map(wp, (0.5, 1.0, bad, 2.0))
+
+    def test_scalar_call_raises_on_overflowing_power(self):
+        with pytest.raises(OverflowError):
+            weak_system_map(WeakPeriodicParams(6, 1, 10.0), (1e300, 1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("k,i,lam", [(2, 1, 4.0), (3, 2, 1.5), (6, 1, 10.0), (4, 5, 0.3)])
+    def test_array_rows_match_scalar_calls(self, k, i, lam):
+        wp = WeakPeriodicParams(k, i, lam)
+        z = np.exp(np.random.default_rng(k * 10 + i).uniform(-9.0, 5.0, size=(200, 4)))
+        rows = weak_system_map(wp, z)
+        assert rows.shape == (200, 4)
+        expect = np.array([weak_system_map(wp, row) for row in z.tolist()])
+        np.testing.assert_allclose(rows, expect, rtol=1e-14, atol=0.0)
+        # numpy and the C library may round a power one ulp apart, and each
+        # component passes through five of them
+        formula = np.array([plain_float_map(k, i, lam, row) for row in z.tolist()])
+        np.testing.assert_allclose(rows, formula, rtol=1e-13, atol=0.0)
+
+    def test_array_rows_that_would_raise_are_nan(self):
+        wp = WeakPeriodicParams(6, 1, 10.0)
+        z = np.array([[0.5, 1.0, 0.0, 2.0], [0.5, 1.0, 1.5, 2.0], [1e300, 1.0, 1.0, 1.0]])
+        rows = weak_system_map(wp, z)
+        assert np.isnan(rows[[0, 2]]).all()
+        np.testing.assert_allclose(rows[1], weak_system_map(wp, z[1].tolist()), rtol=1e-14)
 
     @given(
         st.integers(min_value=2, max_value=6),
@@ -202,10 +246,117 @@ class TestSolver:
         rep = solve_weak_periodic(WeakPeriodicParams(6, 1, lam), "I4")
         assert rep.count == expected
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cluster_merge_matches_pairwise_components(self, seed):
+        # the cell-bucket merge must give the components of the graph that
+        # joins every pair closer than the radius, cells being mere buckets
+        from hctree.weakperiodic import _components
+
+        rng = np.random.default_rng(seed)
+        radius = 0.1
+        centres = rng.uniform(0.0, 1.0, size=(6, 2))
+        points = np.concatenate([c + rng.normal(0.0, 0.06, size=(30, 2)) for c in centres])
+        close = (np.abs(points[:, None] - points[None]).max(axis=2) < radius)
+        expect = np.arange(len(points))
+        for _ in range(len(points)):
+            expect = np.where(close, expect[None, :], len(points)).min(axis=1)
+        labels = _components(points, radius)
+        assert ((labels[:, None] == labels[None]) == (expect[:, None] == expect[None])).all()
+
     def test_report_is_sorted(self):
         rep = solve_weak_periodic(WeakPeriodicParams(2, 1, 6.0), "I2")
         firsts = [fp.values[0] for fp in rep.fixed_points]
         assert firsts == sorted(firsts)
+
+
+# Fixed points on a fixed (k, i, set, lam) grid, in plane coordinates (a, b),
+# as the one-start-at-a-time Newton solver found them. The counts are exact:
+# bench/exact_weak_counts.py confirms them by resultant elimination.
+PINNED = [
+    (2, 1, "I2", 3.0, [
+        (0.28790217593972933, 0.28790217593973005),
+    ]),
+    (2, 1, "I2", 4.0, [
+        (0.24999962597831793, 0.25000037402210173),
+    ]),
+    (2, 1, "I2", 4.0000001, [
+        (0.24992094754936242, 0.2500790649514723),
+        (0.24999999390984504, 0.2499999998401551),
+        (0.2500790609628703, 0.2499209515360729),
+    ]),
+    (2, 1, "I2", 4.001, [
+        (0.24215777825476434, 0.2579671905030578),
+        (0.24996875536969032, 0.24996875537045285),
+        (0.25796719050254846, 0.24215777825524998),
+    ]),
+    (2, 1, "I2", 4.5, [
+        (0.11111111111111084, 0.4444444444444452),
+        (0.2356015901916167, 0.23560159019161853),
+        (0.44444444444444386, 0.1111111111111113),
+    ]),
+    (2, 1, "I2", 5.0, [
+        (0.07639320225002096, 0.5236067977499793),
+        (0.22326865972484203, 0.22326865972484267),
+        (0.5236067977499789, 0.07639320225002104),
+    ]),
+    (2, 1, "I2", 6.0, [
+        (0.044658198738520415, 0.6220084679281466),
+        (0.20312943088361082, 0.20312943088361107),
+        (0.6220084679281461, 0.04465819873852046),
+    ]),
+    (3, 1, "I2", 1.5, [
+        (0.31408568692560457, 0.3140856869256072),
+    ]),
+    (3, 1, "I2", 3.0, [
+        (0.025201510030802843, 0.8036040780907208),
+        (0.219366022457406, 0.219366022457406),
+        (0.8036040780907208, 0.025201510030802843),
+    ]),
+    (4, 2, "I2", 2.0, [
+        (0.017756482902220278, 0.8697167524032567),
+        (0.22554254602735954, 0.22554254602735982),
+        (0.8697167524032567, 0.017756482902220278),
+    ]),
+    (6, 1, "I4", 5.0, [
+        (0.09571199185337911, 0.09571199185338321),
+    ]),
+    (6, 1, "I4", 5.8, [
+        (0.08158173979793029, 0.09194849934921567),
+        (0.0867311833626277, 0.0867311833626567),
+        (0.09194849934920156, 0.08158173979794403),
+    ]),
+    (6, 1, "I4", 10.0, [
+        (0.045462982429944516, 0.07469754005819149),
+        (0.059878020095315364, 0.059878020095315954),
+        (0.07469754005819114, 0.045462982429944836),
+    ]),
+    (6, 1, "I4", 63.0, [
+        (0.01537770300751606, 0.016239149457396573),
+        (0.015810599233342926, 0.01581059923335046),
+        (0.016239149457394568, 0.015377703007518109),
+    ]),
+    (6, 1, "I4", 70.0, [
+        (0.014608006303713394, 0.014608006303715023),
+    ]),
+    (2, 1, "I3", 3.0, [
+        (0.28790217593972967, 0.28790217593972967),
+    ]),
+]
+
+
+class TestPinnedGrid:
+    @pytest.mark.parametrize("k,i,invariant_set,lam,points", PINNED)
+    def test_counts_and_points(self, k, i, invariant_set, lam, points):
+        rep = solve_weak_periodic(WeakPeriodicParams(k, i, lam), invariant_set)
+        assert rep.count == len(points)
+        second = 2 if invariant_set == "I3" else 1
+        got = [(fp.values[0], fp.values[second]) for fp in rep.fixed_points]
+        # right at the k = 2 bifurcation a cluster's representative may be any
+        # of its members, so there the points agree to the merge radius only
+        near_bifurcation = (k, i, invariant_set) == (2, 1, "I2") and abs(lam - 4.0) <= 1e-6
+        tol = 8e-6 if near_bifurcation else 1e-12
+        for (a, b), (pa, pb) in zip(got, points):
+            assert abs(a - pa) <= tol and abs(b - pb) <= tol
 
 
 class TestWindowEndpoints:
