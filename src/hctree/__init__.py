@@ -7,141 +7,20 @@ extremality verdicts, and cross-checks everything against exact finite-ball
 enumeration.
 """
 
-from .core import (
-    BoundaryLaw,
-    ConvergenceError,
-    DomainError,
-    InternalCheckError,
-    LawKind,
-    ModelParams,
-    SizeCapError,
-    SolveReport,
-    TransitionMatrix2,
-    recursion_derivative,
-    recursion_map,
-    single_step_matrix,
-    translation_invariant_law,
-    two_periodic_law,
-    two_step_matrix,
-    weak_periodic_law,
-)
-from .extremality import (
-    ExtremalityReport,
-    Verdict,
-    classify,
-    g_function,
-    gamma_bound,
-    h_function,
-    kappa_contraction,
-    kesten_stigum,
-    martinelli_check,
-    mossel_check,
-    msw_check,
-    report_for_law,
-    second_eigenvalue,
-)
-from .oracle import (
-    ENUMERATION_VERTEX_CAP,
-    FiniteBall,
-    RootDegree,
-    SampleResult,
-    conditional_child_distribution,
-    consistency_check,
-    count_admissible,
-    enumerate_admissible,
-    hard_core_violations,
-    partition_function,
-    root_marginal,
-    sample_tree_chain,
-)
-from .solvers import (
-    CriticalValues,
-    asymptotic_bound,
-    critical_lambda,
-    critical_values,
-    discriminant_k3,
-    k3_cubic_root,
-    lambda_star,
-    nonextremal_bound,
-    solve_translation_invariant,
-    solve_two_periodic,
-    solve_two_periodic_k2_closed,
-    solve_two_periodic_k3_closed,
-)
-from .weakperiodic import (
-    SOLVE_SETS,
-    WeakPeriodicParams,
-    WeakSolveReport,
-    invariant_set_check,
-    lambda_pm,
-    s_pm,
-    solve_weak_periodic,
-    weak_system_map,
-)
+from . import core, extremality, oracle, solvers, weakperiodic
+from .core import *
+from .extremality import *
+from .oracle import *
+from .solvers import *
+from .weakperiodic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryLaw",
-    "ConvergenceError",
-    "CriticalValues",
-    "DomainError",
-    "ENUMERATION_VERTEX_CAP",
-    "ExtremalityReport",
-    "FiniteBall",
-    "InternalCheckError",
-    "LawKind",
-    "ModelParams",
-    "RootDegree",
-    "SOLVE_SETS",
-    "SampleResult",
-    "SizeCapError",
-    "SolveReport",
-    "TransitionMatrix2",
-    "Verdict",
-    "WeakPeriodicParams",
-    "WeakSolveReport",
+__all__ = sorted([
+    *core.__all__,
+    *extremality.__all__,
+    *oracle.__all__,
+    *solvers.__all__,
+    *weakperiodic.__all__,
     "__version__",
-    "asymptotic_bound",
-    "classify",
-    "conditional_child_distribution",
-    "consistency_check",
-    "count_admissible",
-    "critical_lambda",
-    "critical_values",
-    "discriminant_k3",
-    "enumerate_admissible",
-    "g_function",
-    "gamma_bound",
-    "h_function",
-    "hard_core_violations",
-    "invariant_set_check",
-    "k3_cubic_root",
-    "kappa_contraction",
-    "kesten_stigum",
-    "lambda_pm",
-    "lambda_star",
-    "martinelli_check",
-    "mossel_check",
-    "msw_check",
-    "nonextremal_bound",
-    "partition_function",
-    "recursion_derivative",
-    "recursion_map",
-    "report_for_law",
-    "root_marginal",
-    "s_pm",
-    "sample_tree_chain",
-    "second_eigenvalue",
-    "single_step_matrix",
-    "solve_translation_invariant",
-    "solve_two_periodic",
-    "solve_two_periodic_k2_closed",
-    "solve_two_periodic_k3_closed",
-    "solve_weak_periodic",
-    "translation_invariant_law",
-    "two_periodic_law",
-    "two_step_matrix",
-    "weak_periodic_law",
-    "weak_system_map",
-]
+])

@@ -28,6 +28,7 @@ from .extremality import classify, g_function, h_function
 from .oracle import (
     FiniteBall,
     RootDegree,
+    _require_ball_enumerable,
     consistency_check,
     hard_core_violations,
     sample_tree_chain,
@@ -67,10 +68,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, out_path: str | None = None) -> None:
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -221,113 +218,93 @@ def _need(args, flag: str, attr: str):
     return value
 
 
+def _params(args) -> ModelParams:
+    return ModelParams(_need(args, "-k/--k", "k"), _need(args, "-l/--lambda", "lam"))
+
+
+def _pair(report):
+    """The alternating pair's values, or None where only the fixed point exists."""
+    law = report.solutions[-1]
+    return law.values if law.kind is LawKind.TWO_PERIODIC else None
+
+
+# Each _cmd_* returns its output once in every form: the JSON document, the
+# CSV lines and the text lines (None where the command has no text form).
+
+
 # ---------------------------------------------------------------------------
 # solve / classify
 
 
-def _law_entry(law, residual) -> dict:
-    return {
-        "kind": law.kind.value,
-        "values": [float(v) for v in law.values],
-        "residual": float(residual),
-    }
-
-
-def _cmd_solve(args) -> int:
-    params = ModelParams(_need(args, "-k/--k", "k"), _need(args, "-l/--lambda", "lam"))
+def _cmd_solve(args):
+    params = _params(args)
     report = solve_two_periodic(params, args.tol)
-    if args.json:
-        _emit_json({
-            "command": "solve",
-            "k": params.k,
-            "lambda": params.lam,
-            "tol": args.tol,
-            "lambda_critical": report.lambda_critical,
-            "system_solution_count": report.system_solution_count,
-            "degenerate_double_root": report.degenerate_double_root,
-            "solutions": [
-                _law_entry(law, res)
-                for law, res in zip(report.solutions, report.residuals)
-            ],
-        })
-        return 0
-    if args.csv:
-        lines = ["kind,z1,z2,residual"]
-        for law, res in zip(report.solutions, report.residuals):
-            z2 = _fmt(law.values[1]) if len(law.values) > 1 else ""
-            lines.append(f"{law.kind.value},{_fmt(law.values[0])},{z2},{_fmt(res)}")
-        _emit("\n".join(lines) + "\n", None)
-        return 0
-    print(f"k={params.k}  lambda={_fmt(params.lam)}  "
-          f"critical activity={_fmt(report.lambda_critical)}")
-    print(f"ordered system solutions: {report.system_solution_count}")
+    found = list(zip(report.solutions, report.residuals))
+    doc = {
+        "command": "solve",
+        "k": params.k,
+        "lambda": params.lam,
+        "tol": args.tol,
+        "lambda_critical": report.lambda_critical,
+        "system_solution_count": report.system_solution_count,
+        "degenerate_double_root": report.degenerate_double_root,
+        "solutions": [
+            {"kind": law.kind.value, "values": [float(v) for v in law.values],
+             "residual": float(res)}
+            for law, res in found
+        ],
+    }
+    csv = ["kind,z1,z2,residual"]
+    text = [f"k={params.k}  lambda={_fmt(params.lam)}  "
+            f"critical activity={_fmt(report.lambda_critical)}",
+            f"ordered system solutions: {report.system_solution_count}"]
     if report.degenerate_double_root:
-        print("note: at the bifurcation point the pair collapses onto the fixed point")
-    for law, res in zip(report.solutions, report.residuals):
+        text.append("note: at the bifurcation point the pair collapses onto the fixed point")
+    for law, res in found:
+        z2 = _fmt(law.values[1]) if len(law.values) > 1 else ""
+        csv.append(f"{law.kind.value},{_fmt(law.values[0])},{z2},{_fmt(res)}")
         vals = "  ".join(f"z{idx + 1}={_fmt(v)}" for idx, v in enumerate(law.values)) \
             if len(law.values) > 1 else f"z={_fmt(law.values[0])}"
-        print(f"  {law.kind.value:22s} {vals}  residual={_fmt(res)}")
-    return 0
+        text.append(f"  {law.kind.value:22s} {vals}  residual={_fmt(res)}")
+    return doc, csv, text
 
 
-def _report_entry(rep) -> dict:
-    return {
-        "kind": rep.law.kind.value,
-        "values": [float(v) for v in rep.law.values],
-        "k_eff": rep.k_eff,
-        "s2": _num(rep.s2),
-        "kappa": _num(rep.kappa),
-        "gamma": _num(rep.gamma),
-        "ks_value": _num(rep.ks_value),
-        "msw_value": _num(rep.msw_value),
-        "martinelli_value": _num(rep.martinelli_value),
-        "martinelli_no_reconstruction": rep.martinelli_no_reconstruction,
-        "mossel_value": _num(rep.mossel_value),
-        "mossel_no_reconstruction": rep.mossel_no_reconstruction,
-        "verdict": rep.verdict.value,
-    }
+# certificate fields of an ExtremalityReport, in CSV column and JSON key order
+_CERTS = ("s2", "kappa", "gamma", "ks_value", "msw_value", "martinelli_value", "mossel_value")
 
 
-_CLASSIFY_COLUMNS = ("kind", "z1", "z2", "k_eff", "s2", "kappa", "gamma", "ks_value",
-                     "msw_value", "martinelli_value", "mossel_value", "verdict")
-
-
-def _cmd_classify(args) -> int:
-    params = ModelParams(_need(args, "-k/--k", "k"), _need(args, "-l/--lambda", "lam"))
+def _cmd_classify(args):
+    params = _params(args)
     reports = classify(params, args.tol)
-    if args.json:
-        _emit_json({
-            "command": "classify",
-            "k": params.k,
-            "lambda": params.lam,
-            "tol": args.tol,
-            "reports": [_report_entry(r) for r in reports],
-        })
-        return 0
-    if args.csv:
-        lines = [",".join(_CLASSIFY_COLUMNS)]
-        for r in reports:
-            z2 = _fmt(r.law.values[1]) if len(r.law.values) > 1 else ""
-            lines.append(",".join((
-                r.law.kind.value, _fmt(r.law.values[0]), z2, str(r.k_eff),
-                _fmt(r.s2), _fmt(r.kappa), _fmt(r.gamma), _fmt(r.ks_value),
-                _fmt(r.msw_value), _fmt(r.martinelli_value), _fmt(r.mossel_value),
-                r.verdict.value,
-            )))
-        _emit("\n".join(lines) + "\n", None)
-        return 0
-    print(f"k={params.k}  lambda={_fmt(params.lam)}")
+    doc = {"command": "classify", "k": params.k, "lambda": params.lam, "tol": args.tol,
+           "reports": []}
+    csv = [",".join(("kind", "z1", "z2", "k_eff", *_CERTS, "verdict"))]
+    text = [f"k={params.k}  lambda={_fmt(params.lam)}"]
     for r in reports:
+        entry = {"kind": r.law.kind.value, "values": [float(v) for v in r.law.values],
+                 "k_eff": r.k_eff}
+        for name in _CERTS:
+            entry[name] = _num(getattr(r, name))
+            if name in ("martinelli_value", "mossel_value"):
+                flag = name.replace("value", "no_reconstruction")
+                entry[flag] = getattr(r, flag)
+        entry["verdict"] = r.verdict.value
+        doc["reports"].append(entry)
+        z2 = _fmt(r.law.values[1]) if len(r.law.values) > 1 else ""
+        csv.append(",".join((r.law.kind.value, _fmt(r.law.values[0]), z2, str(r.k_eff),
+                             *(_fmt(getattr(r, name)) for name in _CERTS), r.verdict.value)))
         vals = ", ".join(_fmt(v) for v in r.law.values)
-        print(f"  {r.law.kind.value}  z=({vals})")
-        print(f"    k_eff={r.k_eff}  s2={_fmt(r.s2)}  kappa={_fmt(r.kappa)}  "
-              f"gamma<={_fmt(r.gamma)}")
-        print(f"    spectral value={_fmt(r.ks_value)}  contraction value={_fmt(r.msw_value)}")
-        print(f"    reconstruction tests: {_fmt(r.martinelli_value)} "
-              f"(ok={r.martinelli_no_reconstruction}), {_fmt(r.mossel_value)} "
-              f"(ok={r.mossel_no_reconstruction})")
-        print(f"    verdict: {r.verdict.value}")
-    return 0
+        text += [
+            f"  {r.law.kind.value}  z=({vals})",
+            f"    k_eff={r.k_eff}  s2={_fmt(r.s2)}  kappa={_fmt(r.kappa)}  "
+            f"gamma<={_fmt(r.gamma)}",
+            f"    spectral value={_fmt(r.ks_value)}  contraction value={_fmt(r.msw_value)}",
+            f"    reconstruction tests: {_fmt(r.martinelli_value)} "
+            f"(ok={r.martinelli_no_reconstruction}), {_fmt(r.mossel_value)} "
+            f"(ok={r.mossel_no_reconstruction})",
+            f"    verdict: {r.verdict.value}",
+        ]
+    return doc, csv, text
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +327,6 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
     return vals
 
 
-def _pair_or_single_report(params: ModelParams, tol: float):
-    """The alternating pair's diagnostics above the bifurcation, else the
-    invariant law's."""
-    reports = classify(params, tol)
-    for rep in reports:
-        if rep.law.kind is LawKind.TWO_PERIODIC:
-            return rep
-    return reports[0]
-
-
 def _sweep_value(args, lam: float):
     quantity = args.quantity
     if quantity in ("D", "h", "g") and args.k != 3:
@@ -376,7 +343,8 @@ def _sweep_value(args, lam: float):
     if quantity == "weakperiodic_count":
         wp = WeakPeriodicParams(args.k, args.i, lam)
         return solve_weak_periodic(wp, args.invariant_set, args.tol).count
-    rep = _pair_or_single_report(ModelParams(args.k, lam), args.tol)
+    # reports come in solution order: the pair's, where it exists, is last
+    rep = classify(ModelParams(args.k, lam), args.tol)[-1]
     if quantity == "s2":
         return rep.s2
     if quantity == "ks":
@@ -386,7 +354,7 @@ def _sweep_value(args, lam: float):
     return rep.verdict.value
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     _need(args, "-k/--k", "k")
     lmin = _need(args, "-lmin/--lambda-min", "lambda_min")
     lmax = _need(args, "-lmax/--lambda-max", "lambda_max")
@@ -394,126 +362,89 @@ def _cmd_sweep(args) -> int:
         raise DomainError("missing required flag --quantity")
     grid = _grid(lmin, lmax, args.points, args.scale)
     values = [_sweep_value(args, lam) for lam in grid]
-
-    if args.json:
-        rows = [
+    doc = {
+        "command": "sweep",
+        "k": args.k,
+        "quantity": args.quantity,
+        "scale": args.scale,
+        "lambda_min": lmin,
+        "lambda_max": lmax,
+        "points": args.points,
+        "i": args.i,
+        "invariant_set": args.invariant_set,
+        "rows": [
             {"lambda": lam, "value": val if isinstance(val, (int, str)) else _num(val)}
             for lam, val in zip(grid, values)
-        ]
-        _emit_json({
-            "command": "sweep",
-            "k": args.k,
-            "quantity": args.quantity,
-            "scale": args.scale,
-            "lambda_min": lmin,
-            "lambda_max": lmax,
-            "points": args.points,
-            "i": args.i,
-            "invariant_set": args.invariant_set,
-            "rows": rows,
-        }, args.out)
-        return 0
-    lines = [f"lambda,{args.quantity}"]
+        ],
+    }
+    csv = [f"lambda,{args.quantity}"]
     for lam, val in zip(grid, values):
         cell = val if isinstance(val, str) else (str(val) if isinstance(val, int) else _fmt(val))
-        lines.append(f"{_fmt(lam)},{cell}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        csv.append(f"{_fmt(lam)},{cell}")
+    return doc, csv, None
 
 
 # ---------------------------------------------------------------------------
 # oracle
 
 
-def _cmd_oracle(args) -> int:
-    params = ModelParams(_need(args, "-k/--k", "k"), _need(args, "-l/--lambda", "lam"))
+def _cmd_oracle(args):
+    params = _params(args)
     depth = _need(args, "-n/--depth", "depth")
     root = RootDegree(args.root)
+    doc = {"command": "oracle", "k": params.k, "lambda": params.lam, "depth": depth,
+           "mode": args.mode, "root": root.value}
 
     if args.mode == "sample":
         report = solve_two_periodic(params, args.tol)
-        pair = next((law for law in report.solutions
-                     if law.kind is LawKind.TWO_PERIODIC), None)
-        if pair is not None:
-            z1, z2 = pair.values
-        else:
-            z1 = z2 = report.solutions[0].values[0]
+        z1, z2 = _pair(report) or report.solutions[0].values * 2
         result = sample_tree_chain(params, z1, z2, depth, args.samples, args.seed, root)
         violations = hard_core_violations(result.ball, result.spins)
         passed = violations == 0
-        if args.json:
-            _emit_json({
-                "command": "oracle",
-                "k": params.k,
-                "lambda": params.lam,
-                "depth": depth,
-                "mode": args.mode,
-                "root": root.value,
-                "samples": args.samples,
-                "seed": args.seed,
-                "violations": violations,
-                "passed": passed,
-                "metadata": result.metadata,
-            })
-            return 0
-        print(f"mode=sample  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
-              f"root={root.value}  samples={args.samples}  seed={args.seed}")
-        print(f"z1={_fmt(z1)}  z2={_fmt(z2)}")
-        print(f"adjacent occupied pairs: {violations}")
-        print("PASS" if passed else "FAIL")
-        return 0
+        doc.update(samples=args.samples, seed=args.seed, violations=violations,
+                   passed=passed, metadata=result.metadata)
+        text = [f"mode=sample  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
+                f"root={root.value}  samples={args.samples}  seed={args.seed}",
+                f"z1={_fmt(z1)}  z2={_fmt(z2)}",
+                f"adjacent occupied pairs: {violations}",
+                "PASS" if passed else "FAIL"]
+        return doc, None, text
 
+    # exact enumeration is capped: refuse an oversized ball before building it
+    _require_ball_enumerable(params.k, depth, root)
     ball = FiniteBall(params.k, depth, root)
-    if args.mode == "ti":
-        z = solve_translation_invariant(params, args.tol)
-        assignment = z
-        values = [z]
-    elif args.mode == "perturbed":
-        z = solve_translation_invariant(params, args.tol) + 0.1
-        assignment = z
-        values = [z]
-    else:
+    if args.mode == "periodic":
         report = solve_two_periodic(params, args.tol)
-        pair = next((law for law in report.solutions
-                     if law.kind is LawKind.TWO_PERIODIC), None)
-        if pair is None:
+        values = _pair(report)
+        if values is None:
             raise DomainError(
                 "periodic mode needs an activity above the critical one "
                 f"({_fmt(report.lambda_critical)})"
             )
-        z1, z2 = pair.values
-        assignment = [z1 if ball.level[v] % 2 == 1 else z2
-                      for v in range(ball.n_vertices)]
-        values = [z1, z2]
+        z1, z2 = values
+        assignment = [z1 if ball.level[v] % 2 == 1 else z2 for v in range(ball.n_vertices)]
+    else:
+        z = solve_translation_invariant(params, args.tol)
+        if args.mode == "perturbed":
+            z += 0.1
+        assignment, values = z, [z]
     deviation = consistency_check(ball, params.lam, assignment)
     passed = deviation < PASS_THRESHOLD
-    if args.json:
-        _emit_json({
-            "command": "oracle",
-            "k": params.k,
-            "lambda": params.lam,
-            "depth": depth,
-            "mode": args.mode,
-            "root": root.value,
-            "boundary_values": [float(v) for v in values],
-            "max_deviation": deviation,
-            "threshold": PASS_THRESHOLD,
-            "passed": passed,
-        })
-        return 0
-    print(f"mode={args.mode}  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
-          f"root={root.value}  vertices={ball.n_vertices}")
-    print(f"boundary values: {', '.join(_fmt(v) for v in values)}")
-    print(f"max deviation = {_fmt(deviation)}  (threshold {_fmt(PASS_THRESHOLD)})")
-    print("PASS" if passed else "FAIL")
-    return 0
+    doc.update(boundary_values=[float(v) for v in values], max_deviation=deviation,
+               threshold=PASS_THRESHOLD, passed=passed)
+    text = [f"mode={args.mode}  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
+            f"root={root.value}  vertices={ball.n_vertices}",
+            f"boundary values: {', '.join(_fmt(v) for v in values)}",
+            f"max deviation = {_fmt(deviation)}  (threshold {_fmt(PASS_THRESHOLD)})",
+            "PASS" if passed else "FAIL"]
+    return doc, None, text
 
 
 # ---------------------------------------------------------------------------
 # critical / weak
 
 
-def _cmd_critical(args) -> int:
+def _cmd_critical(args):
     k = _need(args, "-k/--k", "k")
     cv = critical_values(k)
     eps = args.epsilon
@@ -523,24 +454,20 @@ def _cmd_critical(args) -> int:
         lam_minus, lam_plus = lambda_pm(k)
     else:
         s_minus = s_plus = lam_minus = lam_plus = None
-
-    if args.json:
-        _emit_json({
-            "command": "critical",
-            "k": k,
-            "epsilon": eps,
-            "lambda_critical": cv.lambda_cr,
-            "t_star": cv.t_star,
-            "lambda_star": cv.lambda_star,
-            "kesten_stigum_bound": cv.lambda_nonextremal,
-            "asymptotic_bound": _num(asym),
-            "s_minus": _num(s_minus),
-            "s_plus": _num(s_plus),
-            "lambda_minus": _num(lam_minus),
-            "lambda_plus": _num(lam_plus),
-        })
-        return 0
-
+    doc = {
+        "command": "critical",
+        "k": k,
+        "epsilon": eps,
+        "lambda_critical": cv.lambda_cr,
+        "t_star": cv.t_star,
+        "lambda_star": cv.lambda_star,
+        "kesten_stigum_bound": cv.lambda_nonextremal,
+        "asymptotic_bound": _num(asym),
+        "s_minus": _num(s_minus),
+        "s_plus": _num(s_plus),
+        "lambda_minus": _num(lam_minus),
+        "lambda_plus": _num(lam_plus),
+    }
     rows = [
         ("lambda_critical (two-periodic pair appears above)", cv.lambda_cr),
         ("t_star (threshold polynomial root)", cv.t_star),
@@ -556,58 +483,40 @@ def _cmd_critical(args) -> int:
             ("lambda_minus (weak-periodic branch activity)", lam_minus),
             ("lambda_plus (weak-periodic branch activity)", lam_plus),
         ])
-    if args.csv:
-        lines = ["quantity,value"]
-        lines += [f"{name.split(' ', 1)[0]},{_fmt(value)}" for name, value in rows]
-        _emit("\n".join(lines) + "\n", None)
-        return 0
-    print(f"k = {k}")
-    for name, value in rows:
-        print(f"  {name}: {_fmt(value)}")
-    return 0
+    csv = ["quantity,value", *(f"{name.split(' ', 1)[0]},{_fmt(value)}" for name, value in rows)]
+    text = [f"k = {k}", *(f"  {name}: {_fmt(value)}" for name, value in rows)]
+    return doc, csv, text
 
 
-def _cmd_weak(args) -> int:
-    wp = WeakPeriodicParams(
-        _need(args, "-k/--k", "k"), args.i, _need(args, "-l/--lambda", "lam")
-    )
+def _cmd_weak(args):
+    params = _params(args)
+    wp = WeakPeriodicParams(params.k, args.i, params.lam)
     report = solve_weak_periodic(wp, args.invariant_set, args.tol)
-    if args.json:
-        _emit_json({
-            "command": "weak",
-            "k": wp.k,
-            "lambda": wp.lam,
-            "i": wp.i,
-            "invariant_set": report.invariant_set,
-            "tol": args.tol,
-            "count": report.count,
-            "non_constant_count": report.non_ti_count,
-            "fixed_points": [
-                {
-                    "values": [float(v) for v in law.values],
-                    "residual": float(res),
-                    "constant": bool(flag),
-                }
-                for law, res, flag in zip(
-                    report.fixed_points, report.residuals, report.ti_flags
-                )
-            ],
-        })
-        return 0
-    if args.csv:
-        lines = ["z1,z2,z3,z4,residual,constant"]
-        for law, res, flag in zip(report.fixed_points, report.residuals, report.ti_flags):
-            vals = ",".join(_fmt(v) for v in law.values)
-            lines.append(f"{vals},{_fmt(res)},{str(bool(flag)).lower()}")
-        _emit("\n".join(lines) + "\n", None)
-        return 0
-    print(f"k={wp.k}  lambda={_fmt(wp.lam)}  i={wp.i}  set={report.invariant_set}")
-    print(f"fixed points: {report.count}  (non-constant: {report.non_ti_count})")
-    for law, res, flag in zip(report.fixed_points, report.residuals, report.ti_flags):
-        vals = ", ".join(_fmt(v) for v in law.values)
+    found = list(zip(report.fixed_points, report.residuals, report.ti_flags))
+    doc = {
+        "command": "weak",
+        "k": wp.k,
+        "lambda": wp.lam,
+        "i": wp.i,
+        "invariant_set": report.invariant_set,
+        "tol": args.tol,
+        "count": report.count,
+        "non_constant_count": report.non_ti_count,
+        "fixed_points": [
+            {"values": [float(v) for v in law.values], "residual": float(res),
+             "constant": bool(flag)}
+            for law, res, flag in found
+        ],
+    }
+    csv = ["z1,z2,z3,z4,residual,constant"]
+    text = [f"k={wp.k}  lambda={_fmt(wp.lam)}  i={wp.i}  set={report.invariant_set}",
+            f"fixed points: {report.count}  (non-constant: {report.non_ti_count})"]
+    for law, res, flag in found:
+        vals = [_fmt(v) for v in law.values]
+        csv.append(f"{','.join(vals)},{_fmt(res)},{str(bool(flag)).lower()}")
         tag = "constant" if flag else "non-constant"
-        print(f"  ({vals})  residual={_fmt(res)}  [{tag}]")
-    return 0
+        text.append(f"  ({', '.join(vals)})  residual={_fmt(res)}  [{tag}]")
+    return doc, csv, text
 
 
 # ---------------------------------------------------------------------------
@@ -628,28 +537,25 @@ def main(argv=None) -> int:
     parser, subs = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-
-    try:
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
         if args.config:
             subs[args.command].set_defaults(**_read_config(args.config, subs[args.command]))
-            try:
-                args = parser.parse_args(argv)
-            except SystemExit as exc:
-                return exc.code if isinstance(exc.code, int) else 2
-        return _DISPATCH[args.command](args)
+            args = parser.parse_args(argv)
+        doc, csv, text = _DISPATCH[args.command](args)
+        if args.json:
+            lines = [json.dumps(doc, indent=2, allow_nan=False)]
+        else:
+            lines = csv if text is None or getattr(args, "csv", False) else text
+        _emit("\n".join(lines) + "\n", getattr(args, "out", None))
+        return 0
+    except SystemExit as exc:  # argparse reports usage errors and --help this way
+        return exc.code if isinstance(exc.code, int) else 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SizeCapError, InternalCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConvergenceError, SizeCapError, InternalCheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,6 +68,15 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value itself, if it is an int (not a bool) in [lo, hi]; hi=None is unbounded."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < lo
+            or (hi is not None and value > hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Branching number k >= 2 and activity lam > 0."""
@@ -76,8 +85,7 @@ class ModelParams:
     lam: float
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-            raise DomainError(f"k must be an integer >= 2, got {self.k!r}")
+        _check_int("k", self.k, 2)
         _check_positive("lam", self.lam)
 
 

@@ -36,10 +36,10 @@ __all__ = [
     "kesten_stigum",
     "martinelli_check",
     "mossel_check",
+    "msw_check",
+    "report_for_law",
     "second_eigenvalue",
 ]
-
-_K3_CRITICAL = 27.0 / 16.0
 
 
 class Verdict(str, Enum):
@@ -69,14 +69,15 @@ def gamma_bound(params: ModelParams) -> float:
     return params.lam / (params.lam + 1.0)
 
 
-def _chain_s2(params: ModelParams, z1: float, z2: float, two_periodic: bool) -> tuple[float, int]:
+def _chain(params: ModelParams, z1: float, z2: float,
+           two_periodic: bool) -> tuple[TransitionMatrix2, int, float]:
+    """(matrix, k_eff, |second eigenvalue|) of the two-step chain through the
+    pair (z1, z2), or of the invariant chain at z1 (z2 is ignored there)."""
     if two_periodic:
-        return second_eigenvalue(params, z1, z2), params.k * params.k
-    # invariant chain: |second eigenvalue| of the single-step matrix at z1
-    if z1 <= 0:
-        raise DomainError("z1 must be positive")
-    w = params.lam * z1
-    return w / (1.0 + w), params.k
+        return (two_step_matrix(params, z1, z2), params.k * params.k,
+                second_eigenvalue(params, z1, z2))
+    matrix = single_step_matrix(params, z1)
+    return matrix, params.k, abs(matrix.second_eigenvalue())
 
 
 def kesten_stigum(params: ModelParams, z1: float, z2: float, two_periodic: bool = True) -> float:
@@ -85,18 +86,13 @@ def kesten_stigum(params: ModelParams, z1: float, z2: float, two_periodic: bool 
     two_periodic=False treats (z1, z1) as the invariant chain (z2 is ignored
     there) with k_eff = k; otherwise the two-step chain with k_eff = k**2.
     """
-    s2, k_eff = _chain_s2(params, z1, z2, two_periodic)
+    _, k_eff, s2 = _chain(params, z1, z2, two_periodic)
     return k_eff * s2 * s2
 
 
 def msw_check(params: ModelParams, z1: float, z2: float, two_periodic: bool = True) -> float:
     """k_eff * kappa * gamma_bound; below 1 the measure is extremal."""
-    if two_periodic:
-        matrix = two_step_matrix(params, z1, z2)
-        k_eff = params.k * params.k
-    else:
-        matrix = single_step_matrix(params, z1)
-        k_eff = params.k
+    matrix, k_eff, _ = _chain(params, z1, z2, two_periodic)
     return k_eff * kappa_contraction(matrix) * gamma_bound(params)
 
 
@@ -132,16 +128,19 @@ def mossel_check(matrix: TransitionMatrix2, k_eff: int) -> tuple[float, bool]:
     return value, value <= 1.0
 
 
+def _k3_pair_kappa(lam: float) -> float:
+    """Second eigenvalue of the k=3 pair's two-step chain; DomainError below 27/16."""
+    z1, z2 = solve_two_periodic_k3_closed(lam)
+    return second_eigenvalue(ModelParams(3, lam), z1, z2)
+
+
 def h_function(lam: float) -> float:
     """k=3 spectral diagnostic 9*kappa**2 - 1 along the closed-form pair.
 
     Negative for every activity above 27/16: the pair never trips the
     reconstruction bound. Strictly decreasing in the activity.
     """
-    if lam < _K3_CRITICAL:
-        raise DomainError(f"h_function needs lam >= 27/16, got {lam!r}")
-    z1, z2 = solve_two_periodic_k3_closed(lam)
-    kap = second_eigenvalue(ModelParams(3, lam), z1, z2)
+    kap = _k3_pair_kappa(lam)
     return 9.0 * kap * kap - 1.0
 
 
@@ -150,10 +149,7 @@ def g_function(lam: float) -> float:
 
     Negative above 27/16, so the pair is extremal there; strictly decreasing.
     """
-    if lam < _K3_CRITICAL:
-        raise DomainError(f"g_function needs lam >= 27/16, got {lam!r}")
-    z1, z2 = solve_two_periodic_k3_closed(lam)
-    kap = second_eigenvalue(ModelParams(3, lam), z1, z2)
+    kap = _k3_pair_kappa(lam)
     return 9.0 * kap * lam / (lam + 1.0) - 1.0
 
 
@@ -197,17 +193,10 @@ def _verdict(ks_value, msw_value, mart_ok, mossel_ok) -> Verdict:
 
 def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
     """Build the full diagnostic record for an invariant or alternating law."""
-    if law.kind is LawKind.TRANSLATION_INVARIANT:
-        matrix = single_step_matrix(params, law.values[0])
-        k_eff = params.k
-        s2 = abs(matrix.second_eigenvalue())
-    elif law.kind is LawKind.TWO_PERIODIC:
-        z1, z2 = law.values
-        matrix = two_step_matrix(params, z1, z2)
-        k_eff = params.k * params.k
-        s2 = second_eigenvalue(params, z1, z2)
-    else:
+    if law.kind is LawKind.WEAK_PERIODIC:
         raise DomainError("weak-periodic laws have no single chain matrix here")
+    two_periodic = law.kind is LawKind.TWO_PERIODIC
+    matrix, k_eff, s2 = _chain(params, law.values[0], law.values[-1], two_periodic)
     kap = kappa_contraction(matrix)
     gam = gamma_bound(params)
     ks_value = k_eff * s2 * s2

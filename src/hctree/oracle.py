@@ -27,6 +27,7 @@ from .core import (
     InternalCheckError,
     ModelParams,
     SizeCapError,
+    _check_int,
     two_step_matrix,
 )
 
@@ -69,10 +70,8 @@ class FiniteBall:
     """
 
     def __init__(self, k: int, depth: int, root_degree: RootDegree = RootDegree.HALF):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise DomainError(f"branching number k must be an integer >= 1, got {k!r}")
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-            raise DomainError(f"depth must be a non-negative integer, got {depth!r}")
+        _check_int("k", k, 1)
+        _check_int("depth", depth, 0)
         root_degree = RootDegree(root_degree)
         self.k = k
         self.depth = depth
@@ -117,6 +116,17 @@ def _require_enumerable(n_vertices: int) -> None:
             f"enumeration supports at most {ENUMERATION_VERTEX_CAP} vertices, "
             f"got {n_vertices}"
         )
+
+
+def _require_ball_enumerable(k: int, depth: int, root_degree: RootDegree) -> None:
+    """_require_enumerable for FiniteBall(k, depth, root_degree), k >= 2, from
+    the closed-form vertex count, before the ball is built."""
+    _check_int("depth", depth, 0)
+    if depth > ENUMERATION_VERTEX_CAP:  # over 2**depth vertices, too many to even count
+        raise SizeCapError(f"enumeration supports at most {ENUMERATION_VERTEX_CAP} vertices, "
+                           f"got a ball of depth {depth}")
+    fanout = k + 1 if root_degree is RootDegree.FULL else k
+    _require_enumerable(1 + fanout * (k ** depth - 1) // (k - 1))
 
 
 def _enumerate_prefix(n_vertices: int, parent: Sequence[int]):
@@ -165,20 +175,6 @@ def _count_enumeration(n_vertices: int, parent: Sequence[int]) -> int:
     return rec(0)
 
 
-def _count_recursion(ball: FiniteBall) -> int:
-    free = [0] * ball.n_vertices
-    occ = [0] * ball.n_vertices
-    for v in range(ball.n_vertices - 1, -1, -1):
-        f = 1
-        o = 1
-        for c in ball.children[v]:
-            f *= free[c] + occ[c]
-            o *= free[c]
-        free[v] = f
-        occ[v] = o
-    return free[0] + occ[0]
-
-
 def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     """Number of admissible configurations, exactly.
 
@@ -189,12 +185,11 @@ def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     if method == "enumeration":
         _require_enumerable(ball.n_vertices)
         return _count_enumeration(ball.n_vertices, ball.parent)
-    if method == "recursion":
-        return _count_recursion(ball)
-    if method != "auto":
+    if method not in ("recursion", "auto"):
         raise DomainError(f"unknown counting method {method!r}")
-    total = _count_recursion(ball)
-    if ball.n_vertices <= ENUMERATION_VERTEX_CAP:
+    # unit activity and boundary weights count configurations, in exact ints
+    total = sum(_partition_recursion(ball, 1, dict.fromkeys(ball.leaves, 1)))
+    if method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP:
         check = _count_enumeration(ball.n_vertices, ball.parent)
         if check != total:
             raise InternalCheckError(
@@ -288,14 +283,11 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
     leaves = _leaf_values(ball, boundary_z)
     if method == "enumeration":
         return _partition_enumeration(ball, lam, leaves)
-    if method == "recursion":
-        f, o = _partition_recursion(ball, lam, leaves)
-        return f + o
-    if method != "auto":
+    if method not in ("recursion", "auto"):
         raise DomainError(f"unknown partition method {method!r}")
     f, o = _partition_recursion(ball, lam, leaves)
     total = f + o
-    if ball.n_vertices <= ENUMERATION_VERTEX_CAP:
+    if method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP:
         check = _partition_enumeration(ball, lam, leaves)
         denom = max(abs(total), abs(check))
         if denom > 0 and abs(total - check) > 1e-12 * denom:

@@ -12,6 +12,8 @@ from .core import (
     DomainError,
     ModelParams,
     SolveReport,
+    _check_int,
+    _check_positive,
     recursion_map,
     translation_invariant_law,
     two_periodic_law,
@@ -39,15 +41,9 @@ _PAIR_BRACKET_MARGIN = 1e-9  # keep the two-cycle bracket clear of the fixed poi
 _K3_CRITICAL = 27.0 / 16.0
 
 
-def _check_k(k) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise DomainError(f"k must be an integer >= 2, got {k!r}")
-    return k
-
-
 def critical_lambda(k: int) -> float:
     """Activity above which the alternating pair appears: (k/(k-1))**k / (k-1)."""
-    k = _check_k(k)
+    _check_int("k", k, 2)
     return (k / (k - 1.0)) ** k / (k - 1.0)
 
 
@@ -107,9 +103,7 @@ def _cbrt(x: float) -> float:
 
 def k3_cubic_root(lam: float) -> float:
     """The real root a > 1 of a**3 - a**2 = 1/lam, by the explicit radical form."""
-    lam = float(lam)
-    if lam <= 0 or not math.isfinite(lam):
-        raise DomainError(f"lam must be positive, got {lam!r}")
+    lam = _check_positive("lam", lam)
     core = 12.0 * math.sqrt(12.0 * lam + 81.0) + 8.0 * lam + 108.0
     return _cbrt(core / lam) / 6.0 + (2.0 / 3.0) * _cbrt(lam / core) + 1.0 / 3.0
 
@@ -260,7 +254,7 @@ def _t_root(k: int) -> float:
 def lambda_star(k: int) -> float:
     """Threshold below which the translation-invariant measure is provably
     extremal: (1/t**k)*(1/t - 1) at the polynomial root t above."""
-    k = _check_k(k)
+    _check_int("k", k, 2)
     t = _t_root(k)
     return (1.0 - t) / t ** (k + 1)
 
@@ -268,7 +262,7 @@ def lambda_star(k: int) -> float:
 def nonextremal_bound(k: int) -> float:
     """Threshold above which the translation-invariant measure is provably
     not extremal: (sqrt(k)/(sqrt(k)-1))**k / (sqrt(k)-1)."""
-    k = _check_k(k)
+    _check_int("k", k, 2)
     r = math.sqrt(k)
     return (r / (r - 1.0)) ** k / (r - 1.0)
 
@@ -276,11 +270,8 @@ def nonextremal_bound(k: int) -> float:
 def asymptotic_bound(k: int, eps: float) -> float:
     """Large-k form of the non-extremality threshold:
     e**(1+eps) * ln k * (ln k + ln ln k + 1 + eps). Needs k >= 3, eps > 0."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
-        raise DomainError(f"asymptotic bound needs an integer k >= 3, got {k!r}")
-    eps = float(eps)
-    if eps <= 0 or not math.isfinite(eps):
-        raise DomainError(f"eps must be positive, got {eps!r}")
+    _check_int("k", k, 3)
+    eps = _check_positive("eps", eps)
     lk = math.log(k)
     return math.exp(1.0 + eps) * lk * (lk + math.log(lk) + 1.0 + eps)
 
@@ -305,7 +296,7 @@ class CriticalValues:
 
 
 def critical_values(k: int) -> CriticalValues:
-    k = _check_k(k)
+    _check_int("k", k, 2)
     t = _t_root(k)
     return CriticalValues(
         k=k,

@@ -26,10 +26,12 @@ from .core import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    _check_int,
     weak_periodic_law,
 )
 
 __all__ = [
+    "SOLVE_SETS",
     "WeakPeriodicParams",
     "WeakSolveReport",
     "invariant_set_check",
@@ -64,12 +66,8 @@ class WeakPeriodicParams:
     lam: float
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-            raise DomainError(f"k must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.i, int) or isinstance(self.i, bool) or not 1 <= self.i <= self.k + 1:
-            raise DomainError(f"i must be an integer in [1, k+1], got {self.i!r}")
-        if not (self.lam > 0) or not math.isfinite(self.lam):
-            raise DomainError(f"lam must be a positive finite number, got {self.lam!r}")
+        self.model()  # checks k and lam
+        _check_int("i", self.i, 1, self.k + 1)
 
     def model(self) -> ModelParams:
         return ModelParams(self.k, self.lam)
@@ -335,8 +333,7 @@ def s_pm(k: int) -> tuple[float, float]:
 
     Vieta gives s_minus * s_plus = 1/2 for every such k.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 6:
-        raise DomainError(f"s_pm needs an integer k >= 6, got {k!r}")
+    _check_int("k", k, 6)
     d = math.sqrt(k * k - 6.0 * k + 1.0)
     return ((k - 3.0 - d) / 4.0, (k - 3.0 + d) / 4.0)
 

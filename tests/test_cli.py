@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hctree import cli
 from hctree.cli import main
 
 SCHEMA = json.loads(
@@ -261,6 +262,21 @@ class TestOracleCommand:
         a = run_json(capsys, *args)
         b = run_json(capsys, *args)
         assert a == b
+
+    @pytest.mark.parametrize("mode", ["ti", "periodic", "perturbed"])
+    @pytest.mark.parametrize("depth,got", [
+        ("30", "2147483647"), ("1000000000", "a ball of depth 1000000000"),
+    ])
+    def test_cap_checked_before_the_ball_is_built(self, capsys, monkeypatch, mode, depth, got):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("ball built before the enumeration cap was checked")
+
+        monkeypatch.setattr(cli, "FiniteBall", no_ball)
+        code, _, err = run(
+            capsys, "oracle", "-k", "2", "-l", "5", "-n", depth, "--mode", mode
+        )
+        assert code == 1
+        assert err == f"error: enumeration supports at most 40 vertices, got {got}\n"
 
     def test_full_root_supported(self, capsys):
         code, out, _ = run(

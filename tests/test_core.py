@@ -189,3 +189,17 @@ class TestChainMatrices:
         assert m.p01 == pytest.approx(0.25, abs=1e-15)
         assert m.p10 == pytest.approx(0.5, abs=1e-15)
         assert m.p11 == pytest.approx(0.5, abs=1e-15)
+
+
+class TestPackageNames:
+    def test_all_is_the_union_of_the_submodules(self):
+        import hctree
+        from hctree import core, extremality, oracle, solvers, weakperiodic
+
+        modules = (core, extremality, oracle, solvers, weakperiodic)
+        names = [name for module in modules for name in module.__all__]
+        assert len(names) == len(set(names))
+        assert hctree.__all__ == sorted([*names, "__version__"])
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(hctree, name) is getattr(module, name)

@@ -239,3 +239,17 @@ class TestK3Diagnostics:
         gs = [g_function(x) for x in grid]
         assert all(a > b for a, b in zip(hs, hs[1:]))
         assert all(a > b for a, b in zip(gs, gs[1:]))
+
+
+class TestHelpersAgreeWithReport:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_helpers_equal_report_values(self, k):
+        # the public helpers and report_for_law build one chain; their values
+        # must agree exactly, on the invariant and the alternating chain
+        for j in range(300):
+            params = ModelParams(k, 0.05 * (2000.0 ** (j / 299.0)))
+            for rep in classify(params):
+                two_periodic = rep.law.kind is LawKind.TWO_PERIODIC
+                z1, z2 = rep.law.values if two_periodic else rep.law.values * 2
+                assert kesten_stigum(params, z1, z2, two_periodic) == rep.ks_value
+                assert msw_check(params, z1, z2, two_periodic) == rep.msw_value

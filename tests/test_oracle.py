@@ -12,6 +12,7 @@ from hctree.oracle import (
     FiniteBall,
     RootDegree,
     SizeCapError,
+    _require_ball_enumerable,
     conditional_child_distribution,
     consistency_check,
     count_admissible,
@@ -53,6 +54,19 @@ class TestFiniteBall:
         b = FiniteBall(1, 4)
         assert b.n_vertices == 5
         assert b.leaves == (4,)
+
+    @pytest.mark.parametrize("root", list(RootDegree))
+    def test_cap_from_closed_form_size(self, root):
+        for k in (2, 3, 4, 6):
+            for depth in range(6):
+                n = FiniteBall(k, depth, root).n_vertices
+                if n <= ENUMERATION_VERTEX_CAP:
+                    _require_ball_enumerable(k, depth, root)
+                else:
+                    with pytest.raises(SizeCapError, match=f"got {n}$"):
+                        _require_ball_enumerable(k, depth, root)
+        with pytest.raises(SizeCapError, match="got a ball of depth 1000000000$"):
+            _require_ball_enumerable(2, 10**9, root)
 
     def test_depth_zero(self):
         b = FiniteBall(2, 0)
