@@ -27,16 +27,16 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schemas" / "cli_output.schema.json").read_text()
 )
-FORMATS = ("", "--csv", "--json")
+FORMATS = ("", " --csv", " --json")
 
 COMMANDS = [
-    *(f"solve -k {k} -l {lam} {fmt}"
+    *(f"solve -k {k} -l {lam}{fmt}"
       for k, lam in ((2, 2), (2, 4), (2, 5), (3, 1.6875), (3, 2), (4, 3), (6, 10))
       for fmt in FORMATS),
-    *(f"classify -k {k} -l {lam} {fmt}"
+    *(f"classify -k {k} -l {lam}{fmt}"
       for k, lam in ((2, 2), (2, 5), (2, 30), (3, 2), (5, 7.5), (10, 1))
       for fmt in FORMATS),
-    *(f"sweep {grid} {fmt}"
+    *(f"sweep {grid}{fmt}"
       for grid in (
           "-k 2 --quantity solutions -lmin 1 -lmax 10 -n 10",
           "-k 3 --quantity D -lmin 1 -lmax 3 -n 9",
@@ -52,7 +52,7 @@ COMMANDS = [
       for fmt in FORMATS),
     "sweep -k 3 --quantity D -lmin 1 -lmax 3 -n 5 --out {tmp}/out.csv",
     "sweep -k 2 --quantity verdict -lmin 1 -lmax 40 -n 5 --json --out {tmp}/out.csv",
-    *(f"oracle {rest} {fmt}"
+    *(f"oracle {rest}{fmt}"
       for rest in (
           "-k 2 -l 2.5 -n 3",
           "-k 2 -l 5 -n 3 --mode periodic",
@@ -62,10 +62,10 @@ COMMANDS = [
           "-k 2 -l 5 -n 3 --mode sample --samples 1000 --seed 1",
           "-k 3 -l 1 -n 2 --mode sample --samples 500 --seed 7 --root full",
       )
-      for fmt in ("", "--json")),
-    *(f"critical -k {k} {fmt}" for k in (2, 3, 5, 6, 10) for fmt in FORMATS),
+      for fmt in ("", " --json")),
+    *(f"critical -k {k}{fmt}" for k in (2, 3, 5, 6, 10) for fmt in FORMATS),
     "critical -k 4 --epsilon 0.5",
-    *(f"weak {rest} {fmt}"
+    *(f"weak {rest}{fmt}"
       for rest in (
           "-k 2 -l 5",
           "-k 2 -l 4",
