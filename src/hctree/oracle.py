@@ -1,15 +1,19 @@
 """Exact finite-volume cross-checks on small balls of the Cayley tree.
 
 Everything here is deliberately independent of the solver formulas: admissible
-configurations are enumerated by depth-first search, partition functions are
-also computed by a bottom-up two-state recursion, and the two paths are
-compared wherever both are feasible. Kolmogorov consistency of the
-finite-volume measures and the conditional child distributions are extracted
-by brute force so they can vouch for the analytic transition matrices.
+configurations are all listed, partition functions are also
+computed by a bottom-up two-state recursion, and the two paths are compared
+wherever both are feasible. Kolmogorov consistency of the finite-volume
+measures and the conditional child distributions are extracted by brute force
+so they can vouch for the analytic transition matrices.
 
+The enumeration lists each configuration as an int64 bit mask, vertex v at
+bit n-1-v, in numpy blocks of bounded size; ascending masks are the
+depth-first order. Float weights are added in that order (partition
+functions with one `math.fsum`), so results do not depend on the block size.
 Arithmetic is generic over the numeric type: passing `fractions.Fraction`
 activities and boundary weights yields exact rational partition functions and
-marginals on small instances.
+marginals, formed once per group of configurations with equal weight.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -46,8 +51,14 @@ __all__ = [
     "sample_tree_chain",
 ]
 
-# 2**40 raw states is the worst case the pruned DFS is allowed to face
+# 2**40 raw states is the worst case the enumeration is allowed to face, and
+# a configuration's bit mask (one bit per vertex) stays within an int64
 ENUMERATION_VERTEX_CAP = 40
+
+# masks per enumeration block, and uniforms per sampler row block; results do
+# not depend on either
+_BLOCK_ROWS = 1 << 14
+_SAMPLE_BLOCK = 1 << 18
 
 
 class RootDegree(str, Enum):
@@ -129,73 +140,88 @@ def _require_ball_enumerable(k: int, depth: int, root_degree: RootDegree) -> Non
     _require_enumerable(1 + fanout * (k ** depth - 1) // (k - 1))
 
 
-def _enumerate_prefix(n_vertices: int, parent: Sequence[int]):
-    """Yield admissible 0/1 tuples over vertices 0..n_vertices-1.
+def _mask_blocks(n_vertices: int, parent: Sequence[int]):
+    """Yield the admissible configurations of vertices 0..n_vertices-1 as
+    ascending int64 bit masks, vertex v at bit n_vertices-1-v, in blocks of at
+    most _BLOCK_ROWS rows.
 
-    Admissible means no occupied vertex has an occupied parent; since parents
-    precede children in the vertex order, one pass suffices.
+    Admissible means no occupied vertex has an occupied parent. The masks
+    grow one vertex at a time, each checked against its parent: m|bit goes
+    right after m wherever the parent is free, so ascending masks are the
+    lexicographic (depth-first) order. A block that grows past the row bound
+    is split in order and its pieces are finished one after another.
     """
-    spins = [0] * n_vertices
+    rows = _BLOCK_ROWS
+    pending = [(0, np.zeros(1, dtype=np.int64))]  # (next vertex, masks so far)
+    while pending:
+        first, masks = pending.pop()
+        for v in range(first, n_vertices):
+            # row i holds m and m|bit; m|bit is dropped where the parent is occupied
+            pairs = np.empty((len(masks), 2), dtype=np.int64)
+            pairs[:, 0] = masks
+            np.bitwise_or(masks, 1 << (n_vertices - 1 - v), out=pairs[:, 1])
+            p = parent[v]
+            if p < 0:
+                masks = pairs.ravel()
+            else:
+                keep = np.ones((len(masks), 2), dtype=bool)
+                np.equal(masks & 1 << (n_vertices - 1 - p), 0, out=keep[:, 1])
+                masks = pairs[keep]
+            if len(masks) > rows:
+                pending.extend((v + 1, masks[i:i + rows].copy())
+                               for i in reversed(range(rows, len(masks), rows)))
+                masks = masks[:rows]
+        yield masks
 
-    def rec(idx: int):
-        if idx == n_vertices:
-            yield tuple(spins)
-            return
-        spins[idx] = 0
-        yield from rec(idx + 1)
-        p = parent[idx]
-        if p < 0 or spins[p] == 0:
-            spins[idx] = 1
-            yield from rec(idx + 1)
-            spins[idx] = 0
 
-    yield from rec(0)
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Occupied vertices of each mask, by bit shifts (masks are below 2**40)."""
+    x = masks - ((masks >> 1) & 0x5555555555555555)
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return (x * 0x0101010101010101) >> 56
 
 
 def enumerate_admissible(ball: FiniteBall):
     """Yield every admissible configuration of the ball in vertex order."""
     _require_enumerable(ball.n_vertices)
-    yield from _enumerate_prefix(ball.n_vertices, ball.parent)
+    shifts = np.arange(ball.n_vertices - 1, -1, -1)
+    for masks in _mask_blocks(ball.n_vertices, ball.parent):
+        yield from map(tuple, ((masks[:, None] >> shifts) & 1).tolist())
 
 
-def _count_enumeration(n_vertices: int, parent: Sequence[int]) -> int:
-    occupied = [False] * n_vertices
-
-    def rec(idx: int) -> int:
-        if idx == n_vertices:
-            return 1
-        total = rec(idx + 1)  # idx free
-        p = parent[idx]
-        if p < 0 or not occupied[p]:
-            occupied[idx] = True
-            total += rec(idx + 1)
-            occupied[idx] = False
-        return total
-
-    return rec(0)
+def _count_enumeration(ball: FiniteBall) -> int:
+    return sum(len(masks) for masks in _mask_blocks(ball.n_vertices, ball.parent))
 
 
 def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     """Number of admissible configurations, exactly.
 
-    method: "enumeration" (pruned DFS, capped at 40 vertices), "recursion"
-    (per-subtree free/occupied counts, any size), or "auto" which runs the
-    recursion and, whenever the ball is enumerable, cross-checks the two.
+    method: "enumeration" (every configuration listed, capped at 40
+    vertices), "recursion" (per-subtree free/occupied counts, any size), or
+    "auto" which runs the recursion and, whenever the ball is enumerable,
+    cross-checks the two.
     """
     if method == "enumeration":
         _require_enumerable(ball.n_vertices)
-        return _count_enumeration(ball.n_vertices, ball.parent)
+        return _count_enumeration(ball)
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown counting method {method!r}")
     # unit activity and boundary weights count configurations, in exact ints
     total = sum(_partition_recursion(ball, 1, dict.fromkeys(ball.leaves, 1)))
     if method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP:
-        check = _count_enumeration(ball.n_vertices, ball.parent)
+        check = _count_enumeration(ball)
         if check != total:
             raise InternalCheckError(
                 f"admissible-count mismatch: enumeration {check}, recursion {total}"
             )
     return total
+
+
+def _check_weight(name: str, value) -> None:
+    """value > 0 and finite; ints and Fractions pass, NaN fails the comparison."""
+    if not value > 0 or value == math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _vertex_values(ball: FiniteBall, assignment) -> list[Any]:
@@ -212,8 +238,7 @@ def _vertex_values(ball: FiniteBall, assignment) -> list[Any]:
     else:
         vec = [assignment] * ball.n_vertices
     for v, z in enumerate(vec):
-        if z <= 0:
-            raise DomainError(f"assignment at vertex {v} must be positive, got {z!r}")
+        _check_weight(f"assignment at vertex {v}", z)
     return vec
 
 
@@ -222,33 +247,125 @@ def _leaf_values(ball: FiniteBall, boundary_z) -> dict[int, Any]:
     if isinstance(boundary_z, Mapping):
         out = {v: boundary_z[v] for v in ball.leaves}
         for v, z in out.items():
-            if z <= 0:
-                raise DomainError(
-                    f"boundary weight at vertex {v} must be positive, got {z!r}"
-                )
+            _check_weight(f"boundary weight at vertex {v}", z)
         return out
     vec = _vertex_values(ball, boundary_z)
     return {v: vec[v] for v in ball.leaves}
 
 
-def _weight(lam, config: Sequence[int], leaves: Mapping[int, Any]):
-    """lam**occupied times the boundary factor of the occupied leaves."""
-    w = lam ** sum(config)
+def _is_float(lam, *leaf_maps: Mapping[int, Any]) -> bool:
+    """Whether the weights are floats; otherwise they are summed exactly."""
+    return any(isinstance(x, float) for x in (lam, *(z for m in leaf_maps for z in m.values())))
+
+
+def _weight_blocks(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int, Any]):
+    """Yield (masks, float64 weights) per enumeration block.
+
+    A weight is lam**occupied, from a table of Python powers, times the
+    boundary weights of the occupied leaves multiplied in leaf order, so
+    each equals the scalar product formed configuration by configuration.
+    """
+    powers: list[float] = []
+    for masks in _mask_blocks(n_vertices, parent):
+        occupied = _popcount(masks)
+        while len(powers) <= occupied.max():
+            powers.append(float(lam ** len(powers)))
+        w = np.array(powers)[occupied]
+        for v, z in leaves.items():  # times 1.0 where the leaf is free, which is exact
+            w *= np.where(masks & (1 << (n_vertices - 1 - v)), float(z), 1.0)
+        yield masks, w
+
+
+def _running_sum(start: float, w: np.ndarray) -> float:
+    """start + w[0] + w[1] + ..., added one at a time in order (np.cumsum is
+    sequential; np.sum and np.add.reduceat are not)."""
+    return float(np.cumsum(np.concatenate(([start], w)))[-1])
+
+
+def _exact_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int, Any],
+                shift: int) -> dict[int, Any]:
+    """{mask >> shift: exact sum of the weights of those configurations}.
+
+    Configurations are counted per key (mask >> shift, occupied vertices,
+    occupied leaves of each distinct boundary weight), and each key's weight
+    is formed once in the inputs' own exact arithmetic.
+    """
+    # (type, boundary weight) -> bits of its leaves; the type keeps an int
+    # apart from an equal Fraction
+    classes: dict[tuple[type, Any], int] = {}
     for v, z in leaves.items():
-        if config[v]:
-            w = w * z
-    return w
+        key = (type(z), z)
+        classes[key] = classes.get(key, 0) | 1 << (n_vertices - 1 - v)
+    # mixed-radix digits of the key after the label; on the balls under the
+    # vertex cap the key needs at most 46 bits
+    radices = [n_vertices + 1, *(bits.bit_count() + 1 for bits in classes.values())]
+    if (1 << (n_vertices - shift)) * math.prod(radices) >= 1 << 63:
+        raise InternalCheckError("group key does not fit in an int64")
+    counts: dict[int, int] = {}
+    for masks in _mask_blocks(n_vertices, parent):
+        key = masks >> shift
+        digits = [_popcount(masks), *(_popcount(masks & bits) for bits in classes.values())]
+        for digit, radix in zip(digits, radices):
+            key = key * radix + digit
+        groups, sizes = np.unique(key, return_counts=True)
+        for group, size in zip(groups.tolist(), sizes.tolist()):
+            counts[group] = counts.get(group, 0) + size
+    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    digits = []
+    for radix in reversed(radices):
+        keys, digit = np.divmod(keys, radix)
+        digits.append(digit.tolist())
+    occupied, *per_class = reversed(digits)
+    lam_powers = [lam ** j for j in range(n_vertices + 1)]
+    class_powers = [[z ** j for j in range(bits.bit_count() + 1)]
+                    for (_, z), bits in classes.items()]
+    sums: dict[int, Any] = {}
+    for label, size, occ, *js in zip(keys.tolist(), counts.values(), occupied, *per_class):
+        w = lam_powers[occ]
+        for powers, j in zip(class_powers, js):
+            if j:
+                w = w * powers[j]
+        sums[label] = sums.get(label, 0) + size * w
+    return sums
+
+
+def _label_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int, Any],
+                shift: int):
+    """(sums, total): the configurations' weights summed per label mask >> shift,
+    labels ascending, and over all configurations.
+
+    Float weights give a float64 array, each sum added in depth-first order;
+    exact weights give an object array of exact sums.
+    """
+    if not _is_float(lam, leaves):
+        sums = list(_exact_sums(n_vertices, parent, lam, leaves, shift).values())
+        return np.array(sums, dtype=object), sum(sums)
+    total = 0.0
+    sums: list[float] = []
+    last = -1
+    for masks, w in _weight_blocks(n_vertices, parent, lam, leaves):
+        total = _running_sum(total, w)
+        if shift == 0:  # one configuration per label
+            sums += w.tolist()
+            continue
+        labels = masks >> shift  # contiguous runs in this order
+        cuts = [*np.flatnonzero(np.diff(labels, prepend=last)).tolist(), len(w)]
+        if cuts[0]:  # the block opens inside the previous block's last label
+            sums[-1] = _running_sum(sums[-1], w[:cuts[0]])
+        sums += [_running_sum(0.0, w[a:b]) for a, b in zip(cuts, cuts[1:])]
+        last = labels[-1]
+    return np.array(sums), total
 
 
 def _partition_enumeration(ball: FiniteBall, lam, leaves: Mapping[int, Any]):
     _require_enumerable(ball.n_vertices)
-    configs = _enumerate_prefix(ball.n_vertices, ball.parent)
-    weights = (_weight(lam, config, leaves) for config in configs)
-    # added one by one, float weights drift past the 1e-12 cross-check on
-    # balls of 21 vertices; fsum rounds once, exact types still add exactly
-    if any(isinstance(x, float) for x in (lam, *leaves.values())):
-        return math.fsum(weights)
-    return sum(weights)
+    n = ball.n_vertices
+    if _is_float(lam, leaves):
+        # added one by one, float weights drift past the 1e-12 cross-check on
+        # balls of 21 vertices; fsum rounds once
+        blocks = _weight_blocks(n, ball.parent, lam, leaves)
+        return math.fsum(chain.from_iterable(w.tolist() for _, w in blocks))
+    return sum(_exact_sums(n, ball.parent, lam, leaves, n).values())
 
 
 def _partition_recursion(ball: FiniteBall, lam, leaves: Mapping[int, Any]):
@@ -278,8 +395,7 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
     single vertex that is both root and boundary, giving Z = 1 + lam*z; this
     convention is a documented choice, not forced by the recursion.
     """
-    if lam <= 0:
-        raise DomainError(f"activity must be positive, got {lam!r}")
+    _check_weight("activity", lam)
     leaves = _leaf_values(ball, boundary_z)
     if method == "enumeration":
         return _partition_enumeration(ball, lam, leaves)
@@ -299,19 +415,13 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
 
 def root_marginal(ball: FiniteBall, lam, boundary_z, method: str = "recursion"):
     """Probability that the root is occupied under the finite-volume measure."""
-    if lam <= 0:
-        raise DomainError(f"activity must be positive, got {lam!r}")
+    _check_weight("activity", lam)
     leaves = _leaf_values(ball, boundary_z)
     if method == "enumeration":
         _require_enumerable(ball.n_vertices)
-        total = 0
-        occ_total = 0
-        for config in _enumerate_prefix(ball.n_vertices, ball.parent):
-            w = _weight(lam, config, leaves)
-            total = total + w
-            if config[0]:
-                occ_total = occ_total + w
-        return occ_total / total
+        n = ball.n_vertices
+        sums, total = _label_sums(n, ball.parent, lam, leaves, n - 1)  # by the root spin
+        return sums.tolist()[1] / total
     if method != "recursion":
         raise DomainError(f"unknown marginal method {method!r}")
     f, o = _partition_recursion(ball, lam, leaves)
@@ -329,35 +439,23 @@ def consistency_check(ball: FiniteBall, lam, z_assignment) -> float:
     """
     if ball.depth < 1:
         raise DomainError("consistency check needs depth >= 1")
-    if lam <= 0:
-        raise DomainError(f"activity must be positive, got {lam!r}")
+    _check_weight("activity", lam)
     _require_enumerable(ball.n_vertices)
     zs = _vertex_values(ball, z_assignment)
 
-    leaves_n = {v: zs[v] for v in ball.leaves}
+    n = ball.n_vertices
     m = ball.prefix_size(ball.depth - 1)
+    leaves_n = {v: zs[v] for v in ball.leaves}
     leaves_m = {v: zs[v] for v in range(m) if ball.level[v] == ball.depth - 1}
 
-    grouped: dict[tuple, Any] = {}
-    total_n = 0
-    for config in _enumerate_prefix(ball.n_vertices, ball.parent):
-        w = _weight(lam, config, leaves_n)
-        total_n = total_n + w
-        key = config[:m]
-        grouped[key] = grouped.get(key, 0) + w
-
-    worst = 0
-    total_m = 0
-    inner = []
-    for config in _enumerate_prefix(m, ball.parent[:m]):
-        w = _weight(lam, config, leaves_m)
-        total_m = total_m + w
-        inner.append((config, w))
-    for config, w in inner:
-        dev = abs(grouped.get(config, 0) / total_n - w / total_m)
-        if dev > worst:
-            worst = dev
-    return worst
+    # a depth-n configuration restricts to the depth-(n-1) one in its top m
+    # bits; both enumerations list those in the same ascending order. Each
+    # side is summed as floats or exactly, by its own weights' types.
+    grouped, total_n = _label_sums(n, ball.parent, lam, leaves_n, n - m)
+    inner, total_m = _label_sums(m, ball.parent, lam, leaves_m, 0)
+    devs = np.abs(grouped / total_n - inner / total_m).tolist()
+    # the first largest deviation above 0 (NaN never is), else 0
+    return max([0, *devs])
 
 
 def conditional_child_distribution(
@@ -380,8 +478,7 @@ def conditional_child_distribution(
         raise DomainError("conditional extraction needs depth >= 2")
     if parent_spin not in (0, 1):
         raise DomainError(f"parent_spin must be 0 or 1, got {parent_spin!r}")
-    if lam <= 0:
-        raise DomainError(f"activity must be positive, got {lam!r}")
+    _check_weight("activity", lam)
     _require_enumerable(ball.n_vertices)
     zs = _vertex_values(ball, z_assignment)
     leaves = {v: zs[v] for v in ball.leaves}
@@ -390,15 +487,19 @@ def conditional_child_distribution(
     if steps == 2:
         target = ball.children[target][0]
 
-    cond_total = 0
-    occ_target = 0
-    for config in _enumerate_prefix(ball.n_vertices, ball.parent):
-        if config[0] != parent_spin:
-            continue
-        w = _weight(lam, config, leaves)
-        cond_total = cond_total + w
-        if config[target]:
-            occ_target = occ_target + w
+    n = ball.n_vertices
+    if _is_float(lam, leaves):
+        cond_total = occ_target = 0.0
+        for masks, w in _weight_blocks(n, ball.parent, lam, leaves):
+            cond = masks >> (n - 1) == parent_spin
+            cond_total = _running_sum(cond_total, w[cond])
+            occ_target = _running_sum(occ_target, w[cond & (masks >> (n - 1 - target) & 1 == 1)])
+    else:
+        # keyed by the spins of vertices 0..target: root first, target last
+        sums = _exact_sums(n, ball.parent, lam, leaves, n - 1 - target)
+        cond = [(label, w) for label, w in sums.items() if label >> target == parent_spin]
+        cond_total = sum(w for _, w in cond)
+        occ_target = sum(w for label, w in cond if label & 1)
     if cond_total == 0:
         raise DomainError(f"conditioning event root={parent_spin} has probability 0")
     p1 = occ_target / cond_total
@@ -421,10 +522,10 @@ class SampleResult:
 def hard_core_violations(ball: FiniteBall, spins: np.ndarray) -> int:
     """Count adjacent occupied pairs over all samples (must be 0)."""
     spins = np.asarray(spins)
-    total = 0
-    for v in range(1, ball.n_vertices):
-        total += int(np.sum(spins[..., v] & spins[..., ball.parent[v]]))
-    return total
+    samples = spins.reshape(-1, spins.shape[-1])
+    rows = max(1, _SAMPLE_BLOCK // ball.n_vertices)  # bounds the temporaries
+    return sum(int(np.sum(block[:, 1:] & np.take(block, ball.parent[1:], axis=1)))
+               for block in (samples[i:i + rows] for i in range(0, len(samples), rows)))
 
 
 def sample_tree_chain(
@@ -444,10 +545,11 @@ def sample_tree_chain(
     generator seeded once, consuming one uniform per vertex per sample in
     breadth-first order, so results are reproducible given (seed, shape).
     """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth!r}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    for name, value in (("depth", depth), ("count", count)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value!r}")
     if z1 <= 0 or z2 <= 0:
         raise DomainError("z1, z2 must be positive")
     ball = FiniteBall(params.k, depth, root_degree)
@@ -457,14 +559,21 @@ def sample_tree_chain(
     q_odd = params.lam * z1 / (1.0 + params.lam * z1)
     q_even = params.lam * z2 / (1.0 + params.lam * z2)
 
+    n = ball.n_vertices
+    parents = np.asarray(ball.parent, dtype=np.intp)
+    level_end = np.cumsum(np.bincount(ball.level)).tolist()  # levels are contiguous
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((count, ball.n_vertices))
-    spins = np.zeros((count, ball.n_vertices), dtype=np.int8)
-    spins[:, 0] = uniforms[:, 0] < pi1
-    for v in range(1, ball.n_vertices):
-        q = q_odd if ball.level[v] % 2 == 1 else q_even
-        parent_free = spins[:, ball.parent[v]] == 0
-        spins[:, v] = parent_free & (uniforms[:, v] < q)
+    spins = np.zeros((count, n), dtype=np.int8)
+    # row blocks draw the same stream as one rng.random((count, n)) call
+    rows = max(1, _SAMPLE_BLOCK // n)
+    for first in range(0, count, rows):
+        block = spins[first:first + rows]
+        uniforms = rng.random(block.shape)
+        block[:, 0] = uniforms[:, 0] < pi1
+        for lev in range(1, depth + 1):
+            a, b = level_end[lev - 1], level_end[lev]
+            q = q_odd if lev % 2 == 1 else q_even
+            block[:, a:b] = (np.take(block, parents[a:b], axis=1) == 0) & (uniforms[:, a:b] < q)
 
     metadata = {
         "generator": "numpy.random.default_rng (PCG64)",

@@ -1,11 +1,15 @@
 """Exact finite-volume cross-checks: counts, partition functions, sampling."""
 
+import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hctree import oracle
 from hctree.core import DomainError, ModelParams, single_step_matrix, two_step_matrix
 from hctree.oracle import (
     ENUMERATION_VERTEX_CAP,
@@ -296,6 +300,15 @@ class TestSampler:
         spins[0, ball.children[0][0]] = 1
         assert hard_core_violations(ball, spins) == 1
 
+    def test_violation_counter_sums_over_row_blocks(self, monkeypatch):
+        # one planted pair per sample, counted across blocks of two samples
+        ball = FiniteBall(2, 2)
+        spins = np.zeros((7, ball.n_vertices), dtype=np.int8)
+        spins[:, 1] = spins[:, ball.children[1][1]] = 1
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 2 * ball.n_vertices)
+        assert hard_core_violations(ball, spins) == 7
+        assert hard_core_violations(ball, spins[0]) == 1
+
     def test_metadata_documents_run(self):
         p = ModelParams(2, 5.0)
         z1, z2 = solve_two_periodic_k2_closed(5.0)
@@ -322,3 +335,228 @@ class TestSampler:
             sample_tree_chain(p, 0.1, 0.1, depth=1, count=0, seed=0)
         with pytest.raises(DomainError):
             sample_tree_chain(p, -0.1, 0.1, depth=1, count=1, seed=0)
+
+
+class TestNonFiniteInputs:
+    CALLS = {
+        "partition_function": lambda ball, lam, z: partition_function(ball, lam, z),
+        "partition_enumeration": lambda ball, lam, z: partition_function(
+            ball, lam, z, method="enumeration"),
+        "root_marginal": lambda ball, lam, z: root_marginal(ball, lam, z),
+        "root_marginal_enumeration": lambda ball, lam, z: root_marginal(
+            ball, lam, z, method="enumeration"),
+        "consistency_check": consistency_check,
+        "conditional_child_distribution": lambda ball, lam, z: conditional_child_distribution(
+            ball, lam, z, 0),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_activity_refused(self, call, bad):
+        with pytest.raises(DomainError, match="activity must be positive and finite"):
+            self.CALLS[call](FiniteBall(2, 2), bad, 0.5)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_boundary_weight_refused(self, call, bad):
+        ball = FiniteBall(2, 2)
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            self.CALLS[call](ball, 1.0, bad)
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            self.CALLS[call](ball, 1.0, [0.5] * (ball.n_vertices - 1) + [bad])
+
+    def test_mapping_boundary_refused(self):
+        ball = FiniteBall(2, 1)
+        with pytest.raises(DomainError, match="boundary weight at vertex 2"):
+            partition_function(ball, 1.0, {1: 0.5, 2: math.nan})
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_exact_types_still_accepted(self, call):
+        ball = FiniteBall(2, 2)
+        result = self.CALLS[call](ball, Fraction(3, 2), Fraction(1, 3))
+        assert all(isinstance(x, Fraction)
+                   for x in (result if isinstance(result, tuple) else (result,)))
+        self.CALLS[call](ball, 2, 1)
+
+
+def _ball_cases():
+    return [FiniteBall(1, 5), FiniteBall(2, 2), FiniteBall(2, 2, RootDegree.FULL),
+            FiniteBall(3, 2), FiniteBall(2, 3)]
+
+
+def _brute_force(n_vertices, parent):
+    """Admissible 0/1 tuples of vertices 0..n_vertices-1, lexicographic."""
+    return [config for config in itertools.product((0, 1), repeat=n_vertices)
+            if not any(config[v] and config[parent[v]] for v in range(1, n_vertices))]
+
+
+def _scalar_weight(lam, config, leaves):
+    w = lam ** sum(config)
+    for v, z in leaves.items():
+        if config[v]:
+            w = w * z
+    return w
+
+
+def _scalar_consistency(ball, lam, zs):
+    """consistency_check configuration by configuration, in the inputs' own
+    arithmetic: float and exact weights meet only where a sum or a product
+    mixes them."""
+    m = ball.prefix_size(ball.depth - 1)
+    leaves_n = {v: zs[v] for v in ball.leaves}
+    leaves_m = {v: zs[v] for v in range(m) if ball.level[v] == ball.depth - 1}
+    grouped, total_n = {}, 0
+    for c in _brute_force(ball.n_vertices, ball.parent):
+        w = _scalar_weight(lam, c, leaves_n)
+        total_n += w
+        grouped[c[:m]] = grouped.get(c[:m], 0) + w
+    inner = [(c, _scalar_weight(lam, c, leaves_m)) for c in _brute_force(m, ball.parent)]
+    total_m = 0
+    for _, w in inner:
+        total_m += w
+    return max(abs(grouped[c] / total_n - w / total_m) for c, w in inner)
+
+
+class TestEnumerationBlocks:
+    """The enumeration and the sampler work in blocks; their size must not
+    change a count, a configuration, the order or a single float bit."""
+
+    @pytest.fixture
+    def tiny_blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 40)
+
+    @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
+    def test_listing_is_the_lexicographic_brute_force(self, ball, tiny_blocks):
+        assert list(enumerate_admissible(ball)) == _brute_force(ball.n_vertices, ball.parent)
+
+    @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
+    def test_float_results_equal_a_scalar_loop(self, ball, tiny_blocks):
+        # one weight per configuration, added one at a time in listing order
+        lam = 1.7
+        zs = [0.2 + 0.1 * v for v in range(ball.n_vertices)]
+        configs = _brute_force(ball.n_vertices, ball.parent)
+        leaves = {v: zs[v] for v in ball.leaves}
+        weights = [_scalar_weight(lam, c, leaves) for c in configs]
+        assert partition_function(ball, lam, zs, method="enumeration") == math.fsum(weights)
+
+        total = occupied = 0
+        for c, w in zip(configs, weights):
+            total += w
+            if c[0]:
+                occupied += w
+        assert root_marginal(ball, lam, zs, method="enumeration") == occupied / total
+
+        assert consistency_check(ball, lam, zs) == _scalar_consistency(ball, lam, zs)
+
+        target = ball.children[ball.children[0][0]][0]
+        for spin in (0, 1):
+            cond = occ = 0
+            for c, w in zip(configs, weights):
+                if c[0] == spin:
+                    cond += w
+                    if c[target]:
+                        occ += w
+            got = conditional_child_distribution(ball, lam, zs, spin, steps=2)
+            assert got == (1 - occ / cond, occ / cond)
+
+    @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
+    def test_blocks_are_bounded_and_ascending(self, ball, tiny_blocks):
+        blocks = list(oracle._mask_blocks(ball.n_vertices, ball.parent))
+        assert all(1 <= len(masks) <= 3 for masks in blocks)
+        masks = np.concatenate(blocks)
+        assert np.all(np.diff(masks) > 0)
+        assert len(masks) == count_admissible(ball, "recursion")
+
+    def _results(self, ball):
+        lam, z = 1.7, [0.2 + 0.1 * v for v in range(ball.n_vertices)]
+        third = Fraction(3, 10)
+        return [
+            list(enumerate_admissible(ball)),
+            count_admissible(ball, "enumeration"),
+            partition_function(ball, lam, z, method="enumeration"),
+            partition_function(ball, third, third, method="enumeration"),
+            root_marginal(ball, lam, z, method="enumeration"),
+            root_marginal(ball, third, third, method="enumeration"),
+            consistency_check(ball, lam, z),
+            consistency_check(ball, third, third),
+            *(conditional_child_distribution(ball, lam, z, spin, steps)
+              for spin in (0, 1) for steps in (1, 2)),
+            *(conditional_child_distribution(ball, third, third, spin, steps)
+              for spin in (0, 1) for steps in (1, 2)),
+        ]
+
+    @pytest.mark.parametrize("ball", [FiniteBall(2, 2), FiniteBall(3, 2, RootDegree.FULL),
+                                      FiniteBall(2, 3)], ids=repr)
+    def test_results_equal_the_unsplit_run(self, ball, monkeypatch):
+        unsplit = self._results(ball)
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 3)
+        assert self._results(ball) == unsplit  # floats compared with ==
+
+    @pytest.mark.parametrize("ball", [FiniteBall(2, 2), FiniteBall(2, 3, RootDegree.FULL)],
+                             ids=repr)
+    @pytest.mark.parametrize("floats_at", ["leaves", "level above"])
+    def test_mixed_types_follow_each_enumeration(self, ball, floats_at, tiny_blocks):
+        # exact activity and weights on one side of the consistency check,
+        # float boundary weights on the other: each side keeps its own
+        # arithmetic, as a scalar loop does
+        leaf_level = ball.depth if floats_at == "leaves" else ball.depth - 1
+        zs = [0.2 + 0.1 * v if ball.level[v] == leaf_level else Fraction(v + 2, 7)
+              for v in range(ball.n_vertices)]
+        got = consistency_check(ball, Fraction(17, 10), zs)
+        assert type(got) is float
+        assert got == _scalar_consistency(ball, Fraction(17, 10), zs)
+
+    def test_equal_int_and_fraction_weights_stay_apart(self):
+        # an int and an equal Fraction boundary weight are not merged, so a
+        # Fraction leaf makes the sum a Fraction, as in a scalar loop
+        ball = FiniteBall(2, 2)
+        zs = [1, 1, 1, 3, Fraction(3), 5, 7]
+        got = partition_function(ball, 2, zs, method="enumeration")
+        assert type(got) is Fraction
+        assert got == partition_function(ball, 2, zs, method="recursion")
+        assert consistency_check(ball, 2, zs) == _scalar_consistency(ball, 2, zs)
+
+    def test_sampler_spins_equal_the_unsplit_run(self, monkeypatch):
+        p = ModelParams(3, 2.0)
+        z = solve_translation_invariant(p)
+        unsplit = sample_tree_chain(p, z, z, depth=3, count=50, seed=5, root_degree="full")
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 40)  # one row of 53 vertices a block
+        split = sample_tree_chain(p, z, z, depth=3, count=50, seed=5, root_degree="full")
+        assert np.array_equal(split.spins, unsplit.spins)
+
+    @pytest.mark.parametrize("block", [40, 1 << 18])
+    def test_sampler_spins_equal_the_recorded_digest(self, block, monkeypatch):
+        # digest of the spins drawn by one rng.random((count, n)) call and a
+        # vertex-by-vertex fill
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", block)
+        z1, z2 = solve_two_periodic_k2_closed(5.0)
+        res = sample_tree_chain(ModelParams(2, 5.0), z1, z2, depth=3, count=64, seed=7)
+        assert hashlib.sha256(res.spins.tobytes()).hexdigest() == (
+            "1fe339856d35d2168e29ca46f78b1b020e6157457343a483a7831098ceede666")
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("name,value,message", [
+        ("count", True, "count must be an integer, got True"),
+        ("count", 2.5, "count must be an integer, got 2.5"),
+        ("count", 0, "count must be >= 1, got 0"),
+        ("depth", True, "depth must be an integer, got True"),
+        ("depth", 2.0, "depth must be an integer, got 2.0"),
+        ("depth", 0, "depth must be >= 1, got 0")])
+    def test_refused_before_the_ball_is_built(self, name, value, message, monkeypatch):
+        def no_ball(*args):
+            raise AssertionError("built a ball before checking the arguments")
+
+        monkeypatch.setattr(oracle, "FiniteBall", no_ball)
+        args = {"depth": 2, "count": 4, name: value}
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, seed=0, **args)
+
+
+def test_float_cross_check_holds_on_a_31_vertex_ball():
+    # the auto mode's unchanged 1e-12 cross-check of the enumeration against
+    # the recursion, on 8,143,397 configurations
+    total = partition_function(FiniteBall(2, 4), 0.3, 0.3)
+    assert total == pytest.approx(partition_function(FiniteBall(2, 4), 0.3, 0.3, "recursion"),
+                                  rel=1e-15)
