@@ -12,6 +12,7 @@ convergence failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -162,6 +163,16 @@ def _build_parser():
     add_formats(p)
 
     return parser, table
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_parser():
+    """The parser main() reads argv with, built once per process.
+
+    It must never be mutated: a --config run sets its defaults on a parser of
+    its own, or they would leak into later calls in the same process.
+    """
+    return _build_parser()
 
 
 def _parse_bool(raw: str) -> bool:
@@ -534,14 +545,16 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser, subs = _build_parser()
+    parser, _ = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
         if args.config:
-            subs[args.command].set_defaults(**_read_config(args.config, subs[args.command]))
+            parser, subs = _build_parser()
+            sub = subs[args.command]
+            sub.set_defaults(**_read_config(args.config, sub))
             args = parser.parse_args(argv)
         doc, csv, text = _DISPATCH[args.command](args)
         if args.json:

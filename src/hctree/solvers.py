@@ -53,14 +53,17 @@ def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) 
     The map is strictly decreasing with f(0+)=1 and f(1) < 1, so
     f(z) - z changes sign exactly once on (0, 1).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
+    lam, k = params.lam, params.k
     lo, hi = 0.0, 1.0  # sign(f - id) is + at lo, - at hi; endpoints never evaluated
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        g = recursion_map(params, mid) - mid
+        # recursion_map inlined: mid is a float strictly inside (0, 1), so its
+        # argument check could never fire
+        g = (1.0 + lam * mid) ** (-k) - mid
         if g == 0.0:
             return mid
         if g > 0.0:
@@ -151,8 +154,16 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float) -> tuple[
     if hi <= 0.0:
         raise ConvergenceError("fixed point too close to zero to bracket a pair", z_fix=z_fix)
 
+    lam, k = params.lam, params.k
+
     def h(z: float) -> float:
-        return recursion_map(params, recursion_map(params, z)) - z
+        # recursion_map inlined: z is a positive float; the inner value is
+        # checked, so one that underflows to 0 still raises recursion_map's
+        # DomainError
+        w = (1.0 + lam * z) ** (-k)
+        if not w > 0.0:
+            return recursion_map(params, w) - z
+        return (1.0 + lam * w) ** (-k) - z
 
     h_hi = h(hi)
     if h_hi >= 0.0:

@@ -281,7 +281,7 @@ def solve_weak_periodic(
     """
     if invariant_set not in SOLVE_SETS:
         raise DomainError(f"invariant_set must be one of {SOLVE_SETS}, got {invariant_set!r}")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     if grid_points < 2:
         raise DomainError("grid_points must be at least 2")

@@ -343,6 +343,22 @@ class TestWeakCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    "solve -k 2 -l 5",
+    "classify -k 2 -l 5",
+    "sweep -k 2 --quantity ks -lmin 1 -lmax 2 -n 3",
+    "sweep -k 2 --quantity weakperiodic_count -lmin 5 -lmax 6 -n 2",
+    "oracle -k 2 -l 5 -n 2",
+    "oracle -k 2 -l 5 -n 2 --mode sample --samples 10",
+    "weak -k 2 -l 5",
+])
+def test_nan_tol_exits_2(command, capsys):
+    code, out, err = run(capsys, *command.split(), "--tol", "nan")
+    assert code == 2
+    assert out == ""
+    assert err == "error: tol must be positive\n"
+
+
 class TestConfigFile:
     def test_defaults_from_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -383,6 +399,17 @@ class TestConfigFile:
         cfg.write_text("k = 2\nscale = cubic\n")
         code, _, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == 2
+
+    def test_applies_to_its_own_call_only(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 3\nlambda = 2\n")
+        code, out, _ = run(capsys, "solve", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("k=3  lambda=2  ")
+        code, out, err = run(capsys, "solve")
+        assert code == 2
+        assert out == ""
+        assert err == "error: missing required flag -k/--k\n"
 
 
 class TestEntryPoints:

@@ -21,6 +21,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hctree import cli
 from hctree.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -138,6 +139,28 @@ def test_matches_golden(command):
     assert result == GOLDEN_DATA[command]
     if "--json" in command and result["code"] == 0:
         jsonschema.validate(json.loads(result.get("file", result["stdout"])), SCHEMA)
+
+
+def test_parser_built_once_and_left_unchanged(monkeypatch):
+    """Calls without --config share one parser; usage errors do not alter it."""
+    builds = []
+    build = cli._build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    cli._shared_parser.cache_clear()
+    for command, code in (("solve -k x", 2), ("solve --help", 0), ("weak -k 2 -l 5 --set I1", 2)):
+        assert run_command(command)["code"] == code, command
+    replays = ["", "frobnicate", "solve -k 2 -l 5 --csv --json", "solve -l 5",
+               "solve -k 2 -l 5", "classify -k 2 -l 5 --json", "critical -k 6 --csv",
+               "sweep -k 2 --quantity verdict -lmin 1 -lmax 40 -n 12 --scale log",
+               "oracle -k 2 -l 5 -n 3 --mode periodic"]
+    for command in replays:
+        assert run_command(command) == GOLDEN_DATA[command], command
+    assert len(builds) == 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hctree.core import DomainError, LawKind, ModelParams, recursion_derivative, recursion_map
+from hctree import solvers
+from hctree.core import (
+    ConvergenceError,
+    DomainError,
+    LawKind,
+    ModelParams,
+    recursion_derivative,
+    recursion_map,
+)
 from hctree.solvers import (
     CriticalValues,
     _solve_pair_generic,
@@ -91,6 +99,11 @@ class TestTranslationInvariant:
         z = solve_translation_invariant(p)
         assert 0.0 < z < 1.0
         assert recursion_map(p, z) == pytest.approx(z, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            solve_translation_invariant(ModelParams(2, 5.0), tol)
 
 
 class TestPairClosedForms:
@@ -256,3 +269,107 @@ class TestThresholdActivities:
         k = 5
         expected = math.exp(1 + eps) * math.log(k) * (math.log(k) + math.log(math.log(k)) + 1 + eps)
         assert asymptotic_bound(k, eps) == pytest.approx(expected, rel=1e-14)
+
+
+# Reference bisections: the solvers' loops with every step through the checked
+# recursion_map. The solvers evaluate the map inline; the bits must not move.
+
+
+def reference_translation_invariant(params, tol=1e-12):
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g = recursion_map(params, mid) - mid
+        if g == 0.0:
+            return mid
+        if g > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    z = 0.5 * (lo + hi)
+    residual = abs(recursion_map(params, z) - z)
+    if residual > tol:
+        raise ConvergenceError("translation-invariant bisection stalled",
+                               bracket=(lo, hi), residual=residual, tol=tol)
+    return z
+
+
+def reference_pair_generic(params, z_fix, tol):
+    lo = 0.0
+    hi = z_fix - 1e-9
+    if hi <= 0.0:
+        raise ConvergenceError("fixed point too close to zero to bracket a pair", z_fix=z_fix)
+
+    def h(z):
+        return recursion_map(params, recursion_map(params, z)) - z
+
+    h_hi = h(hi)
+    if h_hi >= 0.0:
+        raise ConvergenceError("no sign change for the two-cycle bracket; pair not found",
+                               bracket=(lo, hi), h_hi=h_hi, lam=params.lam)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if h(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    z1 = 0.5 * (lo + hi)
+    z2 = recursion_map(params, z1)
+    residual = max(abs(z1 - recursion_map(params, z2)), abs(z2 - recursion_map(params, z1)))
+    if residual > tol:
+        raise ConvergenceError("two-cycle bisection stalled", pair=(z1, z2),
+                               residual=residual, tol=tol)
+    return z1, z2
+
+
+def outcome(fn, *args):
+    """fn's result, or the type, arguments and diagnostics of what it raised."""
+    try:
+        return fn(*args)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), exc.args, getattr(exc, "diagnostics", None)
+
+
+def report_bits(report):
+    return ([(law.kind, law.values) for law in report.solutions], report.residuals,
+            report.system_solution_count, report.degenerate_double_root)
+
+
+def bisection_activities(k):
+    """A log grid across every regime plus each threshold and its float neighbours."""
+    cv = critical_values(k)
+    grid = [10.0 ** (-2.0 + 6.0 * j / 299) for j in range(300)]
+    for lam in (cv.lambda_cr, cv.lambda_star, cv.lambda_nonextremal):
+        grid += [math.nextafter(lam, 0.0), lam, math.nextafter(lam, math.inf),
+                 lam * (1.0 + 1e-9), lam * (1.0 + 1e-6)]
+    return grid
+
+
+class TestInlinedBisection:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_same_bits_as_checked_steps(self, k, monkeypatch):
+        for lam in bisection_activities(k):
+            params = ModelParams(k, lam)
+            with monkeypatch.context() as patched:
+                patched.setattr(solvers, "solve_translation_invariant",
+                                reference_translation_invariant)
+                patched.setattr(solvers, "_solve_pair_generic", reference_pair_generic)
+                expected = outcome(solve_two_periodic, params)
+            got = outcome(solve_two_periodic, params)
+            if isinstance(expected, tuple):
+                assert got == expected, lam
+            else:
+                assert report_bits(got) == report_bits(expected), lam
+
+    def test_underflowing_inner_value_raises_as_before(self):
+        # f(0.5) underflows to 0 at this activity; the outer step must refuse it
+        params = ModelParams(4, 1e300)
+        expected = outcome(reference_pair_generic, params, 0.5, 1e-12)
+        assert expected[0] is DomainError
+        assert outcome(_solve_pair_generic, params, 0.5, 1e-12) == expected

@@ -181,6 +181,11 @@ class TestSolver:
         with pytest.raises(DomainError):
             solve_weak_periodic(WeakPeriodicParams(2, 1, 1.0), "I1")
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            solve_weak_periodic(WeakPeriodicParams(2, 1, 5.0), "I2", tol)
+
     def test_solve_sets_constant(self):
         assert SOLVE_SETS == ("I2", "I3", "I4")
 
