@@ -59,6 +59,9 @@ ENUMERATION_VERTEX_CAP = 40
 # not depend on either
 _BLOCK_ROWS = 1 << 14
 _SAMPLE_BLOCK = 1 << 18
+# the "auto" admissible count cross-checks by enumeration up to this many
+# configurations; FiniteBall(2, 4) has 8,143,397, FiniteBall(3, 3) 2.3e9
+_CROSS_CHECK_CONFIGURATIONS = 1 << 24
 
 
 class RootDegree(str, Enum):
@@ -199,8 +202,8 @@ def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
 
     method: "enumeration" (every configuration listed, capped at 40
     vertices), "recursion" (per-subtree free/occupied counts, any size), or
-    "auto" which runs the recursion and, whenever the ball is enumerable,
-    cross-checks the two.
+    "auto" which runs the recursion and, when it counts at most 2**24
+    configurations, cross-checks it against the enumeration.
     """
     if method == "enumeration":
         _require_enumerable(ball.n_vertices)
@@ -209,7 +212,7 @@ def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
         raise DomainError(f"unknown counting method {method!r}")
     # unit activity and boundary weights count configurations, in exact ints
     total = sum(_partition_recursion(ball, 1, dict.fromkeys(ball.leaves, 1)))
-    if method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP:
+    if method == "auto" and total <= _CROSS_CHECK_CONFIGURATIONS:
         check = _count_enumeration(ball)
         if check != total:
             raise InternalCheckError(

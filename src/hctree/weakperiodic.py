@@ -10,8 +10,12 @@ W leaves four planes invariant:
     I1: z1=z2=z3=z4      I2: z1=z3, z2=z4
     I3: z1=z2, z3=z4     I4: z1=z4, z2=z3
 
-and the fixed points on I2, I3, I4 are found by a damped-Newton multistart
-on the corresponding 2-variable reduction, all starts as one numpy batch.
+On I2, I3 and I4 W is symmetric under the swap of the plane coordinates
+(a, b), and a fixed point solves E(a, b) = 0 and E(b, a) = 0 for one scalar
+function E that is monotone in its second argument. So b = F(a), a = F(b),
+and the fixed points are the constant point of I1 together with the
+two-cycles of the one-dimensional map F: roots of E(F(t), t) in t, found by
+sign changes along log t and refined to adjacent floats.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .core import (
     _check_int,
     weak_periodic_law,
 )
+from .solvers import solve_translation_invariant
 
 __all__ = [
     "SOLVE_SETS",
@@ -42,18 +47,6 @@ __all__ = [
 ]
 
 SOLVE_SETS = ("I2", "I3", "I4")
-
-_GRID_POINTS = 32
-_GRID_LO = 1e-4
-_GRID_HI = 10.0
-_NEWTON_MAX_ITER = 100
-# the full Newton step, then halvings down to 2**-20
-_STEP_GROUPS = np.split(np.ldexp(1.0, -np.arange(21)), [1, 2, 4, 8, 16])
-_ITERATE_FLOOR = 1e-30
-_POLISH_FLOOR = 1e-15
-_ROOT_UNCERTAINTY = 1e-6
-_DEDUP_TOL = 1e-8
-_DIAGONAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,107 +131,113 @@ def invariant_set_check(wp: WeakPeriodicParams, set_id: str, z, tol: float = 1e-
 
 # which of the plane coordinates (a, b) fills each of z1..z4
 _EMBED = {"I2": [0, 1, 0, 1], "I3": [0, 0, 1, 1], "I4": [0, 1, 1, 0]}
+# each plane's first fixed-point equation, z1 = W(z)[0], in the slots
+# (v, za, zb, zc) of _log_equation, filled with x, y or zero
+_SLOTS = {"I2": "xxyy", "I3": "yxxy", "I4": "yxyx"}
+_GRID_POINTS = 512  # log-spaced samples of the residual below the constant point
+_NEWTON_MAX_ITER = 100
+_MAX_LOG_STEP = 30.0
+_REFINE_MAX_ITER = 200
+_SLOPE_ROUNDING = 64 * np.finfo(float).eps
 
 
-def _newton(wp, set_id, v, tol):
-    """Damped Newton on G(v) = reduced(v) - v from every start (row of v) at
-    once; central-difference Jacobian. Returns the accepted roots as rows.
-
-    Polishes past the requested tolerance down to the attainable floor (near
-    a bifurcation the residual goes flat well above zero, and iterates that
-    merely sit inside the flat region would otherwise pass for extra roots),
-    then keeps a start's best iterate if it meets tol. The step is halved
-    while the sup-norm residual fails to decrease; iterates are floored at a
-    tiny positive value so the map stays inside its domain. A start stops
-    where W is undefined at a probe, the Jacobian is singular or no halving
-    helps; a trial point where W is undefined just halves the step.
-    """
-    embed = _EMBED[set_id]
-    project = [embed.index(0), embed.index(1)]
-
-    def g(v):
-        return weak_system_map(wp, v[..., embed])[..., project] - v
-
-    gv = g(v)
-    # best iterate per start: residual (inf until one is recorded), point,
-    # undamped step size = distance-to-root estimate
-    best_res, best_v, best_step = np.full(len(v), np.inf), v.copy(), np.full(len(v), np.inf)
-    rows = np.flatnonzero(np.isfinite(gv[:, 0]))
-    v, gv = v[rows], gv[rows]
-    for _ in range(_NEWTON_MAX_ITER):
-        res = np.abs(gv).max(axis=1)
-        polished = res <= _POLISH_FLOOR * np.maximum(1.0, np.abs(v).max(axis=1))
-        done = rows[polished]
-        best_res[done], best_v[done], best_step[done] = res[polished], v[polished], 0.0
-        rows, v, gv, res = rows[~polished], v[~polished], gv[~polished], res[~polished]
-        if rows.size == 0:
-            break
-        h = np.maximum(1e-7 * np.abs(v), 1e-9)
-        lo = np.maximum(v - h, _ITERATE_FLOOR)
-        # +h and the floored -h along a, then along b
-        along = np.eye(2, dtype=bool)
-        gp = g(np.stack([np.where(axis, x, v) for axis in along for x in (v + h, lo)]))
-        d = v - lo + h
-        ga, gb = gv.T
-        with np.errstate(all="ignore"):
-            j00, j10 = ((gp[0] - gp[1]) / d[:, :1]).T
-            j01, j11 = ((gp[2] - gp[3]) / d[:, 1:]).T
-            det = j00 * j11 - j01 * j10
-            step = -np.stack((j11 * ga - j01 * gb, -j10 * ga + j00 * gb), axis=1) / det[:, None]
-        go = np.isfinite(gp).all(axis=(0, 2)) & (det != 0.0) & np.isfinite(det)
-        rows, v, gv, res, step = rows[go], v[go], gv[go], res[go], step[go]
-        better = res < best_res[rows]
-        done = rows[better]
-        best_res[done], best_v[done] = res[better], v[better]
-        best_step[done] = np.abs(step[better]).max(axis=1)
-        # halving line search: each start takes the longest of its steps that
-        # lowers the residual, tried in groups of doubling size with one map
-        # evaluation per group for the starts still pending
-        moved = np.zeros(rows.size, dtype=bool)
-        pending = np.arange(rows.size)
-        for factors in _STEP_GROUPS:
-            if pending.size == 0:
-                break
-            trial = np.maximum(v[pending] + factors[:, None, None] * step[pending], _ITERATE_FLOOR)
-            g_trial = g(trial)
-            lower = np.abs(g_trial).max(axis=2) < res[pending]
-            take = lower.any(axis=0)
-            longest = lower.argmax(axis=0)[take]
-            hit = pending[take]
-            v[hit], gv[hit], moved[hit] = trial[longest, take], g_trial[longest, take], True
-            pending = pending[~take]
-        rows, v, gv = rows[moved], v[moved], gv[moved]
-    # a small residual in a near-flat region is not a root; the full Newton
-    # step says how far the nearest actual root still is
-    scale = np.maximum(1.0, np.abs(best_v).max(axis=1))
-    return best_v[(best_res <= tol) & (best_step <= _ROOT_UNCERTAINTY * scale)]
+def _log_equation(wp, v, za, zb, zc, partials=False):
+    """log(v / w) / i, for w the component of W with inputs (za, zb, zc):
+    log(v)/i + log1p(lam * zb**p * (1+lam*za)**-q) + r * log1p(lam*zc) with
+    p = 1 - 1/i, q = k/i, r = k/i - 1. partials=True gives its derivatives
+    in log v, log za, log zb and log zc instead."""
+    k, i, lam = wp.k, wp.i, wp.lam
+    p, q, r = 1.0 - 1.0 / i, k / i, k / i - 1.0
+    with np.errstate(all="ignore"):
+        mid = lam * zb ** p * (1.0 + lam * za) ** -q
+        if not partials:
+            return np.log(v) / i + np.log1p(mid) + r * np.log1p(lam * zc)
+        share = mid / (1.0 + mid)
+        return (1.0 / i, -q * share * lam * za / (1.0 + lam * za), p * share,
+                r * lam * zc / (1.0 + lam * zc))
 
 
-def _components(points, radius):
-    """Component labels of the graph joining points closer than radius in the
-    sup norm. A cell of side radius is a clique of it (up to rounding of
-    points / radius), so only points in neighbouring cells need a pair test."""
-    cells, cell_of = np.unique(np.floor(points / radius).astype(np.int64), axis=0,
-                               return_inverse=True)
-    members = np.split(np.argsort(cell_of, kind="stable"),
-                       np.cumsum(np.bincount(cell_of, minlength=len(cells)))[:-1])
-    index = {cell: n for n, cell in enumerate(map(tuple, cells.tolist()))}
-    root = list(range(len(cells)))
+class _Reduction:
+    """One plane's fixed-point equations as E(x, y) = 0 and E(y, x) = 0 for
+    an E that increases with y, so y = F(x) and x = F(y): every fixed point
+    off the diagonal is to_plane(t, F(t)) for a root t >= lo of the residual
+    R(t) = E(F(t), t) other than the constant point `centre`."""
 
-    def find(n):
-        while root[n] != n:
-            root[n] = n = root[root[n]]
-        return n
+    def __init__(self, wp, invariant_set, z):
+        k, i, lam = wp.k, wp.i, wp.lam
+        # each component of W lies in ((1+lam)**-k, 1) for i <= k; I4 at i = k+1 has no pair
+        self.wp, self.slots, self.lo, self.centre = wp, _SLOTS[invariant_set], (1.0 + lam) ** -k, z
+        self.to_plane = lambda x, y: (x, y)
+        if i == k + 1 and invariant_set != "I4":
+            # r < 0, and E is not monotone in y on I2. As p = q, the planes'
+            # equations read X = f(Y), Y = f(X) for f(t) = (1 + lam*t**p)**-i
+            # in X = a/(1+lam*b), Y = b/(1+lam*a) on I2 and X = a/(1+lam*a),
+            # Y = b/(1+lam*b) on I3; so (1+lam)**-i < X, Y < 1, and on I3
+            # X, Y < 1/lam as well
+            self.slots, self.lo, self.centre = "y0x0", (1.0 + lam) ** -i, z / (1.0 + lam * z)
+            if invariant_set == "I2":
+                def back(x, y):
+                    return x * (1.0 + lam * y) / (1.0 - lam * lam * x * y)
+                self.to_plane = lambda x, y: (back(x, y), back(y, x))
+            else:
+                if lam > 1.0:  # f(Y) < 1/lam
+                    self.lo = max(self.lo, ((lam ** (1.0 / i) - 1.0) / lam) ** (i / k))
+                self.to_plane = lambda x, y: (x / (1.0 - lam * x), y / (1.0 - lam * y))
 
-    for n, (ca, cb) in enumerate(cells.tolist()):
-        for da, db in ((0, 1), (1, -1), (1, 0), (1, 1)):
-            m = index.get((ca + da, cb + db))
-            if m is None or find(n) == find(m):
-                continue
-            p, q = points[members[n]], points[members[m]]
-            if any((np.abs(q - x).max(axis=1) < radius).any() for x in p):
-                root[find(n)] = find(m)
-    return np.array([find(c) for c in cell_of.tolist()], dtype=np.int64)
+    def equation(self, x, y, partials=False):
+        fill = {"x": x, "y": y, "0": 0.0}
+        return _log_equation(self.wp, *(fill[s] for s in self.slots), partials=partials)
+
+    def slopes(self, x, y):
+        """The derivatives of E in log x and in log y."""
+        d = self.equation(x, y, partials=True)
+        return [sum(dv for dv, s in zip(d, self.slots) if s == wrt) for wrt in "xy"]
+
+    def eliminate(self, x, y):
+        """F(x), by Newton on log y from the starts y. E is convex in log y:
+        Newton descends monotonically from above the root and overshoots at
+        most once from below. Where E(x, 0+) >= 0 (on I2 only) F(x) is 0,
+        and R = E(0, t) = -inf says that there is no fixed point."""
+        y = np.where(self.equation(x, 0.0) >= 0.0, 0.0, y)
+        todo = np.flatnonzero(y > 0.0)
+        for _ in range(_NEWTON_MAX_ITER):
+            if todo.size == 0:
+                return y
+            xt, yt = x[todo], y[todo]
+            step = np.minimum(-self.equation(xt, yt) / self.slopes(xt, yt)[1], _MAX_LOG_STEP)
+            y[todo] = yt * np.exp(step)
+            # convergence is quadratic, so the step just taken was the last
+            todo = todo[~(np.abs(step) <= 1e-9)]
+        raise ConvergenceError("elimination Newton did not converge", point=x[todo].tolist())
+
+    def residual(self, t, y):
+        """F(t) from the starts y, and R(t) mapped into [-1, 1] by tanh."""
+        y = self.eliminate(t, y)
+        return y, np.tanh(self.equation(y, t))
+
+
+def _refine(red, a, b, fa, fb, ya):
+    """Illinois (regula falsi that halves the value of an end kept twice in
+    a row) on brackets [a, b] with R > 0 at one end only, down to adjacent
+    floats. Returns one end of each bracket and F there."""
+    yb, moved_b = ya.copy(), np.zeros(a.size)  # +1 where b moved last, -1 where a did
+    for _ in range(_REFINE_MAX_ITER):
+        mid = 0.5 * (a + b)
+        todo = np.flatnonzero((mid != a) & (mid != b) & (fa != 0.0) & (fb != 0.0))
+        if todo.size == 0:
+            near_a = np.abs(fa) <= np.abs(fb)
+            return np.where(near_a, a, b), np.where(near_a, ya, yb)
+        at, bt, fat, fbt = a[todo], b[todo], fa[todo], fb[todo]
+        c = bt - fbt * (bt - at) / (fbt - fat)
+        c = np.where((c > at) & (c < bt), c, mid[todo])
+        yc, fc = red.residual(c, ya[todo])
+        to_b = (fc > 0.0) == (fbt > 0.0)
+        fa[todo] = np.where(to_b & (moved_b[todo] > 0), 0.5 * fat, fat)
+        fb[todo] = np.where(~to_b & (moved_b[todo] < 0), 0.5 * fbt, fbt)
+        for ends, f, y, moved in ((b, fb, yb, to_b), (a, fa, ya, ~to_b)):
+            ends[todo[moved]], f[todo[moved]], y[todo[moved]] = c[moved], fc[moved], yc[moved]
+        moved_b[todo] = np.where(to_b, 1.0, -1.0)
+    raise ConvergenceError("bracket refinement did not converge", bracket=(a.tolist(), b.tolist()))
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,8 @@ class WeakSolveReport:
 
     Each ordered fixed point is its own entry (a swapped pair counts twice,
     matching the ordered-solution bookkeeping of the two-periodic system).
-    ti_flags marks the points lying on the diagonal I1.
+    ti_flags marks the constant point, the one on the diagonal I1.
+    residuals are sup-norm distances |W(z) - z|.
     """
 
     params: WeakPeriodicParams
@@ -265,67 +265,67 @@ class WeakSolveReport:
         return self.count - sum(self.ti_flags)
 
 
-def solve_weak_periodic(
-    wp: WeakPeriodicParams,
-    invariant_set: str,
-    tol: float = 1e-12,
-    grid_points: int = _GRID_POINTS,
-) -> WeakSolveReport:
-    """All fixed points of W on one plane, by multistart damped Newton.
+def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
+                        tol: float = 1e-12) -> WeakSolveReport:
+    """All fixed points of W on one plane, by the reduction of _Reduction.
 
-    Starts on a grid_points x grid_points log-spaced grid over
-    (1e-4, 10)^2 and keeps points whose full 4-component residual meets tol.
-    Converged points are merged transitively within a sqrt(tol)-scale radius
-    (right at a bifurcation the merging pair is reported as one point).
-    Results are sorted by coordinates, so output order is deterministic.
+    The constant point comes from its own equation z = (1 + lam*z)**-k and
+    is exactly diagonal. Each two-cycle of F has one point t below it (no
+    counterexample is known; a violation raises), so R is sampled at 512
+    log-spaced t below it, each sign change is refined to adjacent floats,
+    and (t, F(t)) gives a point and its mirror image. Just below the
+    constant point R takes the sign of its slope there, which decides a
+    pitchfork split; a slope within rounding of zero, as at the bifurcation
+    activity itself, splits nothing. Every point must meet the relative
+    residual max |W(z) - z| / z <= tol, or ConvergenceError reports its
+    bracket. Results are sorted by coordinates.
     """
     if invariant_set not in SOLVE_SETS:
         raise DomainError(f"invariant_set must be one of {SOLVE_SETS}, got {invariant_set!r}")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
-
-    # At a bifurcation the residual vanishes quadratically, so Newton limits
-    # scatter over a sqrt(tol)-sized blot around the true point; merge
-    # transitively at that scale or the blot masquerades as many solutions.
-    merge_radius = max(_DEDUP_TOL, 8.0 * math.sqrt(tol))
-    ratio = (_GRID_HI / _GRID_LO) ** (1.0 / (grid_points - 1))
-    grid = np.array([_GRID_LO * ratio ** j for j in range(grid_points)])
-    starts = np.stack((np.repeat(grid, grid_points), np.tile(grid, grid_points)), axis=1)
-    points = _newton(wp, invariant_set, starts, tol)
-    points = points[((points > 1e-12) & (points < 1e9)).all(axis=1)]
-    embedded = points[:, _EMBED[invariant_set]]
-    full_residual = np.abs(embedded - weak_system_map(wp, embedded)).max(axis=1, initial=0.0)
-    # one representative per cluster: least residual, ties to the lower point
-    labels = _components(points, merge_radius)
-    by_residual = np.lexsort((points[:, 1], points[:, 0], full_residual))
-    chosen = by_residual[np.unique(labels[by_residual], return_index=True)[1]]
-    # the embedding keeps the order of (a, b)
-    found = sorted((tuple(embedded[n].tolist()), full_residual[n].item()) for n in chosen)
-
-    laws, residuals, ti_flags = [], [], []
-    for z, res in found:
-        if res > tol:
-            raise ConvergenceError(
-                "accepted fixed point fails the full 4-component residual",
-                point=z,
-                residual=res,
-                tol=tol,
-            )
-        laws.append(weak_periodic_law(z, invariant_set))
-        residuals.append(res)
-        # same resolution scale as the clustering: a point that cannot be
-        # told apart from the diagonal counts as constant
-        diag_tol = max(_DIAGONAL_TOL, merge_radius)
-        ti_flags.append(max(z) - min(z) <= diag_tol * max(1.0, max(z)))
-    return WeakSolveReport(
-        params=wp,
-        invariant_set=invariant_set,
-        fixed_points=tuple(laws),
-        residuals=tuple(residuals),
-        ti_flags=tuple(ti_flags),
-    )
+    z = solve_translation_invariant(wp.model())
+    red = _Reduction(wp, invariant_set, z)
+    c, n = red.centre, _GRID_POINTS
+    t = np.geomspace(red.lo, c, n + 1)[:-1]
+    y, f = red.residual(t, np.full(n, c))
+    cells = np.flatnonzero((f[:-1] > 0.0) != (f[1:] > 0.0))
+    a, b, fa, fb, ya = t[cells], t[cells + 1], f[cells], f[cells + 1], y[cells]
+    # just below c, R has the sign of dE/dlog x - dE/dlog y at (c, c)
+    slope_x, slope_y = red.slopes(c, c)
+    below = slope_x > slope_y
+    if (abs(slope_x - slope_y) > _SLOPE_ROUNDING * (abs(slope_x) + abs(slope_y))
+            and (f[-1] > 0.0) != below):
+        # a pair split off the constant point: close in on c until R takes that sign
+        probes = c + (t[-1] - c) * np.ldexp(1.0, -np.arange(60))
+        probes = np.concatenate(([t[-1]], probes[(probes > t[-1]) & (probes < c)]))
+        yp, fp = red.residual(probes, np.full(probes.size, c))
+        past = np.flatnonzero((fp > 0.0) == below)
+        if past.size == 0:
+            raise ConvergenceError("the pair split off the constant point is below resolution",
+                                   point=(z, z), bracket=(t[-1], c))
+        j = past[0]
+        a, b = np.append(a, probes[j - 1]), np.append(b, probes[j])
+        fa, fb, ya = np.append(fa, fp[j - 1]), np.append(fb, fp[j]), np.append(ya, yp[j - 1])
+    roots, y = _refine(red, a, b, fa, fb, ya)
+    if (y <= c).any():
+        raise ConvergenceError("a two-cycle lies below the constant point", images=y.tolist())
+    # the constant point, then each root's point and its mirror image
+    pairs = np.stack(red.to_plane(roots, y), axis=1)
+    embedded = np.concatenate(([(z, z)], pairs, pairs[:, ::-1]))[:, _EMBED[invariant_set]]
+    error = np.abs(weak_system_map(wp, embedded) - embedded)
+    residuals, relative = error.max(axis=1), (error / embedded).max(axis=1)
+    brackets = list(zip(a.tolist(), b.tolist()))
+    for m in np.flatnonzero(~(relative <= tol)):
+        raise ConvergenceError("refined root fails the relative 4-component residual gate",
+                               point=tuple(embedded[m].tolist()), residual=residuals[m].item(),
+                               relative_residual=relative[m].item(), tol=tol,
+                               bracket=brackets[(m - 1) % len(brackets)] if m else None)
+    flags = [True] + [False] * 2 * roots.size
+    found = sorted(zip(map(tuple, embedded.tolist()), residuals.tolist(), flags))
+    values, residuals, flags = zip(*found)
+    laws = tuple(weak_periodic_law(v, invariant_set) for v in values)
+    return WeakSolveReport(wp, invariant_set, laws, residuals, flags)
 
 
 def s_pm(k: int) -> tuple[float, float]:

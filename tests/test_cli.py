@@ -342,6 +342,16 @@ class TestWeakCommand:
         code, _, _ = run(capsys, "weak", "-k", "2", "-l", "6", "-i", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["1e-2", "1", "inf"])
+    def test_coarse_tol_only_loosens_the_residual_gate(self, capsys, tol):
+        # tol gates residuals; it neither merges points nor labels them
+        code, out, _ = run(capsys, "weak", "-k", "2", "-l", "5", "--tol", tol)
+        assert code == 0
+        assert "fixed points: 3  (non-constant: 2)" in out
+        assert "(0.076393202250021, 0.523606797749979, 0.076393202250021, " \
+               "0.523606797749979)  residual=" in out
+        assert out.count("[non-constant]") == 2 and out.count("[constant]") == 1
+
 
 @pytest.mark.parametrize("command", [
     "solve -k 2 -l 5",

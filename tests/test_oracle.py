@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hctree import oracle
-from hctree.core import DomainError, ModelParams, single_step_matrix, two_step_matrix
+from hctree.core import (
+    DomainError,
+    InternalCheckError,
+    ModelParams,
+    single_step_matrix,
+    two_step_matrix,
+)
 from hctree.oracle import (
     ENUMERATION_VERTEX_CAP,
     FiniteBall,
@@ -124,6 +130,20 @@ class TestAdmissibleCounts:
     def test_methods_agree(self):
         ball = FiniteBall(3, 2)
         assert count_admissible(ball, "enumeration") == count_admissible(ball, "recursion")
+
+    def test_auto_cross_check_is_capped_by_configurations(self, monkeypatch):
+        # 40 vertices pass the vertex cap, but 2.3e9 configurations are too
+        # many to walk: "auto" must answer from the recursion alone
+        def refuse(ball):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(oracle, "_count_enumeration", refuse)
+        assert count_admissible(FiniteBall(3, 3)) == 2298661010
+
+    def test_auto_still_cross_checks_below_the_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_count_enumeration", lambda ball: 0)
+        with pytest.raises(InternalCheckError):
+            count_admissible(FiniteBall(2, 4))
 
 
 class TestPartitionFunction:

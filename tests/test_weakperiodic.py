@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hctree.core import DomainError, ModelParams
+from hctree.core import ConvergenceError, DomainError, ModelParams
 from hctree.solvers import (
     solve_translation_invariant,
     solve_two_periodic_k2_closed,
@@ -210,11 +210,12 @@ class TestSolver:
         assert rep.non_ti_count == 2
 
     def test_bifurcation_point_merges_to_one(self):
-        # exactly at the threshold the pair collapses onto the diagonal;
-        # the cluster merge must report a single constant point
+        # exactly at the threshold the pair collapses onto the diagonal:
+        # one constant point, exactly diagonal
         rep = solve_weak_periodic(WeakPeriodicParams(2, 1, 4.0), "I2")
         assert rep.count == 1
         assert rep.ti_flags == (True,)
+        assert rep.fixed_points[0].values == (0.25,) * 4
 
     @pytest.mark.parametrize("lam", [4.0000001, 4.001])
     def test_just_past_bifurcation_resolves_three(self, lam):
@@ -251,22 +252,36 @@ class TestSolver:
         rep = solve_weak_periodic(WeakPeriodicParams(6, 1, lam), "I4")
         assert rep.count == expected
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_cluster_merge_matches_pairwise_components(self, seed):
-        # the cell-bucket merge must give the components of the graph that
-        # joins every pair closer than the radius, cells being mere buckets
-        from hctree.weakperiodic import _components
+    def test_gate_failure_raises_with_its_bracket(self):
+        # a tolerance below rounding rejects the pair (the constant point's
+        # residual is exactly 0 here): the solve raises, it drops nothing
+        with pytest.raises(ConvergenceError) as err:
+            solve_weak_periodic(WeakPeriodicParams(2, 1, 4.5), "I2", 1e-30)
+        diag = err.value.diagnostics
+        lo, hi = diag["bracket"]
+        assert lo < hi and lo <= min(diag["point"]) <= hi
+        assert diag["relative_residual"] > 1e-30 and diag["tol"] == 1e-30
 
-        rng = np.random.default_rng(seed)
-        radius = 0.1
-        centres = rng.uniform(0.0, 1.0, size=(6, 2))
-        points = np.concatenate([c + rng.normal(0.0, 0.06, size=(30, 2)) for c in centres])
-        close = (np.abs(points[:, None] - points[None]).max(axis=2) < radius)
-        expect = np.arange(len(points))
-        for _ in range(len(points)):
-            expect = np.where(close, expect[None, :], len(points)).min(axis=1)
-        labels = _components(points, radius)
-        assert ((labels[:, None] == labels[None]) == (expect[:, None] == expect[None])).all()
+    @pytest.mark.parametrize("invariant_set", SOLVE_SETS)
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_each_pair_has_one_point_above_the_constant_point(self, k, invariant_set):
+        # the solver searches below the constant point only; a two-cycle with
+        # both points above it would show as extra sign changes above
+        from hctree.weakperiodic import _Reduction
+
+        for i in range(1, k + 2):
+            for lam in (0.5, 2.0, 7.0, 30.0, 150.0):
+                wp = WeakPeriodicParams(k, i, lam)
+                z = solve_translation_invariant(wp.model())
+                red = _Reduction(wp, invariant_set, z)
+                # on I3 at i = k+1 the substituted unknowns stay below 1/lam
+                top = 1.0 / lam if invariant_set == "I3" and i == k + 1 and lam > 1 else 1.0
+                t = np.geomspace(red.centre, top, 4097)[1:]
+                _, f = red.residual(t, np.full(t.size, red.centre))
+                slope_x, slope_y = red.slopes(red.centre, red.centre)
+                above = np.concatenate(([slope_x < slope_y], f > 0.0))
+                crossings = np.count_nonzero(above[1:] != above[:-1])
+                assert crossings == solve_weak_periodic(wp, invariant_set).non_ti_count // 2
 
     def test_report_is_sorted(self):
         rep = solve_weak_periodic(WeakPeriodicParams(2, 1, 6.0), "I2")
