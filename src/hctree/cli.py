@@ -255,7 +255,7 @@ def _cmd_solve(args):
         "command": "solve",
         "k": params.k,
         "lambda": params.lam,
-        "tol": args.tol,
+        "tol": _num(args.tol),
         "lambda_critical": report.lambda_critical,
         "system_solution_count": report.system_solution_count,
         "degenerate_double_root": report.degenerate_double_root,
@@ -287,7 +287,7 @@ _CERTS = ("s2", "kappa", "gamma", "ks_value", "msw_value", "martinelli_value", "
 def _cmd_classify(args):
     params = _params(args)
     reports = classify(params, args.tol)
-    doc = {"command": "classify", "k": params.k, "lambda": params.lam, "tol": args.tol,
+    doc = {"command": "classify", "k": params.k, "lambda": params.lam, "tol": _num(args.tol),
            "reports": []}
     csv = [",".join(("kind", "z1", "z2", "k_eff", *_CERTS, "verdict"))]
     text = [f"k={params.k}  lambda={_fmt(params.lam)}"]
@@ -510,7 +510,7 @@ def _cmd_weak(args):
         "lambda": wp.lam,
         "i": wp.i,
         "invariant_set": report.invariant_set,
-        "tol": args.tol,
+        "tol": _num(args.tol),
         "count": report.count,
         "non_constant_count": report.non_ti_count,
         "fixed_points": [
@@ -556,6 +556,8 @@ def main(argv=None) -> int:
             sub = subs[args.command]
             sub.set_defaults(**_read_config(args.config, sub))
             args = parser.parse_args(argv)
+        if not getattr(args, "tol", 1.0) > 0:  # every command but critical has --tol
+            raise DomainError("tol must be positive")
         doc, csv, text = _DISPATCH[args.command](args)
         if args.json:
             lines = [json.dumps(doc, indent=2, allow_nan=False)]

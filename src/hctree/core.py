@@ -25,7 +25,6 @@ __all__ = [
     "SizeCapError",
     "SolveReport",
     "TransitionMatrix2",
-    "recursion_derivative",
     "recursion_map",
     "single_step_matrix",
     "translation_invariant_law",
@@ -164,27 +163,9 @@ class TransitionMatrix2:
         if abs(self.p00 + self.p01 - 1.0) > _ROW_SUM_TOL or abs(self.p10 + self.p11 - 1.0) > _ROW_SUM_TOL:
             raise DomainError("rows must sum to 1")
 
-    def row(self, i: int) -> tuple[float, float]:
-        if i == 0:
-            return (self.p00, self.p01)
-        if i == 1:
-            return (self.p10, self.p11)
-        raise DomainError(f"row index must be 0 or 1, got {i!r}")
-
-    def determinant(self) -> float:
-        return self.p00 * self.p11 - self.p01 * self.p10
-
     def second_eigenvalue(self) -> float:
         # the other eigenvalue of a row-stochastic 2x2 is trace - 1
         return self.p00 + self.p11 - 1.0
-
-    def compose(self, other: "TransitionMatrix2") -> "TransitionMatrix2":
-        return TransitionMatrix2(
-            self.p00 * other.p00 + self.p01 * other.p10,
-            self.p00 * other.p01 + self.p01 * other.p11,
-            self.p10 * other.p00 + self.p11 * other.p10,
-            self.p10 * other.p01 + self.p11 * other.p11,
-        )
 
 
 @dataclass(frozen=True)
@@ -217,12 +198,6 @@ def recursion_map(params: ModelParams, z: float) -> float:
     """
     z = _check_positive("z", z)
     return (1.0 + params.lam * z) ** (-params.k)
-
-
-def recursion_derivative(params: ModelParams, z: float) -> float:
-    """d/dz of recursion_map: -k*lam*(1 + lam*z)**(-(k+1)). Always negative."""
-    z = _check_positive("z", z)
-    return -params.k * params.lam * (1.0 + params.lam * z) ** (-(params.k + 1))
 
 
 def single_step_matrix(params: ModelParams, z: float) -> TransitionMatrix2:

@@ -33,12 +33,9 @@ __all__ = [
     "gamma_bound",
     "h_function",
     "kappa_contraction",
-    "kesten_stigum",
     "martinelli_check",
     "mossel_check",
-    "msw_check",
     "report_for_law",
-    "second_eigenvalue",
 ]
 
 
@@ -48,11 +45,10 @@ class Verdict(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
-def second_eigenvalue(params: ModelParams, z1: float, z2: float) -> float:
-    """Second eigenvalue of the two-step matrix:
-    lam^2 z1 z2 / (lam^2 z1 z2 + lam z1 + lam z2 + 1). Always in (0, 1)."""
-    if z1 <= 0 or z2 <= 0:
-        raise DomainError("z1, z2 must be positive")
+def _pair_second_eigenvalue(params: ModelParams, z1: float, z2: float) -> float:
+    """Second eigenvalue of the two-step matrix through the pair:
+    lam^2 z1 z2 / (lam^2 z1 z2 + lam z1 + lam z2 + 1), in (0, 1). Formed from
+    the pair, not as the matrix's trace - 1, which can differ in the last bit."""
     u = params.lam * z1
     v = params.lam * z2
     return u * v / (u * v + u + v + 1.0)
@@ -67,33 +63,6 @@ def kappa_contraction(matrix: TransitionMatrix2) -> float:
 def gamma_bound(params: ModelParams) -> float:
     """Upper bound lam/(lam+1) for the percolation factor in the contraction test."""
     return params.lam / (params.lam + 1.0)
-
-
-def _chain(params: ModelParams, z1: float, z2: float,
-           two_periodic: bool) -> tuple[TransitionMatrix2, int, float]:
-    """(matrix, k_eff, |second eigenvalue|) of the two-step chain through the
-    pair (z1, z2), or of the invariant chain at z1 (z2 is ignored there)."""
-    if two_periodic:
-        return (two_step_matrix(params, z1, z2), params.k * params.k,
-                second_eigenvalue(params, z1, z2))
-    matrix = single_step_matrix(params, z1)
-    return matrix, params.k, abs(matrix.second_eigenvalue())
-
-
-def kesten_stigum(params: ModelParams, z1: float, z2: float, two_periodic: bool = True) -> float:
-    """k_eff * s2**2; above 1 the measure is reconstructible, hence not extremal.
-
-    two_periodic=False treats (z1, z1) as the invariant chain (z2 is ignored
-    there) with k_eff = k; otherwise the two-step chain with k_eff = k**2.
-    """
-    _, k_eff, s2 = _chain(params, z1, z2, two_periodic)
-    return k_eff * s2 * s2
-
-
-def msw_check(params: ModelParams, z1: float, z2: float, two_periodic: bool = True) -> float:
-    """k_eff * kappa * gamma_bound; below 1 the measure is extremal."""
-    matrix, k_eff, _ = _chain(params, z1, z2, two_periodic)
-    return k_eff * kappa_contraction(matrix) * gamma_bound(params)
 
 
 def martinelli_check(matrix: TransitionMatrix2, k_eff: int) -> tuple[float, bool]:
@@ -131,7 +100,7 @@ def mossel_check(matrix: TransitionMatrix2, k_eff: int) -> tuple[float, bool]:
 def _k3_pair_kappa(lam: float) -> float:
     """Second eigenvalue of the k=3 pair's two-step chain; DomainError below 27/16."""
     z1, z2 = solve_two_periodic_k3_closed(lam)
-    return second_eigenvalue(ModelParams(3, lam), z1, z2)
+    return _pair_second_eigenvalue(ModelParams(3, lam), z1, z2)
 
 
 def h_function(lam: float) -> float:
@@ -195,8 +164,13 @@ def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
     """Build the full diagnostic record for an invariant or alternating law."""
     if law.kind is LawKind.WEAK_PERIODIC:
         raise DomainError("weak-periodic laws have no single chain matrix here")
-    two_periodic = law.kind is LawKind.TWO_PERIODIC
-    matrix, k_eff, s2 = _chain(params, law.values[0], law.values[-1], two_periodic)
+    if law.kind is LawKind.TWO_PERIODIC:
+        z1, z2 = law.values
+        matrix, k_eff = two_step_matrix(params, z1, z2), params.k * params.k
+        s2 = _pair_second_eigenvalue(params, z1, z2)
+    else:
+        matrix, k_eff = single_step_matrix(params, law.values[0]), params.k
+        s2 = abs(matrix.second_eigenvalue())
     kap = kappa_contraction(matrix)
     gam = gamma_bound(params)
     ks_value = k_eff * s2 * s2

@@ -59,9 +59,14 @@ ENUMERATION_VERTEX_CAP = 40
 # not depend on either
 _BLOCK_ROWS = 1 << 14
 _SAMPLE_BLOCK = 1 << 18
-# the "auto" admissible count cross-checks by enumeration up to this many
-# configurations; FiniteBall(2, 4) has 8,143,397, FiniteBall(3, 3) 2.3e9
+# "auto" admissible counts and partition functions cross-check by enumeration
+# up to this many configurations; FiniteBall(2, 4) has 8,143,397,
+# FiniteBall(3, 3) 2.3e9
 _CROSS_CHECK_CONFIGURATIONS = 1 << 24
+# FiniteBall(2, 19) has 1,048,575 vertices and its lists peak near 264 MB
+_BALL_VERTEX_CAP = 1 << 20
+# int8 spins the sampler holds at once: 256 MB
+_SAMPLE_SPIN_CAP = 1 << 28
 
 
 class RootDegree(str, Enum):
@@ -80,13 +85,18 @@ class FiniteBall:
     """Rooted ball of given depth, stored as flat breadth-first arrays.
 
     Vertex 0 is the root; every vertex's parent has a smaller index, so a
-    breadth-first prefix of the vertex list is itself a rooted subtree.
+    breadth-first prefix of the vertex list is itself a rooted subtree. A
+    ball of over 2**20 vertices raises SizeCapError before anything is built.
     """
 
     def __init__(self, k: int, depth: int, root_degree: RootDegree = RootDegree.HALF):
         _check_int("k", k, 1)
         _check_int("depth", depth, 0)
         root_degree = RootDegree(root_degree)
+        n = _ball_size(k, depth, root_degree)
+        if n is None or n > _BALL_VERTEX_CAP:
+            got = f"a ball of depth {depth}" if n is None else n
+            raise SizeCapError(f"a ball may have at most {_BALL_VERTEX_CAP} vertices, got {got}")
         self.k = k
         self.depth = depth
         self.root_degree = root_degree
@@ -119,9 +129,19 @@ class FiniteBall:
             f"root_degree={self.root_degree.value!r}, n_vertices={self.n_vertices})"
         )
 
-    def prefix_size(self, max_level: int) -> int:
-        """Number of vertices at levels 0..max_level (a breadth-first prefix)."""
-        return sum(1 for lev in self.level if lev <= max_level)
+
+def _ball_size(k: int, depth: int, root_degree: RootDegree) -> int | None:
+    """Vertices of FiniteBall(k, depth, root_degree), from the closed form.
+
+    None for k >= 2 above depth 40: such a ball has over 2**40 vertices,
+    more than any cap here, and k**depth need not be computed.
+    """
+    fanout = k + 1 if root_degree is RootDegree.FULL else k
+    if k == 1:  # a path below the root's children
+        return 1 + fanout * depth
+    if depth > ENUMERATION_VERTEX_CAP:
+        return None
+    return 1 + fanout * (k ** depth - 1) // (k - 1)
 
 
 def _require_enumerable(n_vertices: int) -> None:
@@ -133,14 +153,14 @@ def _require_enumerable(n_vertices: int) -> None:
 
 
 def _require_ball_enumerable(k: int, depth: int, root_degree: RootDegree) -> None:
-    """_require_enumerable for FiniteBall(k, depth, root_degree), k >= 2, from
-    the closed-form vertex count, before the ball is built."""
+    """_require_enumerable for FiniteBall(k, depth, root_degree), from the
+    closed-form vertex count, before the ball is built."""
     _check_int("depth", depth, 0)
-    if depth > ENUMERATION_VERTEX_CAP:  # over 2**depth vertices, too many to even count
+    n = _ball_size(k, depth, root_degree)
+    if n is None:
         raise SizeCapError(f"enumeration supports at most {ENUMERATION_VERTEX_CAP} vertices, "
                            f"got a ball of depth {depth}")
-    fanout = k + 1 if root_degree is RootDegree.FULL else k
-    _require_enumerable(1 + fanout * (k ** depth - 1) // (k - 1))
+    _require_enumerable(n)
 
 
 def _mask_blocks(n_vertices: int, parent: Sequence[int]):
@@ -197,6 +217,11 @@ def _count_enumeration(ball: FiniteBall) -> int:
     return sum(len(masks) for masks in _mask_blocks(ball.n_vertices, ball.parent))
 
 
+def _count_recursion(ball: FiniteBall) -> int:
+    # unit activity and boundary weights count configurations, in exact ints
+    return sum(_partition_recursion(ball, 1, dict.fromkeys(ball.leaves, 1)))
+
+
 def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     """Number of admissible configurations, exactly.
 
@@ -210,8 +235,7 @@ def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
         return _count_enumeration(ball)
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown counting method {method!r}")
-    # unit activity and boundary weights count configurations, in exact ints
-    total = sum(_partition_recursion(ball, 1, dict.fromkeys(ball.leaves, 1)))
+    total = _count_recursion(ball)
     if method == "auto" and total <= _CROSS_CHECK_CONFIGURATIONS:
         check = _count_enumeration(ball)
         if check != total:
@@ -397,6 +421,10 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
     contribute their boundary weight z. The depth-0 ball degenerates to a
     single vertex that is both root and boundary, giving Z = 1 + lam*z; this
     convention is a documented choice, not forced by the recursion.
+
+    method: "enumeration", "recursion", or "auto" which runs the recursion
+    and, on at most 40 vertices and 2**24 configurations, cross-checks it
+    against the enumeration.
     """
     _check_weight("activity", lam)
     leaves = _leaf_values(ball, boundary_z)
@@ -406,7 +434,8 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
         raise DomainError(f"unknown partition method {method!r}")
     f, o = _partition_recursion(ball, lam, leaves)
     total = f + o
-    if method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP:
+    if (method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP
+            and _count_recursion(ball) <= _CROSS_CHECK_CONFIGURATIONS):
         check = _partition_enumeration(ball, lam, leaves)
         denom = max(abs(total), abs(check))
         if denom > 0 and abs(total - check) > 1e-12 * denom:
@@ -447,7 +476,7 @@ def consistency_check(ball: FiniteBall, lam, z_assignment) -> float:
     zs = _vertex_values(ball, z_assignment)
 
     n = ball.n_vertices
-    m = ball.prefix_size(ball.depth - 1)
+    m = n - len(ball.leaves)  # the leaves come last, after the depth-(n-1) ball
     leaves_n = {v: zs[v] for v in ball.leaves}
     leaves_m = {v: zs[v] for v in range(m) if ball.level[v] == ball.depth - 1}
 
@@ -556,6 +585,9 @@ def sample_tree_chain(
     if z1 <= 0 or z2 <= 0:
         raise DomainError("z1, z2 must be positive")
     ball = FiniteBall(params.k, depth, root_degree)
+    if count * ball.n_vertices > _SAMPLE_SPIN_CAP:
+        raise SizeCapError(f"sampling holds at most {_SAMPLE_SPIN_CAP} spins, "
+                           f"got {count} samples of {ball.n_vertices} vertices")
 
     two_step = two_step_matrix(params, z1, z2)
     pi1 = two_step.p01 / (two_step.p01 + two_step.p10)

@@ -39,7 +39,6 @@ __all__ = [
     "SOLVE_SETS",
     "WeakPeriodicParams",
     "WeakSolveReport",
-    "invariant_set_check",
     "lambda_pm",
     "s_pm",
     "solve_weak_periodic",
@@ -69,7 +68,6 @@ class WeakPeriodicParams:
 # inputs of W's four components: za feeds the numerator and the powered part
 # of the middle factor, zb the additive part, zc the plain divisor
 _ZA, _ZB, _ZC = [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]
-_MAP_BLOCK = 512
 
 
 def weak_system_map(wp: WeakPeriodicParams, z):
@@ -84,19 +82,13 @@ def weak_system_map(wp: WeakPeriodicParams, z):
     if arr.shape[-1:] != (4,):
         raise DomainError(f"weak-system values must have 4 components, got {z!r}")
     k, i, lam = wp.k, wp.i, wp.lam
-    rows = arr.reshape(-1, 4)
-    out, no_overflow = np.empty_like(rows), np.empty(len(rows), dtype=bool)
-    # a block of rows at a time keeps the temporaries of a large batch small
-    for block in (slice(lo, lo + _MAP_BLOCK) for lo in range(0, len(rows), _MAP_BLOCK)):
-        with np.errstate(all="ignore"):
-            base = 1.0 + lam * rows[block][:, _ZA]
-            num = base ** k
-            den = (base ** (k / i) + lam * rows[block][:, _ZB] ** (1.0 - 1.0 / i)) ** i
-            # base >= 1, so no other power in a row exceeds its largest num
-            no_overflow[block] = (np.isfinite(num) & np.isfinite(den)).all(axis=1)
-            den *= (1.0 + lam * rows[block][:, _ZC]) ** (k - i)
-            np.divide(num, den, out=out[block])
-    out, no_overflow = out.reshape(arr.shape), no_overflow.reshape(arr.shape[:-1])
+    with np.errstate(all="ignore"):
+        base = 1.0 + lam * arr[..., _ZA]
+        num = base ** k
+        den = (base ** (k / i) + lam * arr[..., _ZB] ** (1.0 - 1.0 / i)) ** i
+        # base >= 1, so no other power in a row exceeds its largest num
+        no_overflow = (np.isfinite(num) & np.isfinite(den)).all(axis=-1)
+        out = num / (den * (1.0 + lam * arr[..., _ZC]) ** (k - i))
     in_domain = ((arr > 0) & np.isfinite(arr)).all(axis=-1)
     if arr.ndim == 1:
         if not in_domain:
@@ -106,27 +98,6 @@ def weak_system_map(wp: WeakPeriodicParams, z):
         return tuple(out.tolist())
     out[~(in_domain & no_overflow)] = np.nan
     return out
-
-
-def _in_set(set_id: str, z, tol: float) -> bool:
-    z1, z2, z3, z4 = z
-    if set_id == "I1":
-        return max(z1, z2, z3, z4) - min(z1, z2, z3, z4) <= tol
-    if set_id == "I2":
-        return abs(z1 - z3) <= tol and abs(z2 - z4) <= tol
-    if set_id == "I3":
-        return abs(z1 - z2) <= tol and abs(z3 - z4) <= tol
-    if set_id == "I4":
-        return abs(z1 - z4) <= tol and abs(z2 - z3) <= tol
-    raise DomainError(f"unknown invariant set {set_id!r}")
-
-
-def invariant_set_check(wp: WeakPeriodicParams, set_id: str, z, tol: float = 1e-9) -> bool:
-    """True when z lies in the named plane and W(z) stays in it."""
-    z = tuple(float(v) for v in z)
-    if not _in_set(set_id, z, tol):
-        return False
-    return _in_set(set_id, weak_system_map(wp, z), tol)
 
 
 # which of the plane coordinates (a, b) fills each of z1..z4

@@ -22,13 +22,11 @@ from hctree.core import (
 )
 from hctree.extremality import (
     Verdict,
+    _pair_second_eigenvalue,
     g_function,
     h_function,
-    kesten_stigum,
     martinelli_check,
-    msw_check,
     report_for_law,
-    second_eigenvalue,
 )
 from hctree.oracle import (
     ENUMERATION_VERTEX_CAP,
@@ -96,16 +94,13 @@ def test_criterion_02_k2_solution_counts_and_identities():
 def test_criterion_03_k2_pair_certified_extremal():
     def body():
         for lam in (4.0 + 1e-6, 4.5, 5.0, 10.0, 30.0, 100.0, 1e4):
-            p = ModelParams(2, lam)
             z1, z2 = solve_two_periodic_k2_closed(lam)
-            s2 = second_eigenvalue(p, z1, z2)
-            assert abs(s2 - 1.0 / lam) <= 1e-12
-            assert kesten_stigum(p, z1, z2) == pytest.approx(4.0 / lam ** 2, abs=1e-12)
-            assert kesten_stigum(p, z1, z2) < 1.0
-            msw = msw_check(p, z1, z2)
-            assert msw == pytest.approx(4.0 / (lam + 1.0), abs=1e-12)
-            assert (msw < 1.0) == (lam > 3.0)
-            rep = report_for_law(p, two_periodic_law(z1, z2))
+            rep = report_for_law(ModelParams(2, lam), two_periodic_law(z1, z2))
+            assert abs(rep.s2 - 1.0 / lam) <= 1e-12
+            assert rep.ks_value == pytest.approx(4.0 / lam ** 2, abs=1e-12)
+            assert rep.ks_value < 1.0
+            assert rep.msw_value == pytest.approx(4.0 / (lam + 1.0), abs=1e-12)
+            assert (rep.msw_value < 1.0) == (lam > 3.0)
             assert rep.verdict is Verdict.PROVEN_EXTREMAL
 
     _gate(3, "k=2 alternating pair is certified extremal at every tested activity", body)
@@ -202,10 +197,10 @@ def test_criterion_08_conditional_rows_match_matrices():
         m2 = two_step_matrix(p, z1, z2)
         for spin in (0, 1):
             got = conditional_child_distribution(ball, lam, assignment, spin, steps=1)
-            want = m1.row(spin)
+            want = (m1.p00, m1.p01) if spin == 0 else (m1.p10, m1.p11)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
             got = conditional_child_distribution(ball, lam, assignment, spin, steps=2)
-            want = m2.row(spin)
+            want = (m2.p00, m2.p01) if spin == 0 else (m2.p10, m2.p11)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
     _gate(8, "exact conditional distributions reproduce the transition matrices", body)
@@ -247,8 +242,9 @@ def test_criterion_10_randomized_cross_validation():
             m = two_step_matrix(p, float(z1), float(z2))
             assert abs(m.p00 + m.p01 - 1.0) <= 1e-12
             assert abs(m.p10 + m.p11 - 1.0) <= 1e-12
-            s2 = second_eigenvalue(p, float(z1), float(z2))
-            det = m.determinant()
+            # the pair's s2 as classify reports it, not the matrix's trace - 1
+            s2 = _pair_second_eigenvalue(p, float(z1), float(z2))
+            det = m.p00 * m.p11 - m.p01 * m.p10
             kappa = 0.5 * (abs(m.p00 - m.p10) + abs(m.p01 - m.p11))
             assert abs(s2 - det) <= 1e-13
             assert abs(kappa - abs(det)) <= 1e-13
@@ -260,7 +256,7 @@ def test_criterion_10_randomized_cross_validation():
         for x, y in zip(a, b):
             m = TransitionMatrix2(float(x), 1.0 - float(x), float(y), 1.0 - float(y))
             value, _ = martinelli_check(m, 9)
-            assert value <= 9.0 * abs(m.determinant()) + 1e-12
+            assert value <= 9.0 * abs(m.p00 * m.p11 - m.p01 * m.p10) + 1e-12
 
         # 10^5 sampled configurations: admissible without exception and with
         # empirical transition frequencies within 3 sigma of the matrix rows

@@ -358,6 +358,7 @@ class TestWeakCommand:
     "classify -k 2 -l 5",
     "sweep -k 2 --quantity ks -lmin 1 -lmax 2 -n 3",
     "sweep -k 2 --quantity weakperiodic_count -lmin 5 -lmax 6 -n 2",
+    "sweep -k 3 --quantity D -lmin 1 -lmax 3 -n 3",
     "oracle -k 2 -l 5 -n 2",
     "oracle -k 2 -l 5 -n 2 --mode sample --samples 10",
     "weak -k 2 -l 5",
@@ -367,6 +368,12 @@ def test_nan_tol_exits_2(command, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: tol must be positive\n"
+
+
+@pytest.mark.parametrize("command", ["solve -k 2 -l 5", "classify -k 2 -l 5", "weak -k 2 -l 5"])
+def test_infinite_tol_is_null_in_json(command, capsys):
+    doc = run_json(capsys, *command.split(), "--tol", "inf", "--json")
+    assert doc["tol"] is None
 
 
 class TestConfigFile:

@@ -11,24 +11,23 @@ from hctree.core import (
     LawKind,
     ModelParams,
     TransitionMatrix2,
+    single_step_matrix,
     two_periodic_law,
     two_step_matrix,
     translation_invariant_law,
 )
 from hctree.extremality import (
     Verdict,
+    _pair_second_eigenvalue,
     _verdict,
     classify,
     g_function,
     gamma_bound,
     h_function,
     kappa_contraction,
-    kesten_stigum,
     martinelli_check,
     mossel_check,
-    msw_check,
     report_for_law,
-    second_eigenvalue,
 )
 from hctree.solvers import (
     lambda_star,
@@ -52,15 +51,11 @@ class TestBuildingBlocks:
     def test_second_eigenvalue_matches_matrix(self, k, lam, z1, z2):
         p = ModelParams(k, lam)
         m = two_step_matrix(p, z1, z2)
-        s2 = second_eigenvalue(p, z1, z2)
+        s2 = _pair_second_eigenvalue(p, z1, z2)
         assert 0.0 < s2 < 1.0
         assert s2 == pytest.approx(m.second_eigenvalue(), abs=1e-13)
-        assert s2 == pytest.approx(m.determinant(), abs=1e-13)
+        assert s2 == pytest.approx(m.p00 * m.p11 - m.p01 * m.p10, abs=1e-13)
         assert s2 == pytest.approx(kappa_contraction(m), abs=1e-13)
-
-    def test_second_eigenvalue_domain(self):
-        with pytest.raises(DomainError):
-            second_eigenvalue(ModelParams(2, 1.0), 0.0, 1.0)
 
     def test_kappa_of_equal_rows_is_zero(self):
         m = TransitionMatrix2(0.4, 0.6, 0.4, 0.6)
@@ -76,11 +71,10 @@ class TestBuildingBlocks:
 class TestK2PairFormulas:
     @pytest.mark.parametrize("lam", [4.5, 5.0, 6.0, 10.0, 30.0, 100.0])
     def test_pair_eigenvalue_is_reciprocal_activity(self, lam):
-        p = ModelParams(2, lam)
-        z1, z2 = solve_two_periodic_k2_closed(lam)
-        assert second_eigenvalue(p, z1, z2) == pytest.approx(1.0 / lam, abs=1e-12)
-        assert kesten_stigum(p, z1, z2) == pytest.approx(4.0 / lam ** 2, abs=1e-12)
-        assert msw_check(p, z1, z2) == pytest.approx(4.0 / (lam + 1.0), abs=1e-12)
+        rep = report_for_law(ModelParams(2, lam), two_periodic_law(*solve_two_periodic_k2_closed(lam)))
+        assert rep.s2 == pytest.approx(1.0 / lam, abs=1e-12)
+        assert rep.ks_value == pytest.approx(4.0 / lam ** 2, abs=1e-12)
+        assert rep.msw_value == pytest.approx(4.0 / (lam + 1.0), abs=1e-12)
 
     @pytest.mark.parametrize("lam", [4.1, 5.0, 12.0, 80.0])
     def test_pair_always_proven_extremal(self, lam):
@@ -125,20 +119,14 @@ class TestInvariantLawVerdicts:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_threshold_activities_flip_certificates(self, k):
-        p_low = ModelParams(k, lambda_star(k) * 0.999)
-        z = solve_translation_invariant(p_low)
-        assert msw_check(p_low, z, z, two_periodic=False) < 1.0
+        def invariant(lam):
+            p = ModelParams(k, lam)
+            return report_for_law(p, translation_invariant_law(solve_translation_invariant(p)))
 
-        p_high = ModelParams(k, lambda_star(k) * 1.001)
-        z = solve_translation_invariant(p_high)
-        assert msw_check(p_high, z, z, two_periodic=False) > 1.0
-
-        p_ks = ModelParams(k, nonextremal_bound(k) * 1.001)
-        z = solve_translation_invariant(p_ks)
-        assert kesten_stigum(p_ks, z, z, two_periodic=False) > 1.0
-        p_ks = ModelParams(k, nonextremal_bound(k) * 0.999)
-        z = solve_translation_invariant(p_ks)
-        assert kesten_stigum(p_ks, z, z, two_periodic=False) < 1.0
+        assert invariant(lambda_star(k) * 0.999).msw_value < 1.0
+        assert invariant(lambda_star(k) * 1.001).msw_value > 1.0
+        assert invariant(nonextremal_bound(k) * 1.001).ks_value > 1.0
+        assert invariant(nonextremal_bound(k) * 0.999).ks_value < 1.0
 
 
 class TestReconstructionChecks:
@@ -176,7 +164,7 @@ class TestReconstructionChecks:
         # at least as strong as one built from k_eff * |det|
         m = TransitionMatrix2(a, 1.0 - a, b, 1.0 - b)
         value, _ = martinelli_check(m, k_eff)
-        assert value <= k_eff * abs(m.determinant()) + 1e-12
+        assert value <= k_eff * abs(m.p00 * m.p11 - m.p01 * m.p10) + 1e-12
 
 
 class TestVerdictLogic:
@@ -241,15 +229,21 @@ class TestK3Diagnostics:
         assert all(a > b for a, b in zip(gs, gs[1:]))
 
 
-class TestHelpersAgreeWithReport:
+class TestReportAssembly:
     @pytest.mark.parametrize("k", range(2, 11))
-    def test_helpers_equal_report_values(self, k):
-        # the public helpers and report_for_law build one chain; their values
-        # must agree exactly, on the invariant and the alternating chain
+    def test_report_values_follow_from_one_chain(self, k):
+        # every certificate value of a report comes from the one chain matrix
+        # of its law, on the invariant and the alternating chain
         for j in range(300):
             params = ModelParams(k, 0.05 * (2000.0 ** (j / 299.0)))
             for rep in classify(params):
-                two_periodic = rep.law.kind is LawKind.TWO_PERIODIC
-                z1, z2 = rep.law.values if two_periodic else rep.law.values * 2
-                assert kesten_stigum(params, z1, z2, two_periodic) == rep.ks_value
-                assert msw_check(params, z1, z2, two_periodic) == rep.msw_value
+                if rep.law.kind is LawKind.TWO_PERIODIC:
+                    m = two_step_matrix(params, *rep.law.values)
+                    s2 = _pair_second_eigenvalue(params, *rep.law.values)
+                    assert (rep.k_eff, rep.s2) == (k * k, s2)
+                else:
+                    m = single_step_matrix(params, *rep.law.values)
+                    assert (rep.k_eff, rep.s2) == (k, abs(m.second_eigenvalue()))
+                assert rep.kappa == kappa_contraction(m)
+                assert rep.ks_value == rep.k_eff * rep.s2 * rep.s2
+                assert rep.msw_value == rep.k_eff * rep.kappa * gamma_bound(params)

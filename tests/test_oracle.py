@@ -47,7 +47,7 @@ class TestFiniteBall:
         assert b.level[0] == 0 and b.parent[0] == -1
         assert len(b.leaves) == 8
         assert all(b.level[v] == 3 for v in b.leaves)
-        assert b.prefix_size(2) == 7
+        assert b.n_vertices - len(b.leaves) == 7  # levels 0..2 come first
 
     def test_full_root_shape(self):
         b = FiniteBall(2, 2, RootDegree.FULL)
@@ -67,7 +67,7 @@ class TestFiniteBall:
 
     @pytest.mark.parametrize("root", list(RootDegree))
     def test_cap_from_closed_form_size(self, root):
-        for k in (2, 3, 4, 6):
+        for k in (1, 2, 3, 4, 6):
             for depth in range(6):
                 n = FiniteBall(k, depth, root).n_vertices
                 if n <= ENUMERATION_VERTEX_CAP:
@@ -77,6 +77,11 @@ class TestFiniteBall:
                         _require_ball_enumerable(k, depth, root)
         with pytest.raises(SizeCapError, match="got a ball of depth 1000000000$"):
             _require_ball_enumerable(2, 10**9, root)
+
+    @pytest.mark.parametrize("k,depth", [(2, 20), (2, 10**9), (1, 2**21)])
+    def test_vertex_cap_before_building(self, k, depth):
+        with pytest.raises(SizeCapError, match="^a ball may have at most 1048576 vertices"):
+            FiniteBall(k, depth)
 
     def test_depth_zero(self):
         b = FiniteBall(2, 0)
@@ -139,6 +144,14 @@ class TestAdmissibleCounts:
 
         monkeypatch.setattr(oracle, "_count_enumeration", refuse)
         assert count_admissible(FiniteBall(3, 3)) == 2298661010
+
+    def test_auto_partition_cross_check_is_capped_by_configurations(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(oracle, "_partition_enumeration", refuse)
+        ball = FiniteBall(3, 3)
+        assert partition_function(ball, 1.0, 1.0) == count_admissible(ball)
 
     def test_auto_still_cross_checks_below_the_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "_count_enumeration", lambda ball: 0)
@@ -270,7 +283,7 @@ class TestConditionalDistribution:
         m = single_step_matrix(ModelParams(2, lam), z1)
         for spin in (0, 1):
             got = conditional_child_distribution(ball, lam, assignment, spin, steps=1)
-            want = m.row(spin)
+            want = (m.p00, m.p01) if spin == 0 else (m.p10, m.p11)
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             assert got[1] == pytest.approx(want[1], abs=1e-12)
 
@@ -282,7 +295,7 @@ class TestConditionalDistribution:
         m = two_step_matrix(ModelParams(2, lam), z1, z2)
         for spin in (0, 1):
             got = conditional_child_distribution(ball, lam, assignment, spin, steps=2)
-            want = m.row(spin)
+            want = (m.p00, m.p01) if spin == 0 else (m.p10, m.p11)
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             assert got[1] == pytest.approx(want[1], abs=1e-12)
 
@@ -422,7 +435,7 @@ def _scalar_consistency(ball, lam, zs):
     """consistency_check configuration by configuration, in the inputs' own
     arithmetic: float and exact weights meet only where a sum or a product
     mixes them."""
-    m = ball.prefix_size(ball.depth - 1)
+    m = sum(1 for lev in ball.level if lev < ball.depth)
     leaves_n = {v: zs[v] for v in ball.leaves}
     leaves_m = {v: zs[v] for v in range(m) if ball.level[v] == ball.depth - 1}
     grouped, total_n = {}, 0
@@ -572,6 +585,20 @@ class TestSamplerArguments:
         args = {"depth": 2, "count": 4, name: value}
         with pytest.raises(DomainError, match=f"^{message}$"):
             sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, seed=0, **args)
+
+
+    # 2047 vertices at depth 10: the largest count under 2**28 spins is 131,136
+    @pytest.mark.parametrize("count,allowed", [(131_136, True), (131_137, False)])
+    def test_spin_cap_checked_before_allocating(self, count, allowed, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def no_zeros(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(oracle.np, "zeros", no_zeros)
+        with pytest.raises(Allocated if allowed else SizeCapError):
+            sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=10, count=count, seed=0)
 
 
 def test_float_cross_check_holds_on_a_31_vertex_ball():

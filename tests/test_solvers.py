@@ -11,7 +11,6 @@ from hctree.core import (
     DomainError,
     LawKind,
     ModelParams,
-    recursion_derivative,
     recursion_map,
 )
 from hctree.solvers import (
@@ -76,10 +75,10 @@ class TestCriticalLambda:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_marginal_stability_at_threshold(self, k):
         # at the critical activity the fixed point sits exactly on the
-        # |derivative| = 1 boundary of the recursion
-        p = ModelParams(k, critical_lambda(k))
-        z = solve_translation_invariant(p)
-        assert abs(recursion_derivative(p, z)) == pytest.approx(1.0, abs=1e-8)
+        # |f'(z)| = k*lam*(1 + lam*z)**-(k+1) = 1 boundary of the recursion
+        lam = critical_lambda(k)
+        z = solve_translation_invariant(ModelParams(k, lam))
+        assert k * lam * (1.0 + lam * z) ** -(k + 1) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestTranslationInvariant:

@@ -15,7 +15,6 @@ from hctree.solvers import (
 from hctree.weakperiodic import (
     SOLVE_SETS,
     WeakPeriodicParams,
-    invariant_set_check,
     lambda_pm,
     s_pm,
     solve_weak_periodic,
@@ -105,9 +104,12 @@ class TestSystemMap:
         # each named plane maps into itself under W for every generator count
         for i in range(1, k + 2):
             wp = WeakPeriodicParams(k, i, lam)
-            assert invariant_set_check(wp, "I2", (a, b, a, b), tol=1e-7)
-            assert invariant_set_check(wp, "I3", (a, a, b, b), tol=1e-7)
-            assert invariant_set_check(wp, "I4", (a, b, b, a), tol=1e-7)
+            w1, w2, w3, w4 = weak_system_map(wp, (a, b, a, b))  # I2: z1=z3, z2=z4
+            assert w1 == pytest.approx(w3, abs=1e-7) and w2 == pytest.approx(w4, abs=1e-7)
+            w1, w2, w3, w4 = weak_system_map(wp, (a, a, b, b))  # I3: z1=z2, z3=z4
+            assert w1 == pytest.approx(w2, abs=1e-7) and w3 == pytest.approx(w4, abs=1e-7)
+            w1, w2, w3, w4 = weak_system_map(wp, (a, b, b, a))  # I4: z1=z4, z2=z3
+            assert w1 == pytest.approx(w4, abs=1e-7) and w2 == pytest.approx(w3, abs=1e-7)
 
     @given(
         st.integers(min_value=2, max_value=5),
