@@ -81,13 +81,12 @@ def _build_parser():
         description="Boundary laws of the hard-core model on Cayley trees.",
     )
     subs = parser.add_subparsers(dest="command")
-    table: dict[str, argparse.ArgumentParser] = {}
 
-    def sub(name: str, help_text: str) -> argparse.ArgumentParser:
+    def sub(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file supplying defaults; flags override it")
-        table[name] = p
+        p.set_defaults(run=run)
         return p
 
     def add_k(p):
@@ -108,13 +107,14 @@ def _build_parser():
         if csv_too:
             group.add_argument("--csv", action="store_true", help="emit CSV rows")
 
-    p = sub("solve", "find every boundary law at one activity")
+    p = sub("solve", "find every boundary law at one activity", _cmd_solve)
     add_k(p); add_lam(p); add_tol(p); add_formats(p)
 
-    p = sub("classify", "extremality diagnostics for every boundary law at one activity")
+    p = sub("classify", "extremality diagnostics for every boundary law at one activity",
+            _cmd_classify)
     add_k(p); add_lam(p); add_tol(p); add_formats(p)
 
-    p = sub("sweep", "evaluate one quantity on an activity grid, CSV by default")
+    p = sub("sweep", "evaluate one quantity on an activity grid, CSV by default", _cmd_sweep)
     add_k(p)
     p.add_argument("-lmin", "--lambda-min", dest="lambda_min", type=float, default=None,
                    help="left end of the activity grid")
@@ -134,7 +134,7 @@ def _build_parser():
     add_tol(p)
     add_formats(p)
 
-    p = sub("oracle", "finite-ball consistency and sampling checks")
+    p = sub("oracle", "finite-ball consistency and sampling checks", _cmd_oracle)
     add_k(p); add_lam(p)
     p.add_argument("-n", "--depth", dest="depth", type=int, default=None, help="ball depth")
     p.add_argument("--mode", choices=("ti", "periodic", "perturbed", "sample"), default="ti",
@@ -147,13 +147,13 @@ def _build_parser():
     add_tol(p)
     add_formats(p, csv_too=False)
 
-    p = sub("critical", "critical activities and extremality thresholds for one k")
+    p = sub("critical", "critical activities and extremality thresholds for one k", _cmd_critical)
     add_k(p)
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="slack for the large-k estimate (default 0.1)")
     add_formats(p)
 
-    p = sub("weak", "fixed points of the four-component system on one invariant plane")
+    p = sub("weak", "fixed points of the four-component system on one invariant plane", _cmd_weak)
     add_k(p); add_lam(p)
     p.add_argument("-i", "--i", dest="i", type=int, default=1,
                    help="exponent split, 1 <= i <= k+1 (default 1)")
@@ -162,15 +162,16 @@ def _build_parser():
     add_tol(p)
     add_formats(p)
 
-    return parser, table
+    return parser, subs.choices  # {name: subparser}
 
 
 @functools.lru_cache(maxsize=None)
 def _shared_parser():
     """The parser main() reads argv with, built once per process.
 
-    It must never be mutated: a --config run sets its defaults on a parser of
-    its own, or they would leak into later calls in the same process.
+    It must never be mutated: a --config run passes the file's values in the
+    namespace it parses into, or they would leak into later calls in the
+    same process.
     """
     return _build_parser()
 
@@ -185,14 +186,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _read_config(path: str, sub: argparse.ArgumentParser) -> dict:
-    """key=value lines (# comments allowed) mapped onto the subcommand's flags."""
-    table = {}
-    for action in sub._actions:
-        if action.dest in ("help", "config"):
-            continue
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                table[opt[2:].replace("-", "_")] = action
+    """key=value lines (# comments allowed) mapped onto the subcommand's
+    long flags: key lambda-min (or lambda_min) sets --lambda-min."""
     overrides = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -204,8 +199,8 @@ def _read_config(path: str, sub: argparse.ArgumentParser) -> dict:
                 raise DomainError(f"{path}:{lineno}: expected key=value")
             key = key.strip().lower().replace("-", "_")
             value = value.strip().strip("\"'")
-            action = table.get(key)
-            if action is None:
+            action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+            if action is None or action.dest in ("help", "config"):
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
             if action.nargs == 0:
                 overrides[action.dest] = _parse_bool(value)
@@ -534,31 +529,23 @@ def _cmd_weak(args):
 # entry point
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "critical": _cmd_critical,
-    "weak": _cmd_weak,
-}
-
-
 def main(argv=None) -> int:
-    parser, _ = _shared_parser()
+    parser, subs = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
         if args.config:
-            parser, subs = _build_parser()
+            # argparse sets a default only where the namespace has no value,
+            # so the file's values fill in and the flags still override them
             sub = subs[args.command]
-            sub.set_defaults(**_read_config(args.config, sub))
-            args = parser.parse_args(argv)
+            args = sub.parse_args(argv[argv.index(args.command) + 1:],
+                                  argparse.Namespace(**_read_config(args.config, sub)))
         if not getattr(args, "tol", 1.0) > 0:  # every command but critical has --tol
             raise DomainError("tol must be positive")
-        doc, csv, text = _DISPATCH[args.command](args)
+        doc, csv, text = args.run(args)
         if args.json:
             lines = [json.dumps(doc, indent=2, allow_nan=False)]
         else:

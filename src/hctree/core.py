@@ -53,7 +53,7 @@ class ConvergenceError(RuntimeError):
 
 
 class SizeCapError(ValueError):
-    """Exact enumeration was asked to exceed its hard vertex cap."""
+    """An input exceeds a hard size cap: vertices, configurations or spins."""
 
 
 class InternalCheckError(RuntimeError):

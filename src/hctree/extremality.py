@@ -20,6 +20,7 @@ from .core import (
     LawKind,
     ModelParams,
     TransitionMatrix2,
+    recursion_map,
     single_step_matrix,
     two_step_matrix,
 )
@@ -161,7 +162,8 @@ def _verdict(ks_value, msw_value, mart_ok, mossel_ok) -> Verdict:
 
 
 def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
-    """Build the full diagnostic record for an invariant or alternating law."""
+    """The full diagnostic record for an invariant or alternating law that solves the
+    recursion; a non-solution gets DomainError where its certificates contradict."""
     if law.kind is LawKind.WEAK_PERIODIC:
         raise DomainError("weak-periodic laws have no single chain matrix here")
     if law.kind is LawKind.TWO_PERIODIC:
@@ -177,6 +179,15 @@ def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
     msw_value = k_eff * kap * gam
     mart_value, mart_ok = martinelli_check(matrix, k_eff)
     mossel_value, mossel_ok = mossel_check(matrix, k_eff)
+    try:
+        verdict = _verdict(ks_value, msw_value, mart_ok, mossel_ok)
+    except InternalCheckError:
+        # checked only here: each value must be the recursion's image of the
+        # other (of itself for the invariant law)
+        if not all(math.isclose(z, recursion_map(params, w), rel_tol=1e-6)
+                   for z, w in zip(law.values, law.values[::-1])):
+            raise DomainError(f"{law.kind.value} law {law.values} does not solve the recursion")
+        raise
     return ExtremalityReport(
         law=law,
         k_eff=k_eff,
@@ -189,7 +200,7 @@ def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
         martinelli_no_reconstruction=mart_ok,
         mossel_value=mossel_value,
         mossel_no_reconstruction=mossel_ok,
-        verdict=_verdict(ks_value, msw_value, mart_ok, mossel_ok),
+        verdict=verdict,
     )
 
 

@@ -22,7 +22,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any
 
 import numpy as np
@@ -59,10 +59,9 @@ ENUMERATION_VERTEX_CAP = 40
 # not depend on either
 _BLOCK_ROWS = 1 << 14
 _SAMPLE_BLOCK = 1 << 18
-# "auto" admissible counts and partition functions cross-check by enumeration
-# up to this many configurations; FiniteBall(2, 4) has 8,143,397,
-# FiniteBall(3, 3) 2.3e9
-_CROSS_CHECK_CONFIGURATIONS = 1 << 24
+# enumeration, and the "auto" modes' cross-check by it, stop at this many
+# configurations; FiniteBall(2, 4) has 8,143,397, FiniteBall(3, 3) 2.3e9
+_ENUMERATION_CONFIGURATION_CAP = 1 << 24
 # FiniteBall(2, 19) has 1,048,575 vertices and its lists peak near 264 MB
 _BALL_VERTEX_CAP = 1 << 20
 # int8 spins the sampler holds at once: 256 MB
@@ -97,31 +96,19 @@ class FiniteBall:
         if n is None or n > _BALL_VERTEX_CAP:
             got = f"a ball of depth {depth}" if n is None else n
             raise SizeCapError(f"a ball may have at most {_BALL_VERTEX_CAP} vertices, got {got}")
-        self.k = k
-        self.depth = depth
-        self.root_degree = root_degree
-
-        parent = [-1]
-        level = [0]
-        children: list[list[int]] = [[]]
-        frontier = [0]
-        for lev in range(1, depth + 1):
-            nxt = []
-            for v in frontier:
-                fanout = k + 1 if (v == 0 and root_degree is RootDegree.FULL) else k
-                for _ in range(fanout):
-                    idx = len(parent)
-                    parent.append(v)
-                    level.append(lev)
-                    children.append([])
-                    children[v].append(idx)
-                    nxt.append(idx)
-            frontier = nxt
-        self.parent = tuple(parent)
-        self.level = tuple(level)
-        self.children = tuple(tuple(c) for c in children)
-        self.leaves = tuple(v for v in range(len(parent)) if level[v] == depth)
-        self.n_vertices = len(parent)
+        self.k, self.depth, self.root_degree = k, depth, root_degree
+        # levels hold 1, top, top*k, ... vertices; below level 1 every vertex
+        # has k children, numbered in the order of their parents
+        top = k + 1 if root_degree is RootDegree.FULL else k
+        first_leaf = n - top * k ** (depth - 1) if depth else 0
+        self.parent = (-1, *[0 if v <= top else (v - top - 1) // k + 1 for v in range(1, n)])
+        self.level = (0, *chain.from_iterable(repeat(lev, top * k ** (lev - 1))
+                                              for lev in range(1, depth + 1)))
+        self.children = (tuple(range(1, top + 1)) if depth else (),
+                         *[tuple(range(top + 1 + (v - 1) * k, top + 1 + v * k))
+                           if v < first_leaf else () for v in range(1, n)])
+        self.leaves = tuple(range(first_leaf, n))
+        self.n_vertices = n
 
     def __repr__(self) -> str:
         return (
@@ -144,23 +131,36 @@ def _ball_size(k: int, depth: int, root_degree: RootDegree) -> int | None:
     return 1 + fanout * (k ** depth - 1) // (k - 1)
 
 
-def _require_enumerable(n_vertices: int) -> None:
-    if n_vertices > ENUMERATION_VERTEX_CAP:
-        raise SizeCapError(
-            f"enumeration supports at most {ENUMERATION_VERTEX_CAP} vertices, "
-            f"got {n_vertices}"
-        )
+def _vertex_cap_error(got) -> SizeCapError:
+    return SizeCapError(f"enumeration supports at most {ENUMERATION_VERTEX_CAP} vertices, "
+                        f"got {got}")
+
+
+def _enumeration_refusal(ball: FiniteBall) -> SizeCapError | None:
+    """Why the ball is too large to enumerate, or None: over 40 vertices (tested
+    first, in O(1)) or over 2**24 configurations as the recursion counts them."""
+    if ball.n_vertices > ENUMERATION_VERTEX_CAP:
+        return _vertex_cap_error(ball.n_vertices)
+    count = _count_recursion(ball)
+    if count > _ENUMERATION_CONFIGURATION_CAP:
+        return SizeCapError(f"enumeration supports at most {_ENUMERATION_CONFIGURATION_CAP} "
+                            f"configurations, got {count}")
+    return None
+
+
+def _require_enumerable(ball: FiniteBall) -> None:
+    refusal = _enumeration_refusal(ball)
+    if refusal is not None:
+        raise refusal
 
 
 def _require_ball_enumerable(k: int, depth: int, root_degree: RootDegree) -> None:
-    """_require_enumerable for FiniteBall(k, depth, root_degree), from the
-    closed-form vertex count, before the ball is built."""
+    """The vertex cap of _require_enumerable for FiniteBall(k, depth,
+    root_degree), from the closed-form vertex count, before the ball is built."""
     _check_int("depth", depth, 0)
     n = _ball_size(k, depth, root_degree)
-    if n is None:
-        raise SizeCapError(f"enumeration supports at most {ENUMERATION_VERTEX_CAP} vertices, "
-                           f"got a ball of depth {depth}")
-    _require_enumerable(n)
+    if n is None or n > ENUMERATION_VERTEX_CAP:
+        raise _vertex_cap_error(f"a ball of depth {depth}" if n is None else n)
 
 
 def _mask_blocks(n_vertices: int, parent: Sequence[int]):
@@ -207,7 +207,7 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
 
 def enumerate_admissible(ball: FiniteBall):
     """Yield every admissible configuration of the ball in vertex order."""
-    _require_enumerable(ball.n_vertices)
+    _require_enumerable(ball)
     shifts = np.arange(ball.n_vertices - 1, -1, -1)
     for masks in _mask_blocks(ball.n_vertices, ball.parent):
         yield from map(tuple, ((masks[:, None] >> shifts) & 1).tolist())
@@ -226,17 +226,17 @@ def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     """Number of admissible configurations, exactly.
 
     method: "enumeration" (every configuration listed, capped at 40
-    vertices), "recursion" (per-subtree free/occupied counts, any size), or
-    "auto" which runs the recursion and, when it counts at most 2**24
-    configurations, cross-checks it against the enumeration.
+    vertices and 2**24 configurations), "recursion" (per-subtree
+    free/occupied counts, any size), or "auto" which runs the recursion and,
+    within the enumeration's caps, cross-checks it against the enumeration.
     """
     if method == "enumeration":
-        _require_enumerable(ball.n_vertices)
+        _require_enumerable(ball)
         return _count_enumeration(ball)
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown counting method {method!r}")
     total = _count_recursion(ball)
-    if method == "auto" and total <= _CROSS_CHECK_CONFIGURATIONS:
+    if method == "auto" and _enumeration_refusal(ball) is None:
         check = _count_enumeration(ball)
         if check != total:
             raise InternalCheckError(
@@ -385,7 +385,6 @@ def _label_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int
 
 
 def _partition_enumeration(ball: FiniteBall, lam, leaves: Mapping[int, Any]):
-    _require_enumerable(ball.n_vertices)
     n = ball.n_vertices
     if _is_float(lam, leaves):
         # added one by one, float weights drift past the 1e-12 cross-check on
@@ -429,13 +428,13 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
     _check_weight("activity", lam)
     leaves = _leaf_values(ball, boundary_z)
     if method == "enumeration":
+        _require_enumerable(ball)
         return _partition_enumeration(ball, lam, leaves)
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown partition method {method!r}")
     f, o = _partition_recursion(ball, lam, leaves)
     total = f + o
-    if (method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP
-            and _count_recursion(ball) <= _CROSS_CHECK_CONFIGURATIONS):
+    if method == "auto" and _enumeration_refusal(ball) is None:
         check = _partition_enumeration(ball, lam, leaves)
         denom = max(abs(total), abs(check))
         if denom > 0 and abs(total - check) > 1e-12 * denom:
@@ -450,7 +449,7 @@ def root_marginal(ball: FiniteBall, lam, boundary_z, method: str = "recursion"):
     _check_weight("activity", lam)
     leaves = _leaf_values(ball, boundary_z)
     if method == "enumeration":
-        _require_enumerable(ball.n_vertices)
+        _require_enumerable(ball)
         n = ball.n_vertices
         sums, total = _label_sums(n, ball.parent, lam, leaves, n - 1)  # by the root spin
         return sums.tolist()[1] / total
@@ -472,7 +471,7 @@ def consistency_check(ball: FiniteBall, lam, z_assignment) -> float:
     if ball.depth < 1:
         raise DomainError("consistency check needs depth >= 1")
     _check_weight("activity", lam)
-    _require_enumerable(ball.n_vertices)
+    _require_enumerable(ball)
     zs = _vertex_values(ball, z_assignment)
 
     n = ball.n_vertices
@@ -511,7 +510,7 @@ def conditional_child_distribution(
     if parent_spin not in (0, 1):
         raise DomainError(f"parent_spin must be 0 or 1, got {parent_spin!r}")
     _check_weight("activity", lam)
-    _require_enumerable(ball.n_vertices)
+    _require_enumerable(ball)
     zs = _vertex_values(ball, z_assignment)
     leaves = {v: zs[v] for v in ball.leaves}
 

@@ -257,6 +257,9 @@ def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
         raise DomainError("tol must be positive")
     z = solve_translation_invariant(wp.model())
     red = _Reduction(wp, invariant_set, z)
+    if red.lo < np.finfo(float).tiny:  # the log-spaced grid needs a normal lower end
+        raise ConvergenceError("the lower end of the plane's search grid underflows "
+                               "at this activity", lower_end=red.lo)
     c, n = red.centre, _GRID_POINTS
     t = np.geomspace(red.lo, c, n + 1)[:-1]
     y, f = red.residual(t, np.full(n, c))

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hctree import cli
+from hctree import cli, oracle
 from hctree.cli import main
 
 SCHEMA = json.loads(
@@ -278,6 +278,17 @@ class TestOracleCommand:
         assert code == 1
         assert err == f"error: enumeration supports at most 40 vertices, got {got}\n"
 
+    def test_configuration_cap_exits_1(self, capsys, monkeypatch):
+        # 40 vertices pass the vertex cap, but 2.3e9 configurations do not
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(oracle, "_mask_blocks", refuse)
+        code, out, err = run(capsys, "oracle", "-k", "3", "-l", "1", "-n", "3")
+        assert (code, out) == (1, "")
+        assert err == ("error: enumeration supports at most 16777216 configurations, "
+                       "got 2298661010\n")
+
     def test_full_root_supported(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "-k", "2", "-l", "2.5", "-n", "2", "--root", "full"
@@ -351,6 +362,18 @@ class TestWeakCommand:
         assert "(0.076393202250021, 0.523606797749979, 0.076393202250021, " \
                "0.523606797749979)  residual=" in out
         assert out.count("[non-constant]") == 2 and out.count("[constant]") == 1
+
+    @pytest.mark.parametrize("command", [
+        "weak -k 6 --set I4 -l 1e60",
+        "weak -k 2 -l 1e300",
+        "sweep -k 10 --quantity weakperiodic_count -lmin 1 -lmax 1e40 -n 3",
+    ])
+    def test_underflowing_grid_end_exits_1(self, capsys, command):
+        # (1+lambda)**-k, the lower end of the search grid, is 0 in floats here
+        code, out, err = run(capsys, *command.split())
+        assert (code, out) == (1, "")
+        assert err == ("error: the lower end of the plane's search grid underflows "
+                       "at this activity\n")
 
 
 @pytest.mark.parametrize("command", [

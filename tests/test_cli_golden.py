@@ -141,8 +141,8 @@ def test_matches_golden(command):
         jsonschema.validate(json.loads(result.get("file", result["stdout"])), SCHEMA)
 
 
-def test_parser_built_once_and_left_unchanged(monkeypatch):
-    """Calls without --config share one parser; usage errors do not alter it."""
+def test_parser_built_once_and_left_unchanged(monkeypatch, tmp_path):
+    """All calls share one parser; usage errors and config files do not alter it."""
     builds = []
     build = cli._build_parser
 
@@ -154,6 +154,10 @@ def test_parser_built_once_and_left_unchanged(monkeypatch):
     cli._shared_parser.cache_clear()
     for command, code in (("solve -k x", 2), ("solve --help", 0), ("weak -k 2 -l 5 --set I1", 2)):
         assert run_command(command)["code"] == code, command
+    # the file's values fill in what the flags leave unset
+    config = tmp_path / "run.cfg"
+    config.write_text("k = 2\nlambda = 6\ncsv = true\n")
+    assert run_command(f"solve --config {config} -l 5") == GOLDEN_DATA["solve -k 2 -l 5 --csv"]
     replays = ["", "frobnicate", "solve -k 2 -l 5 --csv --json", "solve -l 5",
                "solve -k 2 -l 5", "classify -k 2 -l 5 --json", "critical -k 6 --csv",
                "sweep -k 2 --quantity verdict -lmin 1 -lmax 40 -n 12 --scale log",

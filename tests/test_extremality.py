@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hctree import extremality
 from hctree.core import (
     DomainError,
     InternalCheckError,
@@ -188,6 +190,35 @@ class TestVerdictLogic:
 
         with pytest.raises(DomainError):
             report_for_law(ModelParams(2, 1.0), weak_periodic_law((1, 2, 3, 4), "I2"))
+
+
+class TestNonSolutions:
+    def test_contradicting_certificates_of_a_non_solution_raise_domain_error(self):
+        # the random draw of test_acceptance criterion 10: 251 of these pairs
+        # solve nothing and carry contradicting certificates
+        rng = np.random.default_rng(987654321)
+        ks = rng.integers(2, 11, size=10_000)
+        lams = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=10_000))
+        z1s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=10_000))
+        z2s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=10_000))
+        refused = 0
+        for k, lam, z1, z2 in zip(ks, lams, z1s, z2s):
+            law = two_periodic_law(*sorted((float(z1), float(z2))))
+            try:
+                report_for_law(ModelParams(int(k), float(lam)), law)
+            except DomainError as exc:
+                assert "does not solve the recursion" in str(exc)
+                refused += 1
+        assert refused == 251
+
+    def test_contradicting_certificates_of_a_solution_stay_internal(self, monkeypatch):
+        def conflict(*args):
+            raise InternalCheckError("certificates fired together")
+
+        monkeypatch.setattr(extremality, "_verdict", conflict)
+        z1, z2 = solve_two_periodic_k2_closed(5.0)
+        with pytest.raises(InternalCheckError):
+            report_for_law(ModelParams(2, 5.0), two_periodic_law(z1, z2))
 
 
 class TestClassify:

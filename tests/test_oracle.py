@@ -35,6 +35,23 @@ from hctree.oracle import (
 from hctree.solvers import solve_translation_invariant, solve_two_periodic_k2_closed
 
 
+def frontier_ball(k, depth, root_degree):
+    """(parent, level, children, leaves) of the ball, by a walk level by level."""
+    parent, level, children, frontier = [-1], [0], [[]], [0]
+    for lev in range(1, depth + 1):
+        nxt = []
+        for v in frontier:
+            for _ in range(k + 1 if v == 0 and root_degree is RootDegree.FULL else k):
+                children[v].append(len(parent))
+                nxt.append(len(parent))
+                parent.append(v)
+                level.append(lev)
+                children.append([])
+        frontier = nxt
+    leaves = tuple(v for v in range(len(parent)) if level[v] == depth)
+    return tuple(parent), tuple(level), tuple(map(tuple, children)), leaves
+
+
 def alternating_assignment(ball, z1, z2):
     """z1 at odd levels, z2 at even levels (root included)."""
     return [z1 if lev % 2 == 1 else z2 for lev in ball.level]
@@ -55,6 +72,14 @@ class TestFiniteBall:
         assert b.n_vertices == 1 + 3 + 6
         assert len(b.children[0]) == 3
         assert all(len(b.children[c]) == 2 for c in b.children[0])
+
+    @pytest.mark.parametrize("root", list(RootDegree))
+    def test_closed_form_matches_frontier_walk(self, root):
+        for k in (1, 2, 3, 4, 6):
+            for depth in range(7):
+                b = FiniteBall(k, depth, root)
+                assert (b.parent, b.level, b.children, b.leaves) == frontier_ball(k, depth, root)
+                assert b.n_vertices == len(b.parent)
 
     def test_parent_precedes_child(self):
         b = FiniteBall(3, 2, RootDegree.FULL)
@@ -152,6 +177,25 @@ class TestAdmissibleCounts:
         monkeypatch.setattr(oracle, "_partition_enumeration", refuse)
         ball = FiniteBall(3, 3)
         assert partition_function(ball, 1.0, 1.0) == count_admissible(ball)
+
+    @pytest.mark.parametrize("call", [
+        lambda b: next(enumerate_admissible(b)),
+        lambda b: count_admissible(b, "enumeration"),
+        lambda b: partition_function(b, 1.0, 1.0, "enumeration"),
+        lambda b: root_marginal(b, 1.0, 1.0, "enumeration"),
+        lambda b: consistency_check(b, 1.0, 0.5),
+        lambda b: conditional_child_distribution(b, 1.0, 0.5, 0),
+    ], ids=["enumerate_admissible", "count_admissible", "partition_function", "root_marginal",
+            "consistency_check", "conditional_child_distribution"])
+    def test_enumeration_refused_above_the_configuration_cap(self, call, monkeypatch):
+        # 40 vertices pass the vertex cap, but 2.3e9 configurations do not
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(oracle, "_mask_blocks", refuse)
+        with pytest.raises(SizeCapError, match="^enumeration supports at most 16777216 "
+                                               "configurations, got 2298661010$"):
+            call(FiniteBall(3, 3))
 
     def test_auto_still_cross_checks_below_the_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "_count_enumeration", lambda ball: 0)

@@ -270,6 +270,30 @@ class TestThresholdActivities:
         assert asymptotic_bound(k, eps) == pytest.approx(expected, rel=1e-14)
 
 
+class TestTinyRoots:
+    """Roots far below 2**-200 of the bisection bracket (0, 1), checked
+    against fixed-point iterations that use no bisection."""
+
+    def test_invariant_root_near_1e_minus_67(self):
+        # z = (1 + lam*z)**-k read as log z = log(expm1(-log(z)/k)) - log(lam),
+        # a contraction with factor about 1/k
+        k, lam, u = 2, 1e100, -1.0
+        for _ in range(200):
+            u = math.log(math.expm1(-u / k)) - math.log(lam)
+        z = solve_translation_invariant(ModelParams(k, lam))
+        assert z == pytest.approx(math.exp(u), rel=1e-12)
+        assert z == pytest.approx(2.15443469003188e-67, rel=1e-12)
+
+    def test_generic_pair_value_near_1e_minus_80(self):
+        # the pair attracts the map applied twice here
+        k, lam, z1 = 10, 1e8, 0.0
+        for _ in range(10):
+            z1 = (1.0 + lam * (1.0 + lam * z1) ** -k) ** -k
+        report = solve_two_periodic(ModelParams(k, lam))
+        assert report.solutions[-1].values[0] == pytest.approx(z1, rel=1e-12)
+        assert z1 == pytest.approx(9.99999900000006e-81, rel=1e-12)
+
+
 # Reference bisections: the solvers' loops with every step through the checked
 # recursion_map. The solvers evaluate the map inline; the bits must not move.
 
