@@ -7,20 +7,39 @@ extremality verdicts, and cross-checks everything against exact finite-ball
 enumeration.
 """
 
-from . import core, extremality, oracle, solvers, weakperiodic
+import importlib
+
+from . import core, extremality, solvers
 from .core import *
 from .extremality import *
-from .oracle import *
 from .solvers import *
-from .weakperiodic import *
 
 __version__ = "0.1.0"
+
+# oracle and weakperiodic import numpy, so their public names are served on
+# first use (PEP 562) and `import hctree` stays free of numpy
+_LAZY = {
+    "oracle": ("ENUMERATION_VERTEX_CAP", "FiniteBall", "RootDegree", "SampleResult",
+               "conditional_child_distribution", "consistency_check", "count_admissible",
+               "enumerate_admissible", "hard_core_violations", "partition_function",
+               "root_marginal", "sample_tree_chain"),
+    "weakperiodic": ("SOLVE_SETS", "WeakPeriodicParams", "WeakSolveReport", "lambda_pm",
+                     "s_pm", "solve_weak_periodic", "weak_system_map"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = sorted([
     *core.__all__,
     *extremality.__all__,
-    *oracle.__all__,
     *solvers.__all__,
-    *weakperiodic.__all__,
+    *_LAZY_HOME,
     "__version__",
 ])
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_HOME:
+        return getattr(importlib.import_module(f".{_LAZY_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

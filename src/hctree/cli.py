@@ -17,7 +17,9 @@ import json
 import math
 import sys
 
+# oracle and weakperiodic import numpy: the commands that use them import them
 from .core import (
+    SOLVE_SETS,
     ConvergenceError,
     DomainError,
     InternalCheckError,
@@ -25,23 +27,15 @@ from .core import (
     ModelParams,
     SizeCapError,
 )
-from .extremality import classify, g_function, h_function
-from .oracle import (
-    FiniteBall,
-    RootDegree,
-    _require_ball_enumerable,
-    consistency_check,
-    hard_core_violations,
-    sample_tree_chain,
-)
+from .extremality import classify, g_function, h_function, report_for_law
 from .solvers import (
+    _solve_two_periodic_grid,
     asymptotic_bound,
     critical_values,
     discriminant_k3,
     solve_translation_invariant,
     solve_two_periodic,
 )
-from .weakperiodic import SOLVE_SETS, WeakPeriodicParams, lambda_pm, s_pm, solve_weak_periodic
 
 __all__ = ["main"]
 
@@ -49,6 +43,8 @@ __all__ = ["main"]
 PASS_THRESHOLD = 1e-8
 
 QUANTITIES = ("solutions", "D", "h", "g", "s2", "ks", "msw", "verdict", "weakperiodic_count")
+# read off solve_two_periodic's report, so the sweep solves the grid in one batch
+SOLVED_QUANTITIES = ("solutions", "s2", "ks", "msw", "verdict")
 
 
 def _fmt(x) -> str:
@@ -334,23 +330,28 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
 
 
 def _sweep_value(args, lam: float):
+    """A quantity outside SOLVED_QUANTITIES at one activity."""
     quantity = args.quantity
     if quantity in ("D", "h", "g") and args.k != 3:
         raise DomainError(f"quantity {quantity} is defined for k=3 only")
-    if quantity == "solutions":
-        params = ModelParams(args.k, lam)
-        return solve_two_periodic(params, args.tol).system_solution_count
     if quantity == "D":
         return discriminant_k3(lam)
     if quantity == "h":
         return h_function(lam)
     if quantity == "g":
         return g_function(lam)
-    if quantity == "weakperiodic_count":
-        wp = WeakPeriodicParams(args.k, args.i, lam)
-        return solve_weak_periodic(wp, args.invariant_set, args.tol).count
-    # reports come in solution order: the pair's, where it exists, is last
-    rep = classify(ModelParams(args.k, lam), args.tol)[-1]
+    from .weakperiodic import WeakPeriodicParams, solve_weak_periodic
+
+    wp = WeakPeriodicParams(args.k, args.i, lam)
+    return solve_weak_periodic(wp, args.invariant_set, args.tol).count
+
+
+def _solved_value(quantity: str, report):
+    """A quantity in SOLVED_QUANTITIES from the solve at one activity."""
+    if quantity == "solutions":
+        return report.system_solution_count
+    # solutions come in order: the pair, where it exists, is last
+    rep = report_for_law(report.params, report.solutions[-1])
     if quantity == "s2":
         return rep.s2
     if quantity == "ks":
@@ -367,7 +368,11 @@ def _cmd_sweep(args):
     if args.quantity is None:
         raise DomainError("missing required flag --quantity")
     grid = _grid(lmin, lmax, args.points, args.scale)
-    values = [_sweep_value(args, lam) for lam in grid]
+    if args.quantity in SOLVED_QUANTITIES:
+        values = [_solved_value(args.quantity, report)
+                  for report in _solve_two_periodic_grid(args.k, grid, args.tol)]
+    else:
+        values = [_sweep_value(args, lam) for lam in grid]
     doc = {
         "command": "sweep",
         "k": args.k,
@@ -395,6 +400,15 @@ def _cmd_sweep(args):
 
 
 def _cmd_oracle(args):
+    from .oracle import (
+        FiniteBall,
+        RootDegree,
+        _require_ball_enumerable,
+        consistency_check,
+        hard_core_violations,
+        sample_tree_chain,
+    )
+
     params = _params(args)
     depth = _need(args, "-n/--depth", "depth")
     root = RootDegree(args.root)
@@ -456,6 +470,8 @@ def _cmd_critical(args):
     eps = args.epsilon
     asym = asymptotic_bound(k, eps) if k >= 3 else None
     if k >= 6:
+        from .weakperiodic import lambda_pm, s_pm
+
         s_minus, s_plus = s_pm(k)
         lam_minus, lam_plus = lambda_pm(k)
     else:
@@ -495,6 +511,8 @@ def _cmd_critical(args):
 
 
 def _cmd_weak(args):
+    from .weakperiodic import WeakPeriodicParams, solve_weak_periodic
+
     params = _params(args)
     wp = WeakPeriodicParams(params.k, args.i, params.lam)
     report = solve_weak_periodic(wp, args.invariant_set, args.tol)

@@ -5,6 +5,7 @@ provable non-extremality)."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -38,6 +39,7 @@ __all__ = [
 _BISECT_MAX_ITER = 1100
 _DEFAULT_TOL = 1e-12
 _PAIR_BRACKET_MARGIN = 1e-9  # keep the two-cycle bracket clear of the fixed point
+_NARROW_REL = 2.0 ** -44  # relative sign margin of the batched bisection (_narrow)
 
 _K3_CRITICAL = 27.0 / 16.0
 
@@ -48,17 +50,20 @@ def critical_lambda(k: int) -> float:
     return (k / (k - 1.0)) ** k / (k - 1.0)
 
 
-def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) -> float:
+def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL, *,
+                                start: tuple[float, float, int] | None = None) -> float:
     """The unique fixed point of the recursion in (0, 1), found by bisection.
 
     The map is strictly decreasing with f(0+)=1 and f(1) < 1, so
-    f(z) - z changes sign exactly once on (0, 1).
+    f(z) - z changes sign exactly once on (0, 1). `start` is a bracket
+    (lo, hi, steps) that this bisection reaches after `steps` steps.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     lam, k = params.lam, params.k
-    lo, hi = 0.0, 1.0  # sign(f - id) is + at lo, - at hi; endpoints never evaluated
-    for _ in range(_BISECT_MAX_ITER):
+    # sign(f - id) is + at lo, - at hi; endpoints never evaluated
+    lo, hi, used = start or (0.0, 1.0, 0)
+    for _ in range(_BISECT_MAX_ITER - used):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -146,13 +151,18 @@ def _pair_residual(params: ModelParams, z1: float, z2: float) -> float:
     )
 
 
-def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float) -> tuple[float, float]:
-    """Two-cycle of the recursion via bisection of f(f(z)) - z left of the fixed point."""
-    lo = 0.0
+def _pair_bracket_hi(z_fix: float) -> float:
+    """Right end of the two-cycle bracket, clear of the fixed point."""
     hi = z_fix - _PAIR_BRACKET_MARGIN
-    if hi <= 0.0:
-        raise ConvergenceError("fixed point too close to zero to bracket a pair", z_fix=z_fix)
+    # a fixed point below the margin (k=4 from lam ~ 1e11) is halved instead
+    return hi if hi > 0.0 else 0.5 * z_fix
 
+
+def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
+                        start: tuple[float, float, int] | None = None) -> tuple[float, float]:
+    """Two-cycle of the recursion via bisection of f(f(z)) - z left of the
+    fixed point; `start` as in solve_translation_invariant."""
+    lo, hi = 0.0, _pair_bracket_hi(z_fix)
     lam, k = params.lam, params.k
 
     def h(z: float) -> float:
@@ -173,7 +183,8 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float) -> tuple[
             lam=params.lam,
         )
     # h > 0 near zero (f(f(0+)) is bounded away from 0), h < 0 at hi
-    for _ in range(_BISECT_MAX_ITER):
+    lo, hi, used = start or (lo, hi, 0)
+    for _ in range(_BISECT_MAX_ITER - used):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -202,10 +213,20 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
     bisection of f(f(z)) - z on (0, z_fix).
     """
     lam_cr = critical_lambda(params.k)
-    z_fix = solve_translation_invariant(params, tol)
+    return _two_periodic_report(params, lam_cr, solve_translation_invariant(params, tol), tol)
+
+
+def _degenerate(lam: float, lam_cr: float) -> bool:
+    """On the critical activity to 1e-12 relative: the pair collapses there."""
+    return abs(lam - lam_cr) <= 1e-12 * max(1.0, lam_cr)
+
+
+def _two_periodic_report(params: ModelParams, lam_cr: float, z_fix: float, tol: float,
+                         pair_start: tuple[float, float, int] | None = None) -> SolveReport:
+    """solve_two_periodic's report from the fixed point z_fix."""
     ti = translation_invariant_law(z_fix)
     ti_res = abs(recursion_map(params, z_fix) - z_fix)
-    degenerate = abs(params.lam - lam_cr) <= 1e-12 * max(1.0, lam_cr)
+    degenerate = _degenerate(params.lam, lam_cr)
 
     if degenerate or params.lam < lam_cr:
         return SolveReport(
@@ -222,7 +243,7 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
     elif params.k == 3:
         z1, z2 = solve_two_periodic_k3_closed(params.lam)
     else:
-        z1, z2 = _solve_pair_generic(params, z_fix, tol)
+        z1, z2 = _solve_pair_generic(params, z_fix, tol, start=pair_start)
     pair_res = _pair_residual(params, z1, z2)
     if pair_res > max(tol, 1e-9):
         raise ConvergenceError(
@@ -238,6 +259,84 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
         system_solution_count=3,
         degenerate_double_root=False,
     )
+
+
+def _narrow(k: int, lams: list[float], his: list[float],
+            pair: bool) -> list[tuple[float, float, int]]:
+    """Bisect f(z) - z (f(f(z)) - z if pair) on (0, hi) for every activity at
+    once, as far as numpy's pow cannot change a step's sign; returns the
+    `start` (lo, hi, steps) for each activity's scalar loop.
+
+    numpy's pow may differ from libm's by an ulp, and the pair's inner power
+    amplifies that by up to k; a step is taken only where |g| exceeds
+    _NARROW_REL * (k+1) * max(f, mid), every value is normal and mid is not
+    an end, so it goes the way the scalar step goes. An activity stops for
+    good at its first other step: exact zeros, underflow and errors are left
+    to the scalar loop.
+    """
+    import numpy as np
+
+    lam = np.array(lams, dtype=float)
+    lo = np.zeros_like(lam)
+    hi = np.array(his, dtype=float)
+    steps = np.zeros(lam.shape, dtype=np.int64)
+    live = np.ones(lam.shape, dtype=bool)
+    rel = _NARROW_REL * (k + 1)
+    with np.errstate(all="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            f = (1.0 + lam * mid) ** -k
+            live &= f >= sys.float_info.min
+            if pair:
+                f = (1.0 + lam * f) ** -k
+                live &= f >= sys.float_info.min
+            g = f - mid
+            live &= (mid != lo) & (mid != hi) & (np.abs(g) > rel * np.maximum(f, mid))
+            if not live.any():
+                break
+            up = g > 0.0
+            np.copyto(lo, mid, where=live & up)
+            np.copyto(hi, mid, where=live & ~up)
+            steps += live
+    return list(zip(lo.tolist(), hi.tolist(), steps.tolist()))
+
+
+def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
+    """Yields solve_two_periodic(ModelParams(k, lam), tol) for each lam in
+    turn, bit for bit, and raises what it raises at the first lam it raises
+    at; the bisections start from brackets narrowed for all lams at once.
+
+    The fixed points are all solved before the first report, so their errors
+    wait for their turn; the pair brackets (k >= 4) need every fixed point.
+    """
+    lams = list(lams)
+    params = []
+    for lam in lams:
+        try:
+            params.append(ModelParams(k, lam))
+        except DomainError:
+            break  # raised below, in its turn
+    if params:
+        lam_cr = critical_lambda(k)
+        fixed = []
+        for p, start in zip(params, _narrow(k, [p.lam for p in params], [1.0] * len(params),
+                                            pair=False)):
+            try:
+                fixed.append(solve_translation_invariant(p, tol, start=start))
+            except (ConvergenceError, DomainError) as exc:
+                fixed.append(exc)
+        pairs = {}
+        if k >= 4:
+            todo = [i for i, (p, z) in enumerate(zip(params, fixed))
+                    if isinstance(z, float) and p.lam >= lam_cr and not _degenerate(p.lam, lam_cr)]
+            pairs = dict(zip(todo, _narrow(k, [params[i].lam for i in todo],
+                                           [_pair_bracket_hi(fixed[i]) for i in todo], pair=True)))
+        for i, (p, z) in enumerate(zip(params, fixed)):
+            if not isinstance(z, float):
+                raise z
+            yield _two_periodic_report(p, lam_cr, z, tol, pairs.get(i))
+    for lam in lams[len(params):]:
+        yield solve_two_periodic(ModelParams(k, lam), tol)
 
 
 def _t_root(k: int) -> float:

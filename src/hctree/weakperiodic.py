@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SOLVE_SETS,
     BoundaryLaw,
     ConvergenceError,
     DomainError,
@@ -44,8 +45,6 @@ __all__ = [
     "solve_weak_periodic",
     "weak_system_map",
 ]
-
-SOLVE_SETS = ("I2", "I3", "I4")
 
 
 @dataclass(frozen=True)

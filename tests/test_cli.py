@@ -10,6 +10,8 @@ import pytest
 
 from hctree import cli, oracle
 from hctree.cli import main
+from hctree.core import ModelParams
+from hctree.extremality import classify
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schemas" / "cli_output.schema.json").read_text()
@@ -68,6 +70,10 @@ class TestSolveCommand:
     def test_bad_k_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "-k", "0", "-l", "5")
         assert code == 2
+
+    def test_pair_with_fixed_point_below_the_bracket_margin(self, capsys):
+        doc = run_json(capsys, "solve", "-k", "4", "-l", "1e12", "--json")
+        assert doc["solutions"][1]["values"] == pytest.approx([1e-48, 1.0], rel=1e-11)
 
     def test_bad_lambda_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "-k", "2", "-l", "-3")
@@ -186,6 +192,17 @@ class TestSweepCommand:
         assert target2.read_bytes() == first
         capsys.readouterr()
 
+    @pytest.mark.parametrize("k,quantity,grid", [
+        (4, "verdict", ("-lmin", "0.5", "-lmax", "40.0", "-n", "1000")),
+        (7, "msw", ("-lmin", "0.1", "-lmax", "100.0", "-n", "1000", "--scale", "log")),
+    ])
+    def test_batched_values_equal_classify_at_each_point(self, capsys, k, quantity, grid):
+        doc = run_json(capsys, "sweep", "-k", str(k), "--quantity", quantity, *grid, "--json")
+        for row in doc["rows"]:
+            report = classify(ModelParams(k, row["lambda"]))[-1]
+            want = report.verdict.value if quantity == "verdict" else report.msw_value
+            assert row["value"] == want, row["lambda"]
+
     def test_weakperiodic_count_sweep(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "-k", "2", "--quantity", "weakperiodic_count",
@@ -271,7 +288,7 @@ class TestOracleCommand:
         def no_ball(*args, **kwargs):
             raise AssertionError("ball built before the enumeration cap was checked")
 
-        monkeypatch.setattr(cli, "FiniteBall", no_ball)
+        monkeypatch.setattr(oracle, "FiniteBall", no_ball)  # cli imports it per call
         code, _, err = run(
             capsys, "oracle", "-k", "2", "-l", "5", "-n", depth, "--mode", mode
         )
@@ -471,6 +488,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "k = 2" in proc.stdout
+
+    @pytest.mark.parametrize("command", [
+        ("solve", "-k", "2", "-l", "5"),
+        ("classify", "-k", "3", "-l", "2"),
+        ("critical", "-k", "3"),
+    ])
+    def test_closed_form_commands_do_not_import_numpy(self, command):
+        script = ("import sys\nfrom hctree.cli import main\ncode = main(sys.argv[1:])\n"
+                  "sys.exit(3 if 'numpy' in sys.modules else code)")
+        proc = subprocess.run([sys.executable, "-c", script, *command],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_usage_error_from_subprocess(self):
         proc = subprocess.run(

@@ -47,6 +47,9 @@ COMMANDS = [
           "-k 2 --quantity ks -lmin 1 -lmax 40 -n 8 --scale log",
           "-k 5 --quantity msw -lmin 0.5 -lmax 30 -n 6 --scale log",
           "-k 2 --quantity verdict -lmin 1 -lmax 40 -n 12 --scale log",
+          # the generic pair bisection (k >= 4) across every verdict regime
+          "-k 7 --quantity msw -lmin 0.1 -lmax 100 -n 40 --scale log",
+          "-k 4 --quantity verdict -lmin 0.5 -lmax 40 -n 40",
           "-k 2 --quantity weakperiodic_count -lmin 3 -lmax 6 -n 4",
           "-k 6 --quantity weakperiodic_count --set I4 -lmin 4 -lmax 80 -n 3 --scale log",
       )

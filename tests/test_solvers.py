@@ -1,7 +1,10 @@
 """Homogeneous and alternating boundary-law solvers plus threshold activities."""
 
+import itertools
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from hctree.core import (
 from hctree.solvers import (
     CriticalValues,
     _solve_pair_generic,
+    _solve_two_periodic_grid,
     asymptotic_bound,
     critical_lambda,
     critical_values,
@@ -293,6 +297,16 @@ class TestTinyRoots:
         assert report.solutions[-1].values[0] == pytest.approx(z1, rel=1e-12)
         assert z1 == pytest.approx(9.99999900000006e-81, rel=1e-12)
 
+    def test_generic_pair_when_the_fixed_point_is_below_the_bracket_margin(self):
+        # z_fix is 2.5e-10 here, under the 1e-9 the bracket keeps clear of it
+        k, lam = 4, 1e12
+        report = solve_two_periodic(ModelParams(k, lam))
+        z1, z2 = report.solutions[-1].values
+        assert report.solutions[0].values[0] < 1e-9
+        assert z1 == pytest.approx((1.0 + lam) ** -k, rel=1e-12)
+        assert z1 == pytest.approx(1e-48, rel=1e-11)
+        assert z2 == pytest.approx(1.0, rel=1e-12)
+
 
 # Reference bisections: the solvers' loops with every step through the checked
 # recursion_map. The solvers evaluate the map inline; the bits must not move.
@@ -321,7 +335,8 @@ def reference_translation_invariant(params, tol=1e-12):
     return z
 
 
-def reference_pair_generic(params, z_fix, tol):
+def reference_pair_generic(params, z_fix, tol, start=None):
+    assert start is None  # solve_two_periodic bisects from the full bracket
     lo = 0.0
     hi = z_fix - 1e-9
     if hi <= 0.0:
@@ -396,3 +411,49 @@ class TestInlinedBisection:
         expected = outcome(reference_pair_generic, params, 0.5, 1e-12)
         assert expected[0] is DomainError
         assert outcome(_solve_pair_generic, params, 0.5, 1e-12) == expected
+
+
+def grid_outcomes(k, lams, tol):
+    """The grid solver's report bits or error per activity; after an error it
+    starts again at the next activity."""
+    got = []
+    while len(got) < len(lams):
+        try:
+            for report in _solve_two_periodic_grid(k, lams[len(got):], tol):
+                got.append(report_bits(report))
+        except (ConvergenceError, DomainError) as exc:
+            got.append((type(exc), exc.args, getattr(exc, "diagnostics", None)))
+    return got
+
+
+class TestGridSolver:
+    """The sweep's batched solve equals solve_two_periodic at each activity."""
+
+    # tol=1e-300 makes most bisections fail, some not: every eighth activity
+    # keeps the restarts after each error cheap
+    @pytest.mark.parametrize("tol,stride", [(1e-12, 1), (1e-300, 8)])
+    @pytest.mark.parametrize("k", [*range(2, 11), 15, 30, 100])
+    def test_same_bits_and_first_error_as_each_activity(self, k, tol, stride):
+        lams = bisection_activities(k) + [10.0 ** (4.0 + 8.0 * j / 99) for j in range(100)]
+        lams = lams[::stride]
+        want = []
+        for lam in lams:
+            got = outcome(solve_two_periodic, ModelParams(k, lam), tol)
+            want.append(got if isinstance(got, tuple) else report_bits(got))
+        assert grid_outcomes(k, lams, tol) == want
+
+    def test_invalid_activity_raises_in_its_turn(self):
+        reports = _solve_two_periodic_grid(4, [2.0, 3.0, -1.0, 5.0])
+        assert [r.system_solution_count for r in itertools.islice(reports, 2)] == [3, 3]
+        with pytest.raises(DomainError, match="lam must be a positive finite number"):
+            next(reports)
+
+    def test_numpy_pow_within_one_ulp_of_python_pow(self):
+        # the batched bisection's margin rests on this (normal results only)
+        rng = np.random.default_rng(20211)
+        for k in (2, 3, 4, 7, 10, 30, 100):
+            bases = 1.0 + 10.0 ** rng.uniform(-12.0, 12.0, 20_000)
+            for base, got in zip(bases.tolist(), (bases ** -k).tolist()):
+                want = base ** -k
+                if want >= sys.float_info.min:
+                    assert abs(got - want) <= math.ulp(want), (k, base)
