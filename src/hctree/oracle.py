@@ -8,12 +8,18 @@ measures and the conditional child distributions are extracted by brute force
 so they can vouch for the analytic transition matrices.
 
 The enumeration lists each configuration as an int64 bit mask, vertex v at
-bit n-1-v, in numpy blocks of bounded size; ascending masks are the
-depth-first order. Float weights are added in that order (partition
-functions with one `math.fsum`), so results do not depend on the block size.
+bit n-1-v, in numpy blocks of at most _BLOCK_ROWS rows; ascending masks are
+the depth-first order. Masks grow one vertex at a time up to the last level,
+which is added in one step: each prefix is followed by the ascending
+extensions its parents' spins allow, read from a table of at most
+_BLOCK_ROWS // 2 cells that covers as much of the level as fits. Float
+weights are added in that order (partition functions with one `math.fsum`),
+so results do not depend on the block size; where all leaves share one
+boundary weight, a weight is one lookup by occupied vertices and leaves.
 Arithmetic is generic over the numeric type: passing `fractions.Fraction`
 activities and boundary weights yields exact rational partition functions and
-marginals, formed once per group of configurations with equal weight.
+marginals, formed once per group of configurations with equal weight. The
+sampler fills blocks of whole samples vertex-major, one tree level at a time.
 """
 
 from __future__ import annotations
@@ -163,6 +169,24 @@ def _require_ball_enumerable(k: int, depth: int, root_degree: RootDegree) -> Non
         raise _vertex_cap_error(f"a ball of depth {depth}" if n is None else n)
 
 
+def _extension_table(n_vertices: int, parent: Sequence[int]):
+    """(tail, values, offsets): for a prefix whose tail parents p0..p1 have the
+    spins b, the low p1-p0+1 bits of mask >> (n_vertices-1-p1),
+    values[offsets[b]:offsets[b+1]] lists the tail bits its free parents
+    allow, ascending. The tail goes as low as keeps the cells, 2**(p1-p0+1)
+    patterns times 2**(n_vertices-tail) values, within _BLOCK_ROWS // 2."""
+    tail, p1 = n_vertices, parent[n_vertices - 1]
+    while tail - 1 > max(0, p1) and (
+            4 << n_vertices - tail + p1 - parent[tail - 1]) <= _BLOCK_ROWS // 2:
+        tail -= 1
+    spins = np.arange(1 << p1 - parent[tail] + 1 if tail < n_vertices else 1)[:, None]
+    parents = np.array(parent[tail:n_vertices], dtype=np.int64)
+    forbidden = np.bitwise_or.reduce(
+        (spins >> p1 - parents & 1) << n_vertices - 1 - np.arange(tail, n_vertices), axis=1)
+    pattern, values = np.nonzero(np.arange(1 << n_vertices - tail) & forbidden[:, None] == 0)
+    return tail, values, np.searchsorted(pattern, np.arange(len(spins) + 1))
+
+
 def _mask_blocks(n_vertices: int, parent: Sequence[int]):
     """Yield the admissible configurations of vertices 0..n_vertices-1 as
     ascending int64 bit masks, vertex v at bit n_vertices-1-v, in blocks of at
@@ -172,13 +196,17 @@ def _mask_blocks(n_vertices: int, parent: Sequence[int]):
     grow one vertex at a time, each checked against its parent: m|bit goes
     right after m wherever the parent is free, so ascending masks are the
     lexicographic (depth-first) order. A block that grows past the row bound
-    is split in order and its pieces are finished one after another.
+    is split in order and its pieces are finished one after another. From
+    the tail of _extension_table on, each m is followed at once by m | ext
+    for every ext its table lists, for as many m as fit in a block.
     """
     rows = _BLOCK_ROWS
+    tail, values, offsets = _extension_table(n_vertices, parent)
+    shift, spins = n_vertices - 1 - parent[n_vertices - 1], len(offsets) - 2
     pending = [(0, np.zeros(1, dtype=np.int64))]  # (next vertex, masks so far)
     while pending:
         first, masks = pending.pop()
-        for v in range(first, n_vertices):
+        for v in range(first, tail):
             # row i holds m and m|bit; m|bit is dropped where the parent is occupied
             pairs = np.empty((len(masks), 2), dtype=np.int64)
             pairs[:, 0] = masks
@@ -194,7 +222,17 @@ def _mask_blocks(n_vertices: int, parent: Sequence[int]):
                 pending.extend((v + 1, masks[i:i + rows].copy())
                                for i in reversed(range(rows, len(masks), rows)))
                 masks = masks[:rows]
-        yield masks
+        pattern = masks >> shift & spins
+        starts, ends = offsets[pattern], offsets[pattern + 1]
+        done = np.concatenate(([0], np.cumsum(ends - starts)))  # rows before each prefix
+        lo = 0
+        while lo < len(masks):
+            hi = int(np.searchsorted(done, done[lo] + rows, "right")) - 1
+            sizes = ends[lo:hi] - starts[lo:hi]
+            # values[starts[i]:ends[i]] for each prefix i in turn
+            at = np.repeat(starts[lo:hi] - done[lo:hi], sizes) + np.arange(done[lo], done[hi])
+            yield np.repeat(masks[lo:hi], sizes) | values[at]
+            lo = hi
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
@@ -291,16 +329,31 @@ def _weight_blocks(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[
     A weight is lam**occupied, from a table of Python powers, times the
     boundary weights of the occupied leaves multiplied in leaf order, so
     each equals the scalar product formed configuration by configuration.
+    When all leaves share one weight, a weight is looked up in
+    table[occupied, occupied leaves], the same products.
     """
     powers: list[float] = []
+    shared = _one_weight(leaves)
+    leaf_bits = sum(1 << (n_vertices - 1 - v) for v in leaves)
     for masks in _mask_blocks(n_vertices, parent):
         occupied = _popcount(masks)
         while len(powers) <= occupied.max():
             powers.append(float(lam ** len(powers)))
+        if shared is not None:  # row j: lam**j, then times the weight once per leaf
+            table = np.multiply.accumulate(
+                np.column_stack((powers, np.full((len(powers), len(leaves)), shared))), axis=1)
+            yield masks, table[occupied, _popcount(masks & leaf_bits)]
+            continue
         w = np.array(powers)[occupied]
         for v, z in leaves.items():  # times 1.0 where the leaf is free, which is exact
             w *= np.where(masks & (1 << (n_vertices - 1 - v)), float(z), 1.0)
         yield masks, w
+
+
+def _one_weight(leaves: Mapping[int, Any]) -> float | None:
+    """The float boundary weight of every leaf, if they all share one."""
+    weights = {float(z) for z in leaves.values()}
+    return weights.pop() if len(weights) == 1 else None
 
 
 def _running_sum(start: float, w: np.ndarray) -> float:
@@ -555,7 +608,7 @@ def hard_core_violations(ball: FiniteBall, spins: np.ndarray) -> int:
     spins = np.asarray(spins)
     samples = spins.reshape(-1, spins.shape[-1])
     rows = max(1, _SAMPLE_BLOCK // ball.n_vertices)  # bounds the temporaries
-    return sum(int(np.sum(block[:, 1:] & np.take(block, ball.parent[1:], axis=1)))
+    return sum(int(np.count_nonzero(block[:, 1:] & np.take(block, ball.parent[1:], axis=1)))
                for block in (samples[i:i + rows] for i in range(0, len(samples), rows)))
 
 
@@ -594,20 +647,24 @@ def sample_tree_chain(
     q_even = params.lam * z2 / (1.0 + params.lam * z2)
 
     n = ball.n_vertices
-    parents = np.asarray(ball.parent, dtype=np.intp)
-    level_end = np.cumsum(np.bincount(ball.level)).tolist()  # levels are contiguous
+    level_end = [0, *np.cumsum(np.bincount(ball.level)).tolist()]  # levels are contiguous
+    # a vertex is occupied where its uniform is below q and its parent is free
+    q = np.array([pi1, *(q_odd if lev % 2 == 1 else q_even for lev in ball.level[1:])])
     rng = np.random.default_rng(seed)
     spins = np.zeros((count, n), dtype=np.int8)
-    # row blocks draw the same stream as one rng.random((count, n)) call
-    rows = max(1, _SAMPLE_BLOCK // n)
+    # row blocks draw the same stream as one rng.random((count, n)) call, into
+    # one buffer; a block is filled vertex-major, one level at a time, where
+    # each parent's children are consecutive
+    rows = min(count, max(1, _SAMPLE_BLOCK // n))
+    uniforms, by_vertex = np.empty((rows, n)), np.empty((n, rows), dtype=bool)
     for first in range(0, count, rows):
         block = spins[first:first + rows]
-        uniforms = rng.random(block.shape)
-        block[:, 0] = uniforms[:, 0] < pi1
-        for lev in range(1, depth + 1):
-            a, b = level_end[lev - 1], level_end[lev]
-            q = q_odd if lev % 2 == 1 else q_even
-            block[:, a:b] = (np.take(block, parents[a:b], axis=1) == 0) & (uniforms[:, a:b] < q)
+        occupied = by_vertex[:, :len(block)]
+        occupied[...] = (rng.random(out=uniforms[:len(block)]) < q).T
+        for a, b, c in zip(level_end, level_end[1:], level_end[2:]):
+            children = occupied[b:c].reshape(b - a, -1, len(block))  # splits an axis: a view
+            np.greater(children, occupied[a:b, None], out=children)
+        block[...] = occupied.T
 
     metadata = {
         "generator": "numpy.random.default_rng (PCG64)",

@@ -193,6 +193,12 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
         else:
             hi = mid
     z1 = 0.5 * (lo + hi)
+    if z1 == 0.0:  # f(f(z)) underflows to 0 below every float z: h(z) = -z < 0
+        raise ConvergenceError(
+            "two-cycle below the smallest positive float; pair not found",
+            bracket=(lo, hi),
+            lam=params.lam,
+        )
     z2 = recursion_map(params, z1)
     if _pair_residual(params, z1, z2) > tol:
         raise ConvergenceError(

@@ -88,6 +88,8 @@ COMMANDS = [
     "solve -k 2 -l 5 --tol -1",
     "solve -k 2 -l 5 --csv --json",
     "solve -k 2 -l 5 --config {tmp}/missing.cfg",
+    # the two-cycle lies below the smallest positive float: exit code 1
+    *(f"solve -k 100 -l 2000{fmt}" for fmt in FORMATS),
     "classify -k 0 -l 5 --json",
     "sweep -k 2 -lmin 1 -lmax 2",
     "sweep --quantity ks -lmin 1 -lmax 2",

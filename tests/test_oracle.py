@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -461,6 +462,12 @@ def _ball_cases():
             FiniteBall(3, 2), FiniteBall(2, 3)]
 
 
+def _enumeration_cases():
+    """_ball_cases plus paths, depths 0 and 1 and wide full-root balls."""
+    return [*_ball_cases(), FiniteBall(1, 3, RootDegree.FULL), FiniteBall(2, 0),
+            FiniteBall(3, 1), FiniteBall(4, 1, RootDegree.FULL), FiniteBall(3, 2, RootDegree.FULL)]
+
+
 def _brute_force(n_vertices, parent):
     """Admissible 0/1 tuples of vertices 0..n_vertices-1, lexicographic."""
     return [config for config in itertools.product((0, 1), repeat=n_vertices)
@@ -503,8 +510,10 @@ class TestEnumerationBlocks:
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 3)
         monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 40)
 
-    @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
-    def test_listing_is_the_lexicographic_brute_force(self, ball, tiny_blocks):
+    @pytest.mark.parametrize("rows", [3, 64, oracle._BLOCK_ROWS])
+    @pytest.mark.parametrize("ball", _enumeration_cases(), ids=repr)
+    def test_listing_is_the_lexicographic_brute_force(self, ball, rows, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
         assert list(enumerate_admissible(ball)) == _brute_force(ball.n_vertices, ball.parent)
 
     @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
@@ -537,13 +546,53 @@ class TestEnumerationBlocks:
             got = conditional_child_distribution(ball, lam, zs, spin, steps=2)
             assert got == (1 - occ / cond, occ / cond)
 
-    @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
-    def test_blocks_are_bounded_and_ascending(self, ball, tiny_blocks):
-        blocks = list(oracle._mask_blocks(ball.n_vertices, ball.parent))
-        assert all(1 <= len(masks) <= 3 for masks in blocks)
+    @pytest.mark.parametrize("rows", [3, 64, oracle._BLOCK_ROWS])
+    @pytest.mark.parametrize("ball", _enumeration_cases(), ids=repr)
+    def test_blocks_are_bounded_and_ascending(self, ball, rows, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+        n = ball.n_vertices
+        blocks = list(oracle._mask_blocks(n, ball.parent))
+        assert all(1 <= len(masks) <= rows for masks in blocks)
         masks = np.concatenate(blocks)
         assert np.all(np.diff(masks) > 0)
         assert len(masks) == count_admissible(ball, "recursion")
+        # the extension table adds vertices whose parents come before them,
+        # and it has at most _BLOCK_ROWS // 2 cells, patterns times values
+        tail, values, offsets = oracle._extension_table(n, ball.parent)
+        assert all(ball.parent[v] < tail for v in range(tail, n))
+        assert (len(offsets) - 1) << (n - tail) <= max(1, rows // 2)
+        assert len(values) == offsets[-1]
+
+    @pytest.mark.parametrize("ball", [FiniteBall(4, 2, RootDegree.FULL), FiniteBall(2, 4)],
+                             ids=repr)
+    def test_enumeration_memory_is_bounded(self, ball):
+        # the per-vertex enumeration peaked at 1.65 and 1.76 MB here; an
+        # unbounded table on FiniteBall(4, 2, "full") would hold 2**25 cells
+        tracemalloc.start()
+        try:
+            count_admissible(ball, "enumeration")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
+    def test_one_weight_table_equals_the_per_leaf_products(self, ball, monkeypatch):
+        # all leaves share the boundary weight: the weights come from one
+        # table lookup; forcing the per-leaf products must not change a bit
+        lam, z = 1.7, 0.3
+
+        def results():
+            return [partition_function(ball, lam, z, method="enumeration"),
+                    root_marginal(ball, lam, z, method="enumeration"),
+                    consistency_check(ball, lam, z),
+                    *(conditional_child_distribution(ball, lam, z, spin, steps)
+                      for spin in (0, 1) for steps in (1, 2))]
+
+        assert oracle._one_weight(dict.fromkeys(ball.leaves, z)) == z
+        table = results()
+        monkeypatch.setattr(oracle, "_one_weight", lambda leaves: None)
+        assert results() == table
 
     def _results(self, ball):
         lam, z = 1.7, [0.2 + 0.1 * v for v in range(ball.n_vertices)]
@@ -611,6 +660,38 @@ class TestEnumerationBlocks:
         res = sample_tree_chain(ModelParams(2, 5.0), z1, z2, depth=3, count=64, seed=7)
         assert hashlib.sha256(res.spins.tobytes()).hexdigest() == (
             "1fe339856d35d2168e29ca46f78b1b020e6157457343a483a7831098ceede666")
+
+    # 381 uniforms make blocks of 7 rows (k=3) and 3 rows (k=2), each run
+    # ending in a block of 1
+    @pytest.mark.parametrize("block", [40, 381, 1 << 18])
+    @pytest.mark.parametrize("k,lam,depth,count,seed,root,digest", [
+        (3, 2.0, 3, 50, 5, "full",
+         "68036739cf4aad819b9048f40a7c6a94ac67e19a5d6316841347e607daf43967"),
+        (2, 5.0, 6, 1000, 7, "half",
+         "ee5658067fc3345020cdc574f603330fc1d33790d82c1446c8d0ef4892b280d8"),
+    ], ids=["k3-depth3-full", "k2-depth6"])
+    def test_sampler_spins_equal_more_recorded_digests(self, k, lam, depth, count, seed, root,
+                                                        digest, block, monkeypatch):
+        # digests recorded from a vertex-by-vertex fill of one
+        # rng.random((count, n)) draw, as above
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", block)
+        p = ModelParams(k, lam)
+        z1, z2 = (solve_two_periodic_k2_closed(lam) if k == 2
+                  else (solve_translation_invariant(p),) * 2)
+        res = sample_tree_chain(p, z1, z2, depth=depth, count=count, seed=seed, root_degree=root)
+        assert res.spins.dtype == np.int8
+        assert hashlib.sha256(res.spins.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dtype", [np.int8, bool, np.int64])
+    def test_violation_counts_on_any_zero_one_array(self, dtype):
+        # random 0/1 rows, not hard-core: 114 adjacent occupied pairs in all,
+        # 3 in row 5, counted from int8, bool and int64 spins alike
+        ball = FiniteBall(2, 3)
+        spins = np.random.default_rng(2021).integers(0, 2, (37, ball.n_vertices)).astype(dtype)
+        brute = sum(int(row[v] and row[ball.parent[v]])
+                    for row in spins.tolist() for v in range(1, ball.n_vertices))
+        assert hard_core_violations(ball, spins) == brute == 114
+        assert hard_core_violations(ball, spins[5]) == 3
 
 
 class TestSamplerArguments:

@@ -442,6 +442,19 @@ class TestGridSolver:
             want.append(got if isinstance(got, tuple) else report_bits(got))
         assert grid_outcomes(k, lams, tol) == want
 
+    def test_pair_below_the_float_range_raises_in_its_turn(self):
+        # at k=100, lam=2000 and 1e12, f(f(z)) underflows to 0 for every
+        # float z: the bisection runs down to (0, 5e-324), where it must stop
+        # with ConvergenceError, not pass z1 = 0 on to recursion_map
+        lams = [5.0, 2000.0, 1e12, 30.0]
+        want = [outcome(solve_two_periodic, ModelParams(100, lam)) for lam in lams]
+        for lam, got in zip(lams[1:3], want[1:3]):
+            assert got == (ConvergenceError,
+                           ("two-cycle below the smallest positive float; pair not found",),
+                           {"bracket": (0.0, 5e-324), "lam": lam})
+        assert grid_outcomes(100, lams, 1e-12) == [
+            w if isinstance(w, tuple) else report_bits(w) for w in want]
+
     def test_invalid_activity_raises_in_its_turn(self):
         reports = _solve_two_periodic_grid(4, [2.0, 3.0, -1.0, 5.0])
         assert [r.system_solution_count for r in itertools.islice(reports, 2)] == [3, 3]
