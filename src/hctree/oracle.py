@@ -19,7 +19,7 @@ boundary weight, a weight is one lookup by occupied vertices and leaves.
 Arithmetic is generic over the numeric type: passing `fractions.Fraction`
 activities and boundary weights yields exact rational partition functions and
 marginals, formed once per group of configurations with equal weight. The
-sampler fills blocks of whole samples vertex-major, one tree level at a time.
+sampler stores spins vertex-major and fills them one tree level at a time.
 """
 
 from __future__ import annotations
@@ -235,14 +235,6 @@ def _mask_blocks(n_vertices: int, parent: Sequence[int]):
             lo = hi
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Occupied vertices of each mask, by bit shifts (masks are below 2**40)."""
-    x = masks - ((masks >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101) >> 56
-
-
 def enumerate_admissible(ball: FiniteBall):
     """Yield every admissible configuration of the ball in vertex order."""
     _require_enumerable(ball)
@@ -336,13 +328,13 @@ def _weight_blocks(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[
     shared = _one_weight(leaves)
     leaf_bits = sum(1 << (n_vertices - 1 - v) for v in leaves)
     for masks in _mask_blocks(n_vertices, parent):
-        occupied = _popcount(masks)
+        occupied = np.bitwise_count(masks)
         while len(powers) <= occupied.max():
             powers.append(float(lam ** len(powers)))
         if shared is not None:  # row j: lam**j, then times the weight once per leaf
             table = np.multiply.accumulate(
                 np.column_stack((powers, np.full((len(powers), len(leaves)), shared))), axis=1)
-            yield masks, table[occupied, _popcount(masks & leaf_bits)]
+            yield masks, table[occupied, np.bitwise_count(masks & leaf_bits)]
             continue
         w = np.array(powers)[occupied]
         for v, z in leaves.items():  # times 1.0 where the leaf is free, which is exact
@@ -384,7 +376,8 @@ def _exact_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int
     counts: dict[int, int] = {}
     for masks in _mask_blocks(n_vertices, parent):
         key = masks >> shift
-        digits = [_popcount(masks), *(_popcount(masks & bits) for bits in classes.values())]
+        digits = [np.bitwise_count(masks),
+                  *(np.bitwise_count(masks & bits) for bits in classes.values())]
         for digit, radix in zip(digits, radices):
             key = key * radix + digit
         groups, sizes = np.unique(key, return_counts=True)
@@ -595,7 +588,7 @@ class SampleResult:
     """Spin samples of the tree-indexed chain plus reproducibility metadata.
 
     spins has one row per sample and one int8 column per vertex in the
-    ball's breadth-first order.
+    ball's breadth-first order, stored vertex-major: spins.T is C-contiguous.
     """
 
     ball: FiniteBall
@@ -604,12 +597,18 @@ class SampleResult:
 
 
 def hard_core_violations(ball: FiniteBall, spins: np.ndarray) -> int:
-    """Count adjacent occupied pairs over all samples (must be 0)."""
+    """Count adjacent occupied pairs over all samples (must be 0) in bool or
+    integer 0/1 spins, vertices along the last axis, read vertex-major."""
     spins = np.asarray(spins)
-    samples = spins.reshape(-1, spins.shape[-1])
-    rows = max(1, _SAMPLE_BLOCK // ball.n_vertices)  # bounds the temporaries
-    return sum(int(np.count_nonzero(block[:, 1:] & np.take(block, ball.parent[1:], axis=1)))
-               for block in (samples[i:i + rows] for i in range(0, len(samples), rows)))
+    n = ball.n_vertices
+    if spins.shape[-1:] != (n,):
+        raise DomainError(f"spins must have {n} vertices along the last axis, got {spins.shape}")
+    if spins.dtype.kind not in "biu":
+        raise DomainError(f"spins must be bool or integer, got {spins.dtype}")
+    by_vertex, parent = spins.reshape(-1, n).T, np.array(ball.parent[1:], dtype=np.intp)
+    cols = max(1, _SAMPLE_BLOCK // n)  # bounds the temporaries
+    return sum(int(np.count_nonzero(block[1:] & block[parent]))
+               for block in (by_vertex[:, i:i + cols] for i in range(0, by_vertex.shape[1], cols)))
 
 
 def sample_tree_chain(
@@ -651,20 +650,20 @@ def sample_tree_chain(
     # a vertex is occupied where its uniform is below q and its parent is free
     q = np.array([pi1, *(q_odd if lev % 2 == 1 else q_even for lev in ball.level[1:])])
     rng = np.random.default_rng(seed)
-    spins = np.zeros((count, n), dtype=np.int8)
-    # row blocks draw the same stream as one rng.random((count, n)) call, into
-    # one buffer; a block is filled vertex-major, one level at a time, where
-    # each parent's children are consecutive
+    # row v of by_vertex holds vertex v of every sample. Row blocks draw the
+    # same stream as one rng.random((count, n)) call, into one buffer; each is
+    # compared sample-major, transposed into its columns and filled one level
+    # at a time, where each parent's children are consecutive
+    by_vertex = np.zeros((n, count), dtype=bool)
     rows = min(count, max(1, _SAMPLE_BLOCK // n))
-    uniforms, by_vertex = np.empty((rows, n)), np.empty((n, rows), dtype=bool)
+    uniforms, below = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
     for first in range(0, count, rows):
-        block = spins[first:first + rows]
-        occupied = by_vertex[:, :len(block)]
-        occupied[...] = (rng.random(out=uniforms[:len(block)]) < q).T
+        m = min(rows, count - first)
+        block = by_vertex[:, first:first + m]
+        block[...] = np.less(rng.random(out=uniforms[:m]), q, out=below[:m]).T
         for a, b, c in zip(level_end, level_end[1:], level_end[2:]):
-            children = occupied[b:c].reshape(b - a, -1, len(block))  # splits an axis: a view
-            np.greater(children, occupied[a:b, None], out=children)
-        block[...] = occupied.T
+            children = block[b:c].reshape(b - a, -1, m)  # splits an axis: a view
+            np.greater(children, block[a:b, None], out=children)
 
     metadata = {
         "generator": "numpy.random.default_rng (PCG64)",
@@ -680,4 +679,4 @@ def sample_tree_chain(
         "draw_order": "one uniform per vertex per sample, breadth-first",
         "root_degree": ball.root_degree.value,
     }
-    return SampleResult(ball=ball, spins=spins, metadata=metadata)
+    return SampleResult(ball=ball, spins=by_vertex.view(np.int8).T, metadata=metadata)

@@ -680,18 +680,62 @@ class TestEnumerationBlocks:
                   else (solve_translation_invariant(p),) * 2)
         res = sample_tree_chain(p, z1, z2, depth=depth, count=count, seed=seed, root_degree=root)
         assert res.spins.dtype == np.int8
+        # stored vertex-major: the (count, n) spins are the transpose of a
+        # C-contiguous (n, count) array, and tobytes() still reads them by sample
+        assert res.spins.shape == (count, res.ball.n_vertices)
+        assert res.spins.T.flags.c_contiguous
         assert hashlib.sha256(res.spins.tobytes()).hexdigest() == digest
 
+    # 45 uniforms make blocks of 3 samples of 15 vertices, the last one of 1
+    @pytest.mark.parametrize("block", [45, 1 << 18])
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [np.int8, bool, np.int64])
-    def test_violation_counts_on_any_zero_one_array(self, dtype):
+    def test_violation_counts_on_any_zero_one_array(self, dtype, order, block, monkeypatch):
         # random 0/1 rows, not hard-core: 114 adjacent occupied pairs in all,
-        # 3 in row 5, counted from int8, bool and int64 spins alike
+        # 3 in row 5, counted from int8, bool and int64 spins alike, in
+        # either memory order, in column blocks of any size
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", block)
         ball = FiniteBall(2, 3)
         spins = np.random.default_rng(2021).integers(0, 2, (37, ball.n_vertices)).astype(dtype)
+        spins = np.asarray(spins, order=order)
         brute = sum(int(row[v] and row[ball.parent[v]])
                     for row in spins.tolist() for v in range(1, ball.n_vertices))
         assert hard_core_violations(ball, spins) == brute == 114
         assert hard_core_violations(ball, spins[5]) == 3
+        # 36 samples as 4 x 9
+        cube = np.asarray(spins[:36].reshape(4, 9, -1), order=order)
+        assert hard_core_violations(ball, cube) == hard_core_violations(ball, spins[:36])
+        # a depth-0 ball has no edges
+        assert hard_core_violations(FiniteBall(2, 0), spins[:, :1]) == 0
+
+    @pytest.mark.parametrize("shape", [(), (14,), (5, 16), (3, 5, 14), (15, 4)])
+    def test_violation_counter_refuses_a_wrong_vertex_count(self, shape):
+        with pytest.raises(DomainError, match="spins must have 15 vertices along the last axis"):
+            hard_core_violations(FiniteBall(2, 3), np.zeros(shape, dtype=np.int8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, complex, object, "U1"])
+    def test_violation_counter_refuses_a_non_integer_dtype(self, dtype):
+        with pytest.raises(DomainError, match="spins must be bool or integer"):
+            hard_core_violations(FiniteBall(2, 3), np.zeros((4, 15), dtype=dtype))
+
+    def test_sampler_and_violation_count_memory(self):
+        # the spins plus one block of uniforms and its comparison; the count
+        # holds one gathered column block and its AND. A full-size temporary
+        # or a copy of the spins to another memory order fails either bound
+        p = ModelParams(2, 5.0)
+        z1, z2 = solve_two_periodic_k2_closed(5.0)
+        tracemalloc.start()
+        try:
+            res = sample_tree_chain(p, z1, z2, depth=6, count=100_000, seed=1)
+            sampled = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert hard_core_violations(res.ball, res.spins) == 0
+            counted = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert sampled < res.spins.nbytes + (4 << 20)
+        assert counted < 1 << 20
 
 
 class TestSamplerArguments:
