@@ -166,10 +166,6 @@ class TransitionMatrix2:
         if abs(self.p00 + self.p01 - 1.0) > _ROW_SUM_TOL or abs(self.p10 + self.p11 - 1.0) > _ROW_SUM_TOL:
             raise DomainError("rows must sum to 1")
 
-    def second_eigenvalue(self) -> float:
-        # the other eigenvalue of a row-stochastic 2x2 is trace - 1
-        return self.p00 + self.p11 - 1.0
-
 
 @dataclass(frozen=True)
 class SolveReport:

@@ -1,10 +1,12 @@
 """Extremality diagnostics for the tree-indexed chains attached to boundary
 laws: spectral (branching times squared second eigenvalue), contraction
 (branching times contraction coefficient times a percolation bound), and two
-reconstruction-impossibility tests applied to the chain's transition matrix.
+reconstruction-impossibility tests of the chain.
 
 A chain lives on the k-ary tree for the invariant law and on the k**2-ary
-even sublattice for the alternating pair, hence the k_eff convention.
+even sublattice for the alternating pair, hence the k_eff convention. Every
+value is a closed form in (lam, z); for a 2x2 stochastic chain the row
+contraction kappa is the second eigenvalue's magnitude s2 by identity.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from .core import (
     InternalCheckError,
     LawKind,
     ModelParams,
-    TransitionMatrix2,
     recursion_map,
-    single_step_matrix,
-    two_step_matrix,
+    two_periodic_law,
 )
 from .solvers import solve_two_periodic, solve_two_periodic_k3_closed
 
@@ -31,11 +31,7 @@ __all__ = [
     "Verdict",
     "classify",
     "g_function",
-    "gamma_bound",
     "h_function",
-    "kappa_contraction",
-    "martinelli_check",
-    "mossel_check",
     "report_for_law",
 ]
 
@@ -46,62 +42,36 @@ class Verdict(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
-def _pair_second_eigenvalue(params: ModelParams, z1: float, z2: float) -> float:
-    """Second eigenvalue of the two-step matrix through the pair:
-    lam^2 z1 z2 / (lam^2 z1 z2 + lam z1 + lam z2 + 1), in (0, 1). Formed from
-    the pair, not as the matrix's trace - 1, which can differ in the last bit."""
-    u = params.lam * z1
-    v = params.lam * z2
-    return u * v / (u * v + u + v + 1.0)
+def _chain_values(params: ModelParams, law: BoundaryLaw) -> tuple[int, float, float, float]:
+    """(k_eff, s2, Martinelli value, Mossel value) of the chain a law induces.
 
-
-def kappa_contraction(matrix: TransitionMatrix2) -> float:
-    """Worst-case one-step total-variation contraction: half the L1 distance
-    between the two rows."""
-    return 0.5 * (abs(matrix.p00 - matrix.p10) + abs(matrix.p01 - matrix.p11))
-
-
-def gamma_bound(params: ModelParams) -> float:
-    """Upper bound lam/(lam+1) for the percolation factor in the contraction test."""
-    return params.lam / (params.lam + 1.0)
-
-
-def martinelli_check(matrix: TransitionMatrix2, k_eff: int) -> tuple[float, bool]:
-    """Reconstruction test value k_eff*(sqrt(p00*p11) - sqrt(p01*p10))**2.
-
-    At most 1 means reconstruction is impossible on the k_eff-ary tree, which
-    proves extremality of the chain's invariant measure.
+    With w = lam*z a free parent has an occupied child with probability
+    a = w/(1+w), an empty one with abar = 1/(1+w); an occupied parent has an
+    empty child. The invariant law's chain has s2 = a, and both
+    reconstruction values reduce to k*s2. The pair's two-step chain, with b,
+    bbar from z2, has s2 = a*b and p00 = a + abar*bbar; its values are
+    k_eff*(sqrt(p00*p11) - sqrt(p01*p10))**2 and
+    k_eff*(p00-p10)**2/min(p00+p10, p01+p11), with the determinant s2 factored
+    out so that no difference is ever formed. Either value at most 1 means
+    reconstruction is impossible on the k_eff-ary tree.
     """
-    if k_eff < 1:
-        raise DomainError(f"k_eff must be a positive integer, got {k_eff!r}")
-    value = k_eff * (
-        math.sqrt(matrix.p00 * matrix.p11) - math.sqrt(matrix.p01 * matrix.p10)
-    ) ** 2
-    return value, value <= 1.0
+    u = params.lam * law.values[0]
+    a, a_bar = u / (1.0 + u), 1.0 / (1.0 + u)
+    if law.kind is LawKind.TRANSLATION_INVARIANT:
+        return params.k, a, params.k * a, params.k * a
+    v = params.lam * law.values[1]
+    b, b_bar, k_eff = v / (1.0 + v), 1.0 / (1.0 + v), params.k * params.k
+    s2, p00 = a * b, a + a_bar * b_bar
+    if s2 == 0.0:  # b is 0 where lam*z2 underflows; every value tends to 0
+        return k_eff, 0.0, 0.0, 0.0
+    mart = k_eff * s2 * s2 / (math.sqrt(p00 * b) + math.sqrt(a_bar * b * b_bar)) ** 2
+    return k_eff, s2, mart, k_eff * s2 * s2 / min(p00 + b_bar, b * (1.0 + a_bar))
 
 
-def mossel_check(matrix: TransitionMatrix2, k_eff: int) -> tuple[float, bool]:
-    """Reconstruction test value k_eff*(p00-p10)**2/min(p00+p10, p01+p11).
-
-    At most 1 means reconstruction is impossible. A zero numerator is treated
-    as value 0 even when the minimum column mass vanishes.
-    """
-    if k_eff < 1:
-        raise DomainError(f"k_eff must be a positive integer, got {k_eff!r}")
-    num = (matrix.p00 - matrix.p10) ** 2
-    if num == 0.0:
-        return 0.0, True
-    den = min(matrix.p00 + matrix.p10, matrix.p01 + matrix.p11)
-    if den == 0.0:
-        return math.inf, False
-    value = k_eff * num / den
-    return value, value <= 1.0
-
-
-def _k3_pair_kappa(lam: float) -> float:
-    """Second eigenvalue of the k=3 pair's two-step chain; DomainError below 27/16."""
-    z1, z2 = solve_two_periodic_k3_closed(lam)
-    return _pair_second_eigenvalue(ModelParams(3, lam), z1, z2)
+def _k3_pair_s2(lam: float) -> float:
+    """s2 of the k=3 pair's two-step chain; DomainError below 27/16."""
+    law = two_periodic_law(*solve_two_periodic_k3_closed(lam))
+    return _chain_values(ModelParams(3, lam), law)[1]
 
 
 def h_function(lam: float) -> float:
@@ -110,7 +80,7 @@ def h_function(lam: float) -> float:
     Negative for every activity above 27/16: the pair never trips the
     reconstruction bound. Strictly decreasing in the activity.
     """
-    kap = _k3_pair_kappa(lam)
+    kap = _k3_pair_s2(lam)
     return 9.0 * kap * kap - 1.0
 
 
@@ -119,7 +89,7 @@ def g_function(lam: float) -> float:
 
     Negative above 27/16, so the pair is extremal there; strictly decreasing.
     """
-    kap = _k3_pair_kappa(lam)
+    kap = _k3_pair_s2(lam)
     return 9.0 * kap * lam / (lam + 1.0) - 1.0
 
 
@@ -127,9 +97,9 @@ def g_function(lam: float) -> float:
 class ExtremalityReport:
     """Diagnostics for one boundary law's chain.
 
-    s2 is the magnitude of the chain matrix's second eigenvalue, kappa its
-    row-contraction coefficient (these coincide for the matrices arising
-    here), and the four test values follow the k_eff convention above.
+    s2 is the magnitude of the chain's second eigenvalue and kappa its
+    row-contraction coefficient, equal to s2 by identity; the four test
+    values follow the k_eff convention above.
     """
 
     law: BoundaryLaw
@@ -166,19 +136,13 @@ def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
     recursion; a non-solution gets DomainError where its certificates contradict."""
     if law.kind is LawKind.WEAK_PERIODIC:
         raise DomainError("weak-periodic laws have no single chain matrix here")
-    if law.kind is LawKind.TWO_PERIODIC:
-        z1, z2 = law.values
-        matrix, k_eff = two_step_matrix(params, z1, z2), params.k * params.k
-        s2 = _pair_second_eigenvalue(params, z1, z2)
-    else:
-        matrix, k_eff = single_step_matrix(params, law.values[0]), params.k
-        s2 = abs(matrix.second_eigenvalue())
-    kap = kappa_contraction(matrix)
-    gam = gamma_bound(params)
+    k_eff, s2, mart_value, mossel_value = _chain_values(params, law)
+    if math.isnan(s2):  # lam*z overflowed, which no solution's z < 1 can do
+        raise DomainError(f"{law.kind.value} law {law.values} does not solve the recursion")
+    gam = params.lam / (params.lam + 1.0)
     ks_value = k_eff * s2 * s2
-    msw_value = k_eff * kap * gam
-    mart_value, mart_ok = martinelli_check(matrix, k_eff)
-    mossel_value, mossel_ok = mossel_check(matrix, k_eff)
+    msw_value = k_eff * s2 * gam
+    mart_ok, mossel_ok = mart_value <= 1.0, mossel_value <= 1.0
     try:
         verdict = _verdict(ks_value, msw_value, mart_ok, mossel_ok)
     except InternalCheckError:
@@ -192,7 +156,7 @@ def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
         law=law,
         k_eff=k_eff,
         s2=s2,
-        kappa=kap,
+        kappa=s2,
         gamma=gam,
         ks_value=ks_value,
         msw_value=msw_value,

@@ -598,7 +598,8 @@ class SampleResult:
 
 def hard_core_violations(ball: FiniteBall, spins: np.ndarray) -> int:
     """Count adjacent occupied pairs over all samples (must be 0) in bool or
-    integer 0/1 spins, vertices along the last axis, read vertex-major."""
+    integer spins, any nonzero spin occupied, vertices along the last axis,
+    read vertex-major."""
     spins = np.asarray(spins)
     n = ball.n_vertices
     if spins.shape[-1:] != (n,):
@@ -607,7 +608,7 @@ def hard_core_violations(ball: FiniteBall, spins: np.ndarray) -> int:
         raise DomainError(f"spins must be bool or integer, got {spins.dtype}")
     by_vertex, parent = spins.reshape(-1, n).T, np.array(ball.parent[1:], dtype=np.intp)
     cols = max(1, _SAMPLE_BLOCK // n)  # bounds the temporaries
-    return sum(int(np.count_nonzero(block[1:] & block[parent]))
+    return sum(int(np.count_nonzero(np.logical_and(block[1:], block[parent])))
                for block in (by_vertex[:, i:i + cols] for i in range(0, by_vertex.shape[1], cols)))
 
 

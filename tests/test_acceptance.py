@@ -14,7 +14,6 @@ import pytest
 from hctree.core import (
     LawKind,
     ModelParams,
-    TransitionMatrix2,
     recursion_map,
     single_step_matrix,
     two_periodic_law,
@@ -22,10 +21,9 @@ from hctree.core import (
 )
 from hctree.extremality import (
     Verdict,
-    _pair_second_eigenvalue,
+    _chain_values,
     g_function,
     h_function,
-    martinelli_check,
     report_for_law,
 )
 from hctree.oracle import (
@@ -232,31 +230,26 @@ def test_criterion_10_randomized_cross_validation():
         rng = np.random.default_rng(987654321)
 
         # 10^4 random chains: eigenvalue, determinant, and row contraction
-        # of the two-step matrix agree and the rows are stochastic
+        # of the two-step matrix agree, the rows are stochastic, and the
+        # geometric-mean certificate value never exceeds k_eff times the
+        # absolute determinant
         ks = rng.integers(2, 11, size=10_000)
         lams = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=10_000))
         z1s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=10_000))
         z2s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=10_000))
         for k, lam, z1, z2 in zip(ks, lams, z1s, z2s):
             p = ModelParams(int(k), float(lam))
-            m = two_step_matrix(p, float(z1), float(z2))
+            law = two_periodic_law(float(z1), float(z2))
+            m = two_step_matrix(p, *law.values)
             assert abs(m.p00 + m.p01 - 1.0) <= 1e-12
             assert abs(m.p10 + m.p11 - 1.0) <= 1e-12
-            # the pair's s2 as classify reports it, not the matrix's trace - 1
-            s2 = _pair_second_eigenvalue(p, float(z1), float(z2))
+            # the pair's values as report_for_law computes them
+            k_eff, s2, mart, _ = _chain_values(p, law)
             det = m.p00 * m.p11 - m.p01 * m.p10
             kappa = 0.5 * (abs(m.p00 - m.p10) + abs(m.p01 - m.p11))
             assert abs(s2 - det) <= 1e-13
             assert abs(kappa - abs(det)) <= 1e-13
-
-        # 10^4 random row-stochastic matrices: the geometric-mean certificate
-        # value never exceeds k_eff times the absolute determinant
-        a = rng.uniform(0.0, 1.0, size=10_000)
-        b = rng.uniform(0.0, 1.0, size=10_000)
-        for x, y in zip(a, b):
-            m = TransitionMatrix2(float(x), 1.0 - float(x), float(y), 1.0 - float(y))
-            value, _ = martinelli_check(m, 9)
-            assert value <= 9.0 * abs(m.p00 * m.p11 - m.p01 * m.p10) + 1e-12
+            assert mart <= k_eff * s2 * (1 + 1e-12)
 
         # 10^5 sampled configurations: admissible without exception and with
         # empirical transition frequencies within 3 sigma of the matrix rows

@@ -35,7 +35,7 @@ COMMANDS = [
       for k, lam in ((2, 2), (2, 4), (2, 5), (3, 1.6875), (3, 2), (4, 3), (6, 10))
       for fmt in FORMATS),
     *(f"classify -k {k} -l {lam}{fmt}"
-      for k, lam in ((2, 2), (2, 5), (2, 30), (3, 2), (5, 7.5), (10, 1))
+      for k, lam in ((2, 2), (2, 5), (2, 30), (3, 2), (5, 7.5), (10, 1), (10, 1e8))
       for fmt in FORMATS),
     *(f"sweep {grid}{fmt}"
       for grid in (

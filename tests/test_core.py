@@ -122,10 +122,6 @@ class TestTransitionMatrix2:
         with pytest.raises(DomainError):
             TransitionMatrix2(1.5, -0.5, 1.0, 0.0)
 
-    def test_second_eigenvalue_is_det_when_stochastic(self):
-        m = TransitionMatrix2(0.7, 0.3, 0.2, 0.8)
-        assert m.second_eigenvalue() == pytest.approx(determinant(m), abs=1e-15)
-
 
 class TestChainMatrices:
     @given(branchings, activities, values)
@@ -158,7 +154,7 @@ class TestChainMatrices:
         # for these chains the second eigenvalue, the determinant, and the
         # total-variation contraction of the rows are all the same number
         m = two_step_matrix(ModelParams(k, lam), z1, z2)
-        s2 = m.second_eigenvalue()
+        s2 = m.p00 + m.p11 - 1.0  # the other eigenvalue of a row-stochastic 2x2
         det = determinant(m)
         kappa = 0.5 * (abs(m.p00 - m.p10) + abs(m.p01 - m.p11))
         assert s2 == pytest.approx(det, abs=1e-13)
@@ -198,9 +194,9 @@ class TestPackageNames:
             "WeakPeriodicParams", "WeakSolveReport", "__version__", "asymptotic_bound",
             "classify", "conditional_child_distribution", "consistency_check",
             "count_admissible", "critical_lambda", "critical_values", "discriminant_k3",
-            "enumerate_admissible", "g_function", "gamma_bound", "h_function",
-            "hard_core_violations", "k3_cubic_root", "kappa_contraction", "lambda_pm",
-            "lambda_star", "martinelli_check", "mossel_check", "nonextremal_bound",
+            "enumerate_admissible", "g_function", "h_function",
+            "hard_core_violations", "k3_cubic_root", "lambda_pm",
+            "lambda_star", "nonextremal_bound",
             "partition_function", "recursion_map", "report_for_law", "root_marginal", "s_pm",
             "sample_tree_chain", "single_step_matrix", "solve_translation_invariant",
             "solve_two_periodic", "solve_two_periodic_k2_closed",

@@ -1,10 +1,7 @@
 """Reconstruction and contraction certificates for solved boundary laws."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hctree import extremality
 from hctree.core import (
@@ -12,7 +9,6 @@ from hctree.core import (
     InternalCheckError,
     LawKind,
     ModelParams,
-    TransitionMatrix2,
     single_step_matrix,
     two_periodic_law,
     two_step_matrix,
@@ -20,55 +16,19 @@ from hctree.core import (
 )
 from hctree.extremality import (
     Verdict,
-    _pair_second_eigenvalue,
     _verdict,
     classify,
     g_function,
-    gamma_bound,
     h_function,
-    kappa_contraction,
-    martinelli_check,
-    mossel_check,
     report_for_law,
 )
 from hctree.solvers import (
+    critical_lambda,
     lambda_star,
     nonextremal_bound,
     solve_translation_invariant,
     solve_two_periodic_k2_closed,
 )
-
-positives = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
-probs = st.floats(min_value=0.0, max_value=1.0)
-
-
-class TestBuildingBlocks:
-    @given(
-        st.integers(min_value=2, max_value=10),
-        st.floats(min_value=0.01, max_value=100.0),
-        positives,
-        positives,
-    )
-    @settings(max_examples=80)
-    def test_second_eigenvalue_matches_matrix(self, k, lam, z1, z2):
-        p = ModelParams(k, lam)
-        m = two_step_matrix(p, z1, z2)
-        s2 = _pair_second_eigenvalue(p, z1, z2)
-        assert 0.0 < s2 < 1.0
-        assert s2 == pytest.approx(m.second_eigenvalue(), abs=1e-13)
-        assert s2 == pytest.approx(m.p00 * m.p11 - m.p01 * m.p10, abs=1e-13)
-        assert s2 == pytest.approx(kappa_contraction(m), abs=1e-13)
-
-    def test_kappa_of_equal_rows_is_zero(self):
-        m = TransitionMatrix2(0.4, 0.6, 0.4, 0.6)
-        assert kappa_contraction(m) == 0.0
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_gamma_bound(self, lam):
-        g = gamma_bound(ModelParams(2, lam))
-        assert 0.0 < g < 1.0
-        assert g == pytest.approx(lam / (lam + 1.0), rel=1e-15)
-
 
 class TestK2PairFormulas:
     @pytest.mark.parametrize("lam", [4.5, 5.0, 6.0, 10.0, 30.0, 100.0])
@@ -131,44 +91,6 @@ class TestInvariantLawVerdicts:
         assert invariant(nonextremal_bound(k) * 0.999).ks_value < 1.0
 
 
-class TestReconstructionChecks:
-    @given(st.floats(min_value=0.0, max_value=0.5), st.integers(min_value=1, max_value=50))
-    def test_symmetric_channel_martinelli_equals_ks(self, p, k_eff):
-        # for a symmetric channel both quantities reduce to k_eff*(1-2p)**2
-        m = TransitionMatrix2(1.0 - p, p, p, 1.0 - p)
-        value, ok = martinelli_check(m, k_eff)
-        expected = k_eff * (1.0 - 2.0 * p) ** 2
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert ok == (value <= 1.0)
-
-    def test_mossel_zero_numerator(self):
-        m = TransitionMatrix2(0.5, 0.5, 0.5, 0.5)
-        assert mossel_check(m, 100) == (0.0, True)
-
-    def test_mossel_known_value(self):
-        m = TransitionMatrix2(0.75, 0.25, 0.5, 0.5)
-        value, ok = mossel_check(m, 4)
-        # 4 * 0.0625 / min(1.25, 0.75) = 1/3
-        assert value == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert ok
-
-    def test_k_eff_domain(self):
-        m = TransitionMatrix2(0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            martinelli_check(m, 0)
-        with pytest.raises(DomainError):
-            mossel_check(m, 0)
-
-    @given(probs, probs, st.integers(min_value=1, max_value=30))
-    @settings(max_examples=200)
-    def test_geometric_mean_value_below_determinant(self, a, b, k_eff):
-        # (sqrt(p00*p11) - sqrt(p01*p10))**2 <= |det|, so this certificate is
-        # at least as strong as one built from k_eff * |det|
-        m = TransitionMatrix2(a, 1.0 - a, b, 1.0 - b)
-        value, _ = martinelli_check(m, k_eff)
-        assert value <= k_eff * abs(m.p00 * m.p11 - m.p01 * m.p10) + 1e-12
-
-
 class TestVerdictLogic:
     def test_conflict_raises(self):
         with pytest.raises(InternalCheckError):
@@ -210,6 +132,18 @@ class TestNonSolutions:
                 assert "does not solve the recursion" in str(exc)
                 refused += 1
         assert refused == 251
+
+    @pytest.mark.parametrize("lam, z", [(1e-200, 1e-200), (1.0, 1e-320)])
+    def test_underflowing_pair_has_zero_certificates(self, lam, z):
+        rep = report_for_law(ModelParams(2, lam), two_periodic_law(z, z))
+        assert (rep.s2, rep.kappa, rep.martinelli_value, rep.mossel_value) == (0.0,) * 4
+        assert rep.verdict is Verdict.PROVEN_EXTREMAL
+
+    @pytest.mark.parametrize("values", [(1e300,), (1e300, 1e300), (0.5, 1e300), (1e-300, 1e300)])
+    def test_overflowing_non_solution_raises_domain_error(self, values):
+        law = (translation_invariant_law if len(values) == 1 else two_periodic_law)(*values)
+        with pytest.raises(DomainError, match="does not solve the recursion"):
+            report_for_law(ModelParams(2, 1e10), law)
 
     def test_contradicting_certificates_of_a_solution_stay_internal(self, monkeypatch):
         def conflict(*args):
@@ -263,18 +197,69 @@ class TestK3Diagnostics:
 class TestReportAssembly:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_report_values_follow_from_one_chain(self, k):
-        # every certificate value of a report comes from the one chain matrix
+        # every certificate value of a report belongs to the one chain matrix
         # of its law, on the invariant and the alternating chain
         for j in range(300):
-            params = ModelParams(k, 0.05 * (2000.0 ** (j / 299.0)))
+            lam = 0.05 * (2000.0 ** (j / 299.0))
+            params = ModelParams(k, lam)
             for rep in classify(params):
                 if rep.law.kind is LawKind.TWO_PERIODIC:
-                    m = two_step_matrix(params, *rep.law.values)
-                    s2 = _pair_second_eigenvalue(params, *rep.law.values)
-                    assert (rep.k_eff, rep.s2) == (k * k, s2)
+                    m, k_eff = two_step_matrix(params, *rep.law.values), k * k
                 else:
-                    m = single_step_matrix(params, *rep.law.values)
-                    assert (rep.k_eff, rep.s2) == (k, abs(m.second_eigenvalue()))
-                assert rep.kappa == kappa_contraction(m)
+                    m, k_eff = single_step_matrix(params, *rep.law.values), k
+                assert rep.k_eff == k_eff
+                assert 0.0 < rep.s2 < 1.0
+                assert rep.s2 == pytest.approx(abs(m.p00 * m.p11 - m.p01 * m.p10), abs=1e-13)
+                assert rep.kappa == rep.s2
+                assert rep.gamma == lam / (lam + 1.0)
                 assert rep.ks_value == rep.k_eff * rep.s2 * rep.s2
-                assert rep.msw_value == rep.k_eff * rep.kappa * gamma_bound(params)
+                assert rep.msw_value == rep.k_eff * rep.kappa * rep.gamma
+                # (sqrt(p00*p11) - sqrt(p01*p10))**2 <= |det|
+                assert rep.martinelli_value <= rep.k_eff * rep.s2 * (1 + 1e-12)
+                assert rep.martinelli_no_reconstruction == (rep.martinelli_value <= 1.0)
+                assert rep.mossel_no_reconstruction == (rep.mossel_value <= 1.0)
+
+
+ACCURACY_LAMBDAS = [0.01 * 1e14 ** (j / 199) for j in range(200)]
+
+
+def _closed_form(mpmath, k, lam, law):
+    """The report's certificate values in 50-digit arithmetic from its own z:
+    a = w/(1+w), abar = 1/(1+w) with w = lam*z, then b, bbar from z2."""
+    lam = mpmath.mpf(lam)
+    occ = [(lam * z / (1 + lam * z), 1 / (1 + lam * z)) for z in map(mpmath.mpf, law.values)]
+    if law.kind is LawKind.TRANSLATION_INVARIANT:
+        (s2, _), = occ
+        k_eff, mart, mossel = k, k * s2, k * s2
+    else:
+        (a, a_bar), (b, b_bar) = occ
+        s2, p00, k_eff = a * b, a + a_bar * b_bar, k * k
+        mart = k_eff * s2 ** 2 / (mpmath.sqrt(p00 * b) + mpmath.sqrt(a_bar * b * b_bar)) ** 2
+        mossel = k_eff * s2 ** 2 / min(p00 + b_bar, b * (1 + a_bar))
+    gamma = lam / (lam + 1)
+    return {"s2": s2, "kappa": s2, "gamma": gamma, "ks_value": k_eff * s2 * s2,
+            "msw_value": k_eff * s2 * gamma, "martinelli_value": mart, "mossel_value": mossel}
+
+
+class TestCertificateAccuracy:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_certificates_match_50_digit_closed_forms(self, k):
+        mpmath = pytest.importorskip("mpmath")  # ships with sympy
+        lam_cr = critical_lambda(k)
+        for lam in ACCURACY_LAMBDAS:
+            reports = classify(ModelParams(k, lam))
+            assert len(reports) == (2 if lam > lam_cr else 1)
+            for rep in reports:
+                with mpmath.workdps(50):
+                    want = _closed_form(mpmath, k, lam, rep.law)
+                for name, value in want.items():
+                    got = getattr(rep, name)
+                    assert abs(got - value) <= 1e-14 * value, (k, lam, rep.law, name, got)
+                assert rep.kappa == rep.s2
+                if rep.law.kind is LawKind.TRANSLATION_INVARIANT:
+                    # the reconstruction values never decide this law's verdict
+                    assert rep.martinelli_value == rep.mossel_value == k * rep.s2
+                    assert k * rep.s2 >= rep.msw_value
+                elif k <= 3:
+                    # the theorem: the pair is extremal above the critical activity
+                    assert rep.verdict is Verdict.PROVEN_EXTREMAL, (k, lam)

@@ -378,6 +378,10 @@ class TestSampler:
         spins[0, ball.children[0][0]] = 1
         assert hard_core_violations(ball, spins) == 1
 
+    def test_violation_counter_reads_any_nonzero_spin_as_occupied(self):
+        # 2 & 1 is 0, so a bitwise AND would miss this pair
+        assert hard_core_violations(FiniteBall(2, 1), np.array([[2, 1, 0]], np.int8)) == 1
+
     def test_violation_counter_sums_over_row_blocks(self, monkeypatch):
         # one planted pair per sample, counted across blocks of two samples
         ball = FiniteBall(2, 2)
