@@ -557,10 +557,14 @@ def main(argv=None) -> int:
             return 2
         if args.config:
             # argparse sets a default only where the namespace has no value,
-            # so the file's values fill in and the flags still override them
+            # so the file's values fill in and the flags still override them;
+            # a format flag also drops the file's other format
             sub = subs[args.command]
+            values = _read_config(args.config, sub)
+            if args.json or getattr(args, "csv", False):
+                values = {key: v for key, v in values.items() if key not in ("json", "csv")}
             args = sub.parse_args(argv[argv.index(args.command) + 1:],
-                                  argparse.Namespace(**_read_config(args.config, sub)))
+                                  argparse.Namespace(**values))
         if not getattr(args, "tol", 1.0) > 0:  # every command but critical has --tol
             raise DomainError("tol must be positive")
         doc, csv, text = args.run(args)

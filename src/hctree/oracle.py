@@ -8,18 +8,17 @@ measures and the conditional child distributions are extracted by brute force
 so they can vouch for the analytic transition matrices.
 
 The enumeration lists each configuration as an int64 bit mask, vertex v at
-bit n-1-v, in numpy blocks of at most _BLOCK_ROWS rows; ascending masks are
-the depth-first order. Masks grow one vertex at a time up to the last level,
-which is added in one step: each prefix is followed by the ascending
-extensions its parents' spins allow, read from a table of at most
-_BLOCK_ROWS // 2 cells that covers as much of the level as fits. Float
-weights are added in that order (partition functions with one `math.fsum`),
-so results do not depend on the block size; where all leaves share one
-boundary weight, a weight is one lookup by occupied vertices and leaves.
-Arithmetic is generic over the numeric type: passing `fractions.Fraction`
-activities and boundary weights yields exact rational partition functions and
-marginals, formed once per group of configurations with equal weight. The
-sampler stores spins vertex-major and fills them one tree level at a time.
+bit n-1-v, ascending, in numpy blocks of at most _BLOCK_ROWS rows. Masks grow
+one vertex at a time up to the last level, which is added in one step: each
+prefix is followed by the ascending extensions its parents' spins allow, read
+from a table of at most _BLOCK_ROWS // 2 cells that covers as much of the
+level as fits. Every sum counts the configurations per weight class (label,
+occupied vertices and occupied leaves of each boundary weight) and adds
+count * weight per class in ascending key order, so results do not depend on
+the block size. Arithmetic is generic over the numeric type: floats give
+float results, and `fractions.Fraction` or int activities and boundary
+weights give exact partition functions and marginals. The sampler stores
+spins vertex-major and fills them one tree level at a time.
 """
 
 from __future__ import annotations
@@ -310,134 +309,76 @@ def _leaf_values(ball: FiniteBall, boundary_z) -> dict[int, Any]:
     return {v: vec[v] for v in ball.leaves}
 
 
-def _is_float(lam, *leaf_maps: Mapping[int, Any]) -> bool:
-    """Whether the weights are floats; otherwise they are summed exactly."""
-    return any(isinstance(x, float) for x in (lam, *(z for m in leaf_maps for z in m.values())))
+def _grouped_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int, Any],
+                  shift: int) -> dict[int, Any]:
+    """{label: weight sum of the configurations with mask >> shift == label}.
 
-
-def _weight_blocks(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int, Any]):
-    """Yield (masks, float64 weights) per enumeration block.
-
-    A weight is lam**occupied, from a table of Python powers, times the
-    boundary weights of the occupied leaves multiplied in leaf order, so
-    each equals the scalar product formed configuration by configuration.
-    When all leaves share one weight, a weight is looked up in
-    table[occupied, occupied leaves], the same products.
+    Configurations are counted exactly per key: label, occupied vertices and
+    occupied leaves of each distinct boundary weight. Each key's weight is
+    formed once in the inputs' own arithmetic, and each label adds count *
+    weight in ascending key order, so no sum depends on the block size. Labels
+    come ascending, each finished once the enumeration has passed it.
     """
-    powers: list[float] = []
-    shared = _one_weight(leaves)
-    leaf_bits = sum(1 << (n_vertices - 1 - v) for v in leaves)
-    for masks in _mask_blocks(n_vertices, parent):
-        occupied = np.bitwise_count(masks)
-        while len(powers) <= occupied.max():
-            powers.append(float(lam ** len(powers)))
-        if shared is not None:  # row j: lam**j, then times the weight once per leaf
-            table = np.multiply.accumulate(
-                np.column_stack((powers, np.full((len(powers), len(leaves)), shared))), axis=1)
-            yield masks, table[occupied, np.bitwise_count(masks & leaf_bits)]
-            continue
-        w = np.array(powers)[occupied]
-        for v, z in leaves.items():  # times 1.0 where the leaf is free, which is exact
-            w *= np.where(masks & (1 << (n_vertices - 1 - v)), float(z), 1.0)
-        yield masks, w
-
-
-def _one_weight(leaves: Mapping[int, Any]) -> float | None:
-    """The float boundary weight of every leaf, if they all share one."""
-    weights = {float(z) for z in leaves.values()}
-    return weights.pop() if len(weights) == 1 else None
-
-
-def _running_sum(start: float, w: np.ndarray) -> float:
-    """start + w[0] + w[1] + ..., added one at a time in order (np.cumsum is
-    sequential; np.sum and np.add.reduceat are not)."""
-    return float(np.cumsum(np.concatenate(([start], w)))[-1])
-
-
-def _exact_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int, Any],
-                shift: int) -> dict[int, Any]:
-    """{mask >> shift: exact sum of the weights of those configurations}.
-
-    Configurations are counted per key (mask >> shift, occupied vertices,
-    occupied leaves of each distinct boundary weight), and each key's weight
-    is formed once in the inputs' own exact arithmetic.
-    """
-    # (type, boundary weight) -> bits of its leaves; the type keeps an int
-    # apart from an equal Fraction
+    # (type, weight) -> bits of its leaves; the type keeps an int apart from an equal Fraction
     classes: dict[tuple[type, Any], int] = {}
     for v, z in leaves.items():
-        key = (type(z), z)
-        classes[key] = classes.get(key, 0) | 1 << (n_vertices - 1 - v)
-    # mixed-radix digits of the key after the label; on the balls under the
-    # vertex cap the key needs at most 46 bits
-    radices = [n_vertices + 1, *(bits.bit_count() + 1 for bits in classes.values())]
-    if (1 << (n_vertices - shift)) * math.prod(radices) >= 1 << 63:
+        classes[type(z), z] = classes.get((type(z), z), 0) | 1 << (n_vertices - 1 - v)
+    # the key's bit fields after the label: occupied vertices, then each
+    # class's occupied leaves; on the balls under the caps it needs at most 46 bits
+    tops = [n_vertices, *(bits.bit_count() for bits in classes.values())]
+    widths = [top.bit_length() for top in tops]
+    low = sum(widths)
+    if n_vertices - shift + low > 63:
         raise InternalCheckError("group key does not fit in an int64")
-    counts: dict[int, int] = {}
-    for masks in _mask_blocks(n_vertices, parent):
-        key = masks >> shift
-        digits = [np.bitwise_count(masks),
-                  *(np.bitwise_count(masks & bits) for bits in classes.values())]
-        for digit, radix in zip(digits, radices):
-            key = key * radix + digit
-        groups, sizes = np.unique(key, return_counts=True)
-        for group, size in zip(groups.tolist(), sizes.tolist()):
-            counts[group] = counts.get(group, 0) + size
-    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
-    digits = []
-    for radix in reversed(radices):
-        keys, digit = np.divmod(keys, radix)
-        digits.append(digit.tolist())
-    occupied, *per_class = reversed(digits)
-    lam_powers = [lam ** j for j in range(n_vertices + 1)]
-    class_powers = [[z ** j for j in range(bits.bit_count() + 1)]
-                    for (_, z), bits in classes.items()]
+    # float64 only where every factor is a float (same rounding); exact ones stay Python objects
+    bases = (lam, *(z for _, z in classes))
+    dtype = float if all(isinstance(x, float) for x in bases) else object
+    powers = [np.array([base ** j for j in range(top + 1)], dtype=dtype)
+              for base, top in zip(bases, tops)]
     sums: dict[int, Any] = {}
-    for label, size, occ, *js in zip(keys.tolist(), counts.values(), occupied, *per_class):
-        w = lam_powers[occ]
-        for powers, j in zip(class_powers, js):
-            if j:
-                w = w * powers[j]
-        sums[label] = sums.get(label, 0) + size * w
+
+    def finish(keys, counts):
+        occupied, *per_class = (keys >> sum(widths[i + 1:]) & (1 << width) - 1
+                                for i, width in enumerate(widths))
+        w = powers[0][occupied]
+        for z_powers, j in zip(powers[1:], per_class):
+            np.multiply(w, z_powers[j], out=w, where=j > 0)
+        # a row per label, for the labels of one key count at a time; np.cumsum adds in order
+        terms = counts * w
+        first = np.flatnonzero(np.diff(keys >> low, prepend=-1))
+        size = np.diff(first, append=len(keys))
+        label_sums = np.empty(len(first), dtype=w.dtype)
+        for width in np.unique(size).tolist():
+            rows = np.flatnonzero(size == width)
+            label_sums[rows] = terms[first[rows, None] + np.arange(width)].cumsum(axis=1)[:, -1]
+        sums.update(zip((keys[first] >> low).tolist(), label_sums.tolist()))
+
+    parts = []  # (unique keys, counts) of the labels not yet finished
+    for masks in _mask_blocks(n_vertices, parent):
+        block = masks >> shift
+        for width, bits in zip(widths, (-1, *classes.values())):  # -1: every vertex
+            block = block << width | np.bitwise_count(masks & bits)
+        parts.append(np.unique(block, return_counts=True))
+        passed = (masks[-1] >> shift) << low  # keys below it have all been seen
+        if parts[0][0][0] < passed:
+            keys, counts = _merge_counts(parts)
+            done = int(np.searchsorted(keys, passed))
+            finish(keys[:done], counts[:done])
+            parts = [(keys[done:], counts[done:])]
+        # merged as a binary counter carries: each key takes part in a log of merges
+        while len(parts) > 1 and len(parts[-1][0]) >= len(parts[-2][0]):
+            parts[-2:] = [_merge_counts(parts[-2:])]
+    finish(*_merge_counts(parts))
     return sums
 
 
-def _label_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[int, Any],
-                shift: int):
-    """(sums, total): the configurations' weights summed per label mask >> shift,
-    labels ascending, and over all configurations.
-
-    Float weights give a float64 array, each sum added in depth-first order;
-    exact weights give an object array of exact sums.
-    """
-    if not _is_float(lam, leaves):
-        sums = list(_exact_sums(n_vertices, parent, lam, leaves, shift).values())
-        return np.array(sums, dtype=object), sum(sums)
-    total = 0.0
-    sums: list[float] = []
-    last = -1
-    for masks, w in _weight_blocks(n_vertices, parent, lam, leaves):
-        total = _running_sum(total, w)
-        if shift == 0:  # one configuration per label
-            sums += w.tolist()
-            continue
-        labels = masks >> shift  # contiguous runs in this order
-        cuts = [*np.flatnonzero(np.diff(labels, prepend=last)).tolist(), len(w)]
-        if cuts[0]:  # the block opens inside the previous block's last label
-            sums[-1] = _running_sum(sums[-1], w[:cuts[0]])
-        sums += [_running_sum(0.0, w[a:b]) for a, b in zip(cuts, cuts[1:])]
-        last = labels[-1]
-    return np.array(sums), total
-
-
-def _partition_enumeration(ball: FiniteBall, lam, leaves: Mapping[int, Any]):
-    n = ball.n_vertices
-    if _is_float(lam, leaves):
-        # added one by one, float weights drift past the 1e-12 cross-check on
-        # balls of 21 vertices; fsum rounds once
-        blocks = _weight_blocks(n, ball.parent, lam, leaves)
-        return math.fsum(chain.from_iterable(w.tolist() for _, w in blocks))
-    return sum(_exact_sums(n, ball.parent, lam, leaves, n).values())
+def _merge_counts(parts):
+    """(unique keys ascending, counts) summed over several such pairs."""
+    keys, counts = map(np.concatenate, zip(*parts))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.add.reduceat(counts[order], first)
 
 
 def _partition_recursion(ball: FiniteBall, lam, leaves: Mapping[int, Any]):
@@ -475,13 +416,13 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
     leaves = _leaf_values(ball, boundary_z)
     if method == "enumeration":
         _require_enumerable(ball)
-        return _partition_enumeration(ball, lam, leaves)
+        return _grouped_sums(ball.n_vertices, ball.parent, lam, leaves, ball.n_vertices)[0]
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown partition method {method!r}")
     f, o = _partition_recursion(ball, lam, leaves)
     total = f + o
     if method == "auto" and _enumeration_refusal(ball) is None:
-        check = _partition_enumeration(ball, lam, leaves)
+        check = _grouped_sums(ball.n_vertices, ball.parent, lam, leaves, ball.n_vertices)[0]
         denom = max(abs(total), abs(check))
         if denom > 0 and abs(total - check) > 1e-12 * denom:
             raise InternalCheckError(
@@ -497,8 +438,8 @@ def root_marginal(ball: FiniteBall, lam, boundary_z, method: str = "recursion"):
     if method == "enumeration":
         _require_enumerable(ball)
         n = ball.n_vertices
-        sums, total = _label_sums(n, ball.parent, lam, leaves, n - 1)  # by the root spin
-        return sums.tolist()[1] / total
+        free, occupied = _grouped_sums(n, ball.parent, lam, leaves, n - 1).values()  # root spin
+        return occupied / (free + occupied)
     if method != "recursion":
         raise DomainError(f"unknown marginal method {method!r}")
     f, o = _partition_recursion(ball, lam, leaves)
@@ -525,14 +466,13 @@ def consistency_check(ball: FiniteBall, lam, z_assignment) -> float:
     leaves_n = {v: zs[v] for v in ball.leaves}
     leaves_m = {v: zs[v] for v in range(m) if ball.level[v] == ball.depth - 1}
 
-    # a depth-n configuration restricts to the depth-(n-1) one in its top m
-    # bits; both enumerations list those in the same ascending order. Each
-    # side is summed as floats or exactly, by its own weights' types.
-    grouped, total_n = _label_sums(n, ball.parent, lam, leaves_n, n - m)
-    inner, total_m = _label_sums(m, ball.parent, lam, leaves_m, 0)
-    devs = np.abs(grouped / total_n - inner / total_m).tolist()
+    # a depth-n configuration restricts to the depth-(n-1) one in its top m bits;
+    # both sides list those labels in the same ascending order
+    grouped = _grouped_sums(n, ball.parent, lam, leaves_n, n - m).values()
+    inner = _grouped_sums(m, ball.parent, lam, leaves_m, 0).values()
+    total_n, total_m = sum(grouped), sum(inner)
     # the first largest deviation above 0 (NaN never is), else 0
-    return max([0, *devs])
+    return max([0, *(abs(a / total_n - b / total_m) for a, b in zip(grouped, inner))])
 
 
 def conditional_child_distribution(
@@ -564,19 +504,11 @@ def conditional_child_distribution(
     if steps == 2:
         target = ball.children[target][0]
 
-    n = ball.n_vertices
-    if _is_float(lam, leaves):
-        cond_total = occ_target = 0.0
-        for masks, w in _weight_blocks(n, ball.parent, lam, leaves):
-            cond = masks >> (n - 1) == parent_spin
-            cond_total = _running_sum(cond_total, w[cond])
-            occ_target = _running_sum(occ_target, w[cond & (masks >> (n - 1 - target) & 1 == 1)])
-    else:
-        # keyed by the spins of vertices 0..target: root first, target last
-        sums = _exact_sums(n, ball.parent, lam, leaves, n - 1 - target)
-        cond = [(label, w) for label, w in sums.items() if label >> target == parent_spin]
-        cond_total = sum(w for _, w in cond)
-        occ_target = sum(w for label, w in cond if label & 1)
+    # keyed by the spins of vertices 0..target: root first, target last
+    sums = _grouped_sums(ball.n_vertices, ball.parent, lam, leaves, ball.n_vertices - 1 - target)
+    cond = [(label, w) for label, w in sums.items() if label >> target == parent_spin]
+    cond_total = sum(w for _, w in cond)
+    occ_target = sum(w for label, w in cond if label & 1)
     if cond_total == 0:
         raise DomainError(f"conditioning event root={parent_spin} has probability 0")
     p1 = occ_target / cond_total

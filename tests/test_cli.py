@@ -451,6 +451,18 @@ class TestConfigFile:
         jsonschema.validate(doc, SCHEMA)
         assert doc["points"] == 3
 
+    @pytest.mark.parametrize("in_file,flag,first_line", [
+        ("json", "--csv", "kind,z1,z2,residual"),
+        ("csv", "--json", "{"),
+    ])
+    def test_format_flag_beats_the_files_format(self, tmp_path, capsys, in_file, flag,
+                                                 first_line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k = 2\nlambda = 5\n{in_file} = true\n")
+        code, out, _ = run(capsys, "solve", "--config", str(cfg), flag)
+        assert code == 0
+        assert out.splitlines()[0] == first_line
+
     def test_bad_choice_in_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 2\nscale = cubic\n")

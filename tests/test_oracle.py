@@ -1,8 +1,10 @@
 """Exact finite-volume cross-checks: counts, partition functions, sampling."""
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +35,11 @@ from hctree.oracle import (
     root_marginal,
     sample_tree_chain,
 )
-from hctree.solvers import solve_translation_invariant, solve_two_periodic_k2_closed
+from hctree.solvers import (
+    solve_translation_invariant,
+    solve_two_periodic,
+    solve_two_periodic_k2_closed,
+)
 
 
 def frontier_ball(k, depth, root_degree):
@@ -175,7 +181,7 @@ class TestAdmissibleCounts:
         def refuse(*args):
             raise AssertionError("enumerated")
 
-        monkeypatch.setattr(oracle, "_partition_enumeration", refuse)
+        monkeypatch.setattr(oracle, "_grouped_sums", refuse)
         ball = FiniteBall(3, 3)
         assert partition_function(ball, 1.0, 1.0) == count_admissible(ball)
 
@@ -244,6 +250,12 @@ class TestPartitionFunction:
         with pytest.raises(DomainError):
             partition_function(FiniteBall(2, 1), 0.0, 0.5)
 
+    def test_int_weights_stay_exact(self):
+        # 7**22 and its sums overflow an int64
+        ball = FiniteBall(2, 3, RootDegree.FULL)
+        assert (partition_function(ball, 7, 5, "enumeration")
+                == partition_function(ball, 7, 5, "recursion") == 2470177087919607459464)
+
     def test_per_vertex_and_mapping_boundaries(self):
         ball = FiniteBall(2, 1)
         by_scalar = partition_function(ball, 2.0, 0.5)
@@ -296,6 +308,17 @@ class TestConsistency:
         ball = FiniteBall(2, 3)
         assignment = alternating_assignment(ball, z1, z2)
         assert consistency_check(ball, lam, assignment) < 1e-10
+
+    @pytest.mark.parametrize("k,depth,root,lam", [
+        (2, 3, "full", 5.0), (3, 2, "half", 2.0), (3, 2, "full", 2.0), (4, 2, "half", 2.0),
+    ])
+    def test_solved_laws_consistent_to_rounding(self, k, depth, root, lam):
+        # summed per weight class, a solved law's deviation is a few ulps
+        ball = FiniteBall(k, depth, root)
+        params = ModelParams(k, lam)
+        z1, z2 = solve_two_periodic(params).solutions[-1].values
+        assert consistency_check(ball, lam, solve_translation_invariant(params)) <= 1e-15
+        assert consistency_check(ball, lam, alternating_assignment(ball, z1, z2)) <= 1e-15
 
     def test_perturbed_value_inconsistent(self):
         lam = 2.5
@@ -478,31 +501,41 @@ def _brute_force(n_vertices, parent):
             if not any(config[v] and config[parent[v]] for v in range(1, n_vertices))]
 
 
-def _scalar_weight(lam, config, leaves):
-    w = lam ** sum(config)
+def _scalar_sums(n_vertices, parent, lam, leaves, shift):
+    """{label: weight sum}, the label being the spins of vertices
+    0..n_vertices-shift-1, one configuration at a time: configurations are
+    counted per key (label, occupied vertices, occupied leaves of each
+    distinct (type, boundary weight)), each key's weight is formed once, and
+    each label adds count * weight one at a time in ascending key order."""
+    classes = {}
     for v, z in leaves.items():
-        if config[v]:
-            w = w * z
-    return w
+        classes.setdefault((type(z), z), []).append(v)
+    counts = {}
+    for c in _brute_force(n_vertices, parent):
+        key = (c[:n_vertices - shift], sum(c), *(sum(c[v] for v in vs) for vs in classes.values()))
+        counts[key] = counts.get(key, 0) + 1
+    terms = {}
+    for key in sorted(counts):
+        label, occupied, *js = key
+        w = lam ** occupied
+        for (_, z), j in zip(classes, js):
+            if j:
+                w = w * z ** j
+        terms.setdefault(label, []).append(counts[key] * w)
+    return {label: functools.reduce(operator.add, t) for label, t in terms.items()}
 
 
 def _scalar_consistency(ball, lam, zs):
-    """consistency_check configuration by configuration, in the inputs' own
-    arithmetic: float and exact weights meet only where a sum or a product
-    mixes them."""
+    """consistency_check by _scalar_sums, in the inputs' own arithmetic:
+    float and exact weights meet only where a sum or a product mixes them."""
     m = sum(1 for lev in ball.level if lev < ball.depth)
     leaves_n = {v: zs[v] for v in ball.leaves}
     leaves_m = {v: zs[v] for v in range(m) if ball.level[v] == ball.depth - 1}
-    grouped, total_n = {}, 0
-    for c in _brute_force(ball.n_vertices, ball.parent):
-        w = _scalar_weight(lam, c, leaves_n)
-        total_n += w
-        grouped[c[:m]] = grouped.get(c[:m], 0) + w
-    inner = [(c, _scalar_weight(lam, c, leaves_m)) for c in _brute_force(m, ball.parent)]
-    total_m = 0
-    for _, w in inner:
-        total_m += w
-    return max(abs(grouped[c] / total_n - w / total_m) for c, w in inner)
+    grouped = list(_scalar_sums(ball.n_vertices, ball.parent, lam, leaves_n,
+                                ball.n_vertices - m).values())
+    inner = list(_scalar_sums(m, ball.parent, lam, leaves_m, 0).values())
+    total_n, total_m = sum(grouped), sum(inner)
+    return max(abs(a / total_n - b / total_m) for a, b in zip(grouped, inner))
 
 
 class TestEnumerationBlocks:
@@ -522,33 +555,25 @@ class TestEnumerationBlocks:
 
     @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
     def test_float_results_equal_a_scalar_loop(self, ball, tiny_blocks):
-        # one weight per configuration, added one at a time in listing order
-        lam = 1.7
-        zs = [0.2 + 0.1 * v for v in range(ball.n_vertices)]
-        configs = _brute_force(ball.n_vertices, ball.parent)
+        # one weight per key, added per label in ascending key order
+        lam, n = 1.7, ball.n_vertices
+        zs = [0.2 + 0.1 * v for v in range(n)]
         leaves = {v: zs[v] for v in ball.leaves}
-        weights = [_scalar_weight(lam, c, leaves) for c in configs]
-        assert partition_function(ball, lam, zs, method="enumeration") == math.fsum(weights)
+        got = partition_function(ball, lam, zs, method="enumeration")
+        assert type(got) is float
+        assert got == _scalar_sums(n, ball.parent, lam, leaves, n)[()]
 
-        total = occupied = 0
-        for c, w in zip(configs, weights):
-            total += w
-            if c[0]:
-                occupied += w
-        assert root_marginal(ball, lam, zs, method="enumeration") == occupied / total
+        free, occupied = _scalar_sums(n, ball.parent, lam, leaves, n - 1).values()
+        assert root_marginal(ball, lam, zs, method="enumeration") == occupied / (free + occupied)
 
         assert consistency_check(ball, lam, zs) == _scalar_consistency(ball, lam, zs)
 
         target = ball.children[ball.children[0][0]][0]
+        sums = _scalar_sums(n, ball.parent, lam, leaves, n - 1 - target)
         for spin in (0, 1):
-            cond = occ = 0
-            for c, w in zip(configs, weights):
-                if c[0] == spin:
-                    cond += w
-                    if c[target]:
-                        occ += w
-            got = conditional_child_distribution(ball, lam, zs, spin, steps=2)
-            assert got == (1 - occ / cond, occ / cond)
+            cond = [(label, w) for label, w in sums.items() if label[0] == spin]
+            p1 = sum(w for label, w in cond if label[-1]) / sum(w for _, w in cond)
+            assert conditional_child_distribution(ball, lam, zs, spin, steps=2) == (1 - p1, p1)
 
     @pytest.mark.parametrize("rows", [3, 64, oracle._BLOCK_ROWS])
     @pytest.mark.parametrize("ball", _enumeration_cases(), ids=repr)
@@ -567,6 +592,19 @@ class TestEnumerationBlocks:
         assert (len(offsets) - 1) << (n - tail) <= max(1, rows // 2)
         assert len(values) == offsets[-1]
 
+    def test_distinct_weights_memory_is_bounded(self):
+        # every leaf its own weight class, so nearly every configuration is
+        # its own key: each label is summed and dropped once the enumeration
+        # has passed it
+        ball = FiniteBall(2, 4)
+        tracemalloc.start()
+        try:
+            consistency_check(ball, 1.7, [0.2 + 0.01 * v for v in range(ball.n_vertices)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+
     @pytest.mark.parametrize("ball", [FiniteBall(4, 2, RootDegree.FULL), FiniteBall(2, 4)],
                              ids=repr)
     def test_enumeration_memory_is_bounded(self, ball):
@@ -579,24 +617,6 @@ class TestEnumerationBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
-
-    @pytest.mark.parametrize("ball", _ball_cases(), ids=repr)
-    def test_one_weight_table_equals_the_per_leaf_products(self, ball, monkeypatch):
-        # all leaves share the boundary weight: the weights come from one
-        # table lookup; forcing the per-leaf products must not change a bit
-        lam, z = 1.7, 0.3
-
-        def results():
-            return [partition_function(ball, lam, z, method="enumeration"),
-                    root_marginal(ball, lam, z, method="enumeration"),
-                    consistency_check(ball, lam, z),
-                    *(conditional_child_distribution(ball, lam, z, spin, steps)
-                      for spin in (0, 1) for steps in (1, 2))]
-
-        assert oracle._one_weight(dict.fromkeys(ball.leaves, z)) == z
-        table = results()
-        monkeypatch.setattr(oracle, "_one_weight", lambda leaves: None)
-        assert results() == table
 
     def _results(self, ball):
         lam, z = 1.7, [0.2 + 0.1 * v for v in range(ball.n_vertices)]
