@@ -99,9 +99,11 @@ def solve_two_periodic_k2_closed(lam: float) -> tuple[float, float]:
     lam = float(lam)
     if lam < 4.0:
         raise DomainError(f"k=2 pair requires lam >= 4, got {lam!r}")
-    s = math.sqrt(lam * (lam - 4.0))
-    x_hi = (lam + s) / (2.0 * lam)
+    # lam*(lam-4) overflows from about 1.3e154, where sqrt(1 - 4/lam) rounds to 1
+    s = min(math.sqrt(lam * (lam - 4.0)), lam)
     x_lo = 2.0 / (lam + s)
+    _check_pair_found(x_lo * x_lo, lam)
+    x_hi = (lam + s) / (2.0 * lam)
     return (x_lo * x_lo, x_hi * x_hi)
 
 
@@ -130,8 +132,8 @@ def discriminant_k3(lam: float) -> float:
 def solve_two_periodic_k3_closed(lam: float) -> tuple[float, float]:
     """Closed-form alternating pair for k=3, valid for lam >= 27/16.
 
-    z_i = t_i**3 where t_1, t_2 are the roots of lam*a*t**2 - lam*a**2*t + 1
-    with a the cubic root above; the small root again uses the conjugate form.
+    z1 = t**3 for the smaller root t of lam*a*t**2 - lam*a**2*t + 1, with a
+    the cubic root above, in conjugate form again; z2 = (1 + lam*z1)**-3.
     """
     lam = float(lam)
     if lam < _K3_CRITICAL:
@@ -139,9 +141,18 @@ def solve_two_periodic_k3_closed(lam: float) -> tuple[float, float]:
     a = k3_cubic_root(lam)
     # the discriminant is below 0 only by rounding right at the critical activity
     s = math.sqrt(max(a ** 4 * lam * lam - 4.0 * a * lam, 0.0))
-    t_hi = (lam * a * a + s) / (2.0 * lam * a)
-    t_lo = 2.0 / (lam * a * a + s)
-    return (t_lo ** 3, t_hi ** 3)
+    z1 = (2.0 / (lam * a * a + s)) ** 3
+    _check_pair_found(z1, lam)
+    # the other root t_hi**3 can round above 1; z2 = f(z1) cannot
+    return (z1, (1.0 + lam * z1) ** -3)
+
+
+def _check_pair_found(z1: float, lam: float, **diagnostics) -> None:
+    """Refuse a pair whose small value underflowed to 0 (or is NaN where the
+    closed form's terms overflow, far past that underflow)."""
+    if not z1 > 0.0:
+        raise ConvergenceError("two-cycle below the smallest positive float; pair not found",
+                               lam=lam, **diagnostics)
 
 
 def _pair_residual(params: ModelParams, z1: float, z2: float) -> float:
@@ -193,12 +204,8 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
         else:
             hi = mid
     z1 = 0.5 * (lo + hi)
-    if z1 == 0.0:  # f(f(z)) underflows to 0 below every float z: h(z) = -z < 0
-        raise ConvergenceError(
-            "two-cycle below the smallest positive float; pair not found",
-            bracket=(lo, hi),
-            lam=params.lam,
-        )
+    # z1 is 0 where f(f(z)) underflows to 0 below every float z: h(z) = -z < 0
+    _check_pair_found(z1, params.lam, bracket=(lo, hi))
     z2 = recursion_map(params, z1)
     if _pair_residual(params, z1, z2) > tol:
         raise ConvergenceError(

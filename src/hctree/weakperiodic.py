@@ -10,11 +10,17 @@ W leaves four planes invariant:
     I1: z1=z2=z3=z4      I2: z1=z3, z2=z4
     I3: z1=z2, z3=z4     I4: z1=z4, z2=z3
 
-On I2, I3 and I4 W is symmetric under the swap of the plane coordinates
-(a, b), and a fixed point solves E(a, b) = 0 and E(b, a) = 0 for one scalar
-function E that is monotone in its second argument. So b = F(a), a = F(b),
-and the fixed points are the constant point of I1 together with the
-two-cycles of the one-dimensional map F: roots of E(F(t), t) in t, found by
+On I2 the fixed points of W solve the two-periodic system a = B**-k,
+b = A**-k (A = 1+lam*a, B = 1+lam*b) for every i. With q = k/i, u = a**(1/i)
+and v = b**(1/i), the i-th root of a = W1(a, b, a, b) is
+u*(A**q + lam*v**(i-1))*B**(q-1) = A**q; for s = u*B**q and r = v*A**q it
+and its mirror read A**q*(s-1) = lam*v**(i-1)*(r-s) and
+B**q*(r-1) = lam*u**(i-1)*(s-r). s > r would give s < 1 < r and s < r
+would give s > 1 > r, so s = r, and then s = r = 1: a = B**-k, b = A**-k.
+
+On I3 and I4 a fixed point solves E(a, b) = 0 and E(b, a) = 0 for one E
+monotone in its second argument, so b = F(a) and a = F(b): the fixed points
+are the constant point and the two-cycles of F, roots of E(F(t), t) found by
 sign changes along log t and refined to adjacent floats.
 """
 
@@ -34,7 +40,7 @@ from .core import (
     _check_int,
     weak_periodic_law,
 )
-from .solvers import solve_translation_invariant
+from .solvers import solve_translation_invariant, solve_two_periodic
 
 __all__ = [
     "SOLVE_SETS",
@@ -101,9 +107,9 @@ def weak_system_map(wp: WeakPeriodicParams, z):
 
 # which of the plane coordinates (a, b) fills each of z1..z4
 _EMBED = {"I2": [0, 1, 0, 1], "I3": [0, 0, 1, 1], "I4": [0, 1, 1, 0]}
-# each plane's first fixed-point equation, z1 = W(z)[0], in the slots
+# the reduced planes' first fixed-point equation, z1 = W(z)[0], in the slots
 # (v, za, zb, zc) of _log_equation, filled with x, y or zero
-_SLOTS = {"I2": "xxyy", "I3": "yxxy", "I4": "yxyx"}
+_SLOTS = {"I3": "yxxy", "I4": "yxyx"}
 _GRID_POINTS = 512  # log-spaced samples of the residual below the constant point
 _NEWTON_MAX_ITER = 100
 _MAX_LOG_STEP = 30.0
@@ -128,7 +134,7 @@ def _log_equation(wp, v, za, zb, zc, partials=False):
 
 
 class _Reduction:
-    """One plane's fixed-point equations as E(x, y) = 0 and E(y, x) = 0 for
+    """I3's or I4's fixed-point equations as E(x, y) = 0 and E(y, x) = 0 for
     an E that increases with y, so y = F(x) and x = F(y): every fixed point
     off the diagonal is to_plane(t, F(t)) for a root t >= lo of the residual
     R(t) = E(F(t), t) other than the constant point `centre`."""
@@ -138,21 +144,14 @@ class _Reduction:
         # each component of W lies in ((1+lam)**-k, 1) for i <= k; I4 at i = k+1 has no pair
         self.wp, self.slots, self.lo, self.centre = wp, _SLOTS[invariant_set], (1.0 + lam) ** -k, z
         self.to_plane = lambda x, y: (x, y)
-        if i == k + 1 and invariant_set != "I4":
-            # r < 0, and E is not monotone in y on I2. As p = q, the planes'
-            # equations read X = f(Y), Y = f(X) for f(t) = (1 + lam*t**p)**-i
-            # in X = a/(1+lam*b), Y = b/(1+lam*a) on I2 and X = a/(1+lam*a),
-            # Y = b/(1+lam*b) on I3; so (1+lam)**-i < X, Y < 1, and on I3
-            # X, Y < 1/lam as well
+        if i == k + 1 and invariant_set == "I3":
+            # r < 0 and p = q: the equations read X = f(Y), Y = f(X) for
+            # f(t) = (1 + lam*t**p)**-i in X = a/(1+lam*a), Y = b/(1+lam*b),
+            # so (1+lam)**-i < X, Y < min(1, 1/lam)
             self.slots, self.lo, self.centre = "y0x0", (1.0 + lam) ** -i, z / (1.0 + lam * z)
-            if invariant_set == "I2":
-                def back(x, y):
-                    return x * (1.0 + lam * y) / (1.0 - lam * lam * x * y)
-                self.to_plane = lambda x, y: (back(x, y), back(y, x))
-            else:
-                if lam > 1.0:  # f(Y) < 1/lam
-                    self.lo = max(self.lo, ((lam ** (1.0 / i) - 1.0) / lam) ** (i / k))
-                self.to_plane = lambda x, y: (x / (1.0 - lam * x), y / (1.0 - lam * y))
+            if lam > 1.0:  # f(Y) < 1/lam
+                self.lo = max(self.lo, ((lam ** (1.0 / i) - 1.0) / lam) ** (i / k))
+            self.to_plane = lambda x, y: (x / (1.0 - lam * x), y / (1.0 - lam * y))
 
     def equation(self, x, y, partials=False):
         fill = {"x": x, "y": y, "0": 0.0}
@@ -163,27 +162,20 @@ class _Reduction:
         d = self.equation(x, y, partials=True)
         return [sum(dv for dv, s in zip(d, self.slots) if s == wrt) for wrt in "xy"]
 
-    def eliminate(self, x, y):
-        """F(x), by Newton on log y from the starts y. E is convex in log y:
-        Newton descends monotonically from above the root and overshoots at
-        most once from below. Where E(x, 0+) >= 0 (on I2 only) F(x) is 0,
-        and R = E(0, t) = -inf says that there is no fixed point."""
-        y = np.where(self.equation(x, 0.0) >= 0.0, 0.0, y)
-        todo = np.flatnonzero(y > 0.0)
+    def residual(self, t, y):
+        """F(t), by Newton on log y from the starts y, and R(t) mapped into
+        [-1, 1] by tanh. E is convex in log y: Newton descends monotonically
+        from above the root and overshoots at most once from below."""
+        y, todo = y.copy(), np.arange(y.size)
         for _ in range(_NEWTON_MAX_ITER):
             if todo.size == 0:
-                return y
-            xt, yt = x[todo], y[todo]
-            step = np.minimum(-self.equation(xt, yt) / self.slopes(xt, yt)[1], _MAX_LOG_STEP)
+                return y, np.tanh(self.equation(y, t))
+            tt, yt = t[todo], y[todo]
+            step = np.minimum(-self.equation(tt, yt) / self.slopes(tt, yt)[1], _MAX_LOG_STEP)
             y[todo] = yt * np.exp(step)
             # convergence is quadratic, so the step just taken was the last
             todo = todo[~(np.abs(step) <= 1e-9)]
-        raise ConvergenceError("elimination Newton did not converge", point=x[todo].tolist())
-
-    def residual(self, t, y):
-        """F(t) from the starts y, and R(t) mapped into [-1, 1] by tanh."""
-        y = self.eliminate(t, y)
-        return y, np.tanh(self.equation(y, t))
+        raise ConvergenceError("elimination Newton did not converge", point=t[todo].tolist())
 
 
 def _refine(red, a, b, fa, fb, ya):
@@ -235,26 +227,13 @@ class WeakSolveReport:
         return self.count - sum(self.ti_flags)
 
 
-def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
-                        tol: float = 1e-12) -> WeakSolveReport:
-    """All fixed points of W on one plane, by the reduction of _Reduction.
-
-    The constant point comes from its own equation z = (1 + lam*z)**-k and
-    is exactly diagonal. Each two-cycle of F has one point t below it (no
-    counterexample is known; a violation raises), so R is sampled at 512
-    log-spaced t below it, each sign change is refined to adjacent floats,
-    and (t, F(t)) gives a point and its mirror image. Just below the
-    constant point R takes the sign of its slope there, which decides a
-    pitchfork split; a slope within rounding of zero, as at the bifurcation
-    activity itself, splits nothing. Every point must meet the relative
-    residual max |W(z) - z| / z <= tol, or ConvergenceError reports its
-    bracket. Results are sorted by coordinates.
-    """
-    if invariant_set not in SOLVE_SETS:
-        raise DomainError(f"invariant_set must be one of {SOLVE_SETS}, got {invariant_set!r}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    z = solve_translation_invariant(wp.model())
+def _reduced_pairs(wp, invariant_set, z):
+    """F's two-cycles around the constant point z on I3 or I4, as points
+    (a, b), with the bracket each was refined from. Each has one point t
+    below z (no counterexample is known; a violation raises), so R is
+    sampled at 512 log-spaced t below z. Just below z, R has the sign of its
+    slope there, which decides a pitchfork split; a slope within rounding of
+    zero, as at the bifurcation activity itself, splits nothing."""
     red = _Reduction(wp, invariant_set, z)
     if red.lo < np.finfo(float).tiny:  # the log-spaced grid needs a normal lower end
         raise ConvergenceError("the lower end of the plane's search grid underflows "
@@ -283,18 +262,38 @@ def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
     roots, y = _refine(red, a, b, fa, fb, ya)
     if (y <= c).any():
         raise ConvergenceError("a two-cycle lies below the constant point", images=y.tolist())
-    # the constant point, then each root's point and its mirror image
-    pairs = np.stack(red.to_plane(roots, y), axis=1)
+    return np.stack(red.to_plane(roots, y), axis=1), list(zip(a.tolist(), b.tolist()))
+
+
+def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
+                        tol: float = 1e-12) -> WeakSolveReport:
+    """All fixed points of W on one plane: solve_two_periodic's on I2 (see the
+    module docstring), the reduction's on I3 and I4; the constant point is
+    exactly diagonal. Every point must meet the relative residual
+    max |W(z) - z| / z <= tol, or ConvergenceError reports it, with its
+    bracket on I3 and I4. Results are sorted by coordinates."""
+    if invariant_set not in SOLVE_SETS:
+        raise DomainError(f"invariant_set must be one of {SOLVE_SETS}, got {invariant_set!r}")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if invariant_set == "I2":
+        solutions = solve_two_periodic(wp.model()).solutions
+        z = solutions[0].values[0]
+        pairs = np.array([law.values for law in solutions[1:]]).reshape(-1, 2)
+        brackets = [None] * len(pairs)
+    else:
+        z = solve_translation_invariant(wp.model())
+        pairs, brackets = _reduced_pairs(wp, invariant_set, z)
+    # the constant point, then each pair and its mirror image
     embedded = np.concatenate(([(z, z)], pairs, pairs[:, ::-1]))[:, _EMBED[invariant_set]]
     error = np.abs(weak_system_map(wp, embedded) - embedded)
     residuals, relative = error.max(axis=1), (error / embedded).max(axis=1)
-    brackets = list(zip(a.tolist(), b.tolist()))
     for m in np.flatnonzero(~(relative <= tol)):
         raise ConvergenceError("refined root fails the relative 4-component residual gate",
                                point=tuple(embedded[m].tolist()), residual=residuals[m].item(),
                                relative_residual=relative[m].item(), tol=tol,
                                bracket=brackets[(m - 1) % len(brackets)] if m else None)
-    flags = [True] + [False] * 2 * roots.size
+    flags = [True] + [False] * 2 * len(pairs)
     found = sorted(zip(map(tuple, embedded.tolist()), residuals.tolist(), flags))
     values, residuals, flags = zip(*found)
     laws = tuple(weak_periodic_law(v, invariant_set) for v in values)

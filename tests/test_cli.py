@@ -75,6 +75,17 @@ class TestSolveCommand:
         doc = run_json(capsys, "solve", "-k", "4", "-l", "1e12", "--json")
         assert doc["solutions"][1]["values"] == pytest.approx([1e-48, 1.0], rel=1e-11)
 
+    def test_k2_pair_past_the_overflow_of_lambda_squared(self, capsys):
+        doc = run_json(capsys, "solve", "-k", "2", "-l", "1e160", "--json")
+        assert doc["solutions"][1]["values"] == pytest.approx([1e-320, 1.0], rel=1e-3)
+
+    @pytest.mark.parametrize("argv", ["solve -k 2 -l 1e300", "solve -k 3 -l 1e150",
+                                      "solve -k 3 -l 1.7e308", "classify -k 2 -l 1e300"])
+    def test_closed_form_pair_below_the_float_range_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err == "error: two-cycle below the smallest positive float; pair not found\n"
+
     def test_bad_lambda_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "-k", "2", "-l", "-3")
         assert code == 2
@@ -380,17 +391,21 @@ class TestWeakCommand:
                "0.523606797749979)  residual=" in out
         assert out.count("[non-constant]") == 2 and out.count("[constant]") == 1
 
-    @pytest.mark.parametrize("command", [
-        "weak -k 6 --set I4 -l 1e60",
-        "weak -k 2 -l 1e300",
-        "sweep -k 10 --quantity weakperiodic_count -lmin 1 -lmax 1e40 -n 3",
+    @pytest.mark.parametrize("command,message", [
+        pytest.param(command, message, id=command) for command, message in (
+            # (1+lambda)**-k, the lower end of the I4 search grid, is 0 in floats
+            ("weak -k 6 --set I4 -l 1e60",
+             "the lower end of the plane's search grid underflows at this activity"),
+            # I2 is solved as the two-periodic system, whose pair's small value
+            # underflows to 0 here
+            ("weak -k 2 -l 1e300", "two-cycle below the smallest positive float; pair not found"),
+            ("sweep -k 10 --quantity weakperiodic_count -lmin 1 -lmax 1e40 -n 3",
+             "two-cycle below the smallest positive float; pair not found"),
+        )
     ])
-    def test_underflowing_grid_end_exits_1(self, capsys, command):
-        # (1+lambda)**-k, the lower end of the search grid, is 0 in floats here
+    def test_underflowing_grid_end_exits_1(self, capsys, command, message):
         code, out, err = run(capsys, *command.split())
-        assert (code, out) == (1, "")
-        assert err == ("error: the lower end of the plane's search grid underflows "
-                       "at this activity\n")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", [

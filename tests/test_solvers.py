@@ -164,6 +164,32 @@ class TestPairClosedForms:
         assert recursion_map(p, z1) == pytest.approx(z2, abs=1e-9)
         assert recursion_map(p, z2) == pytest.approx(z1, abs=1e-9)
 
+    def test_k3_large_value_not_above_1(self):
+        # the larger root t**3 of the quadratic rounded above 1 at 56 of these
+        # activities (391361451.34324354 among them); z2 = f(z1) cannot
+        lams = np.geomspace(1.01 * 27.0 / 16.0, 1e100, 20_000).tolist()
+        assert max(solve_two_periodic_k3_closed(lam)[1] for lam in lams) <= 1.0
+        assert solve_two_periodic_k3_closed(391361451.34324354)[1] <= 1.0
+
+    @pytest.mark.parametrize("lam", [1e155, 1e160, 4e161])
+    def test_k2_pair_past_the_overflow_of_lam_squared(self, lam):
+        # lam*(lam-4) overflows from about 1.3e154; the small value 1/lam**2
+        # is subnormal here but still a float
+        z1, z2 = solve_two_periodic_k2_closed(lam)
+        assert z1 == pytest.approx(lam ** -2, rel=1e-2) and z2 == 1.0
+
+    @pytest.mark.parametrize("closed,lam", [
+        (solve_two_periodic_k2_closed, 1e162), (solve_two_periodic_k2_closed, 1e300),
+        (solve_two_periodic_k2_closed, sys.float_info.max),
+        (solve_two_periodic_k3_closed, 1e150), (solve_two_periodic_k3_closed, 1e300),
+        (solve_two_periodic_k3_closed, sys.float_info.max),
+    ])
+    def test_closed_pair_below_the_float_range_raises(self, closed, lam):
+        with pytest.raises(ConvergenceError) as err:
+            closed(lam)
+        assert err.value.args == ("two-cycle below the smallest positive float; pair not found",)
+        assert err.value.diagnostics == {"lam": lam}
+
     @pytest.mark.parametrize("lam", [1.8, 2.5, 4.0, 20.0])
     def test_k3_generic_solver_matches_closed_form(self, lam):
         p = ModelParams(3, lam)

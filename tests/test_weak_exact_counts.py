@@ -88,14 +88,16 @@ def test_small_coordinate_pairs_are_found(k, lam):
     ["weak", "-k", "7", "-l", "70", "--set", "I2"],
     ["weak", "-k", "10", "-l", "20"],
     ["weak", "-k", "4", "-l", "1000"],
+    ["weak", "-k", "10", "-l", "100"],
+    ["weak", "-k", "7", "-l", "1000"],
 ])
 def test_cli_reports_the_small_coordinate_pairs(argv, capsys):
     assert main(argv) == 0
     assert "fixed points: 3  (non-constant: 2)" in capsys.readouterr().out
 
 
-# At i = k+1 the exponent k - i is -1 and the solver uses its substitution;
-# the counts per activity 0.5, 1, 2, 3, 5, 8, 13, 20, 40, 70 are those the
+# At i = k+1 the exponent k - i is -1: I3 is solved in substituted unknowns
+# and I2 as the two-periodic system; the counts per activity 0.5, 1, 2, 3, 5, 8, 13, 20, 40, 70 are those the
 # Newton multistart reported.
 TOP_I_ACTIVITIES = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, 40.0, 70.0)
 TOP_I_COUNTS = {

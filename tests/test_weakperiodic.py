@@ -1,6 +1,7 @@
 """Four-component boundary-law system on the index-4 subgroup classes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from hctree.core import ConvergenceError, DomainError, ModelParams
 from hctree.solvers import (
+    critical_lambda,
     solve_translation_invariant,
+    solve_two_periodic,
     solve_two_periodic_k2_closed,
     solve_two_periodic_k3_closed,
 )
@@ -255,20 +258,27 @@ class TestSolver:
         assert rep.count == expected
 
     def test_gate_failure_raises_with_its_bracket(self):
-        # a tolerance below rounding rejects the pair (the constant point's
-        # residual is exactly 0 here): the solve raises, it drops nothing
+        # a tolerance between the constant point's relative residual (2.3e-16)
+        # and the pair's (6.1e-16) rejects the pair: the solve raises with the
+        # bracket the pair was refined in, it drops nothing
         with pytest.raises(ConvergenceError) as err:
-            solve_weak_periodic(WeakPeriodicParams(2, 1, 4.5), "I2", 1e-30)
+            solve_weak_periodic(WeakPeriodicParams(6, 1, 10.0), "I4", 4e-16)
         diag = err.value.diagnostics
         lo, hi = diag["bracket"]
         assert lo < hi and lo <= min(diag["point"]) <= hi
+        assert diag["relative_residual"] > 4e-16 and diag["tol"] == 4e-16
+        # I2's points come from solve_two_periodic, with no bracket
+        with pytest.raises(ConvergenceError) as err:
+            solve_weak_periodic(WeakPeriodicParams(2, 1, 5.0), "I2", 1e-30)
+        diag = err.value.diagnostics
+        assert diag["bracket"] is None
         assert diag["relative_residual"] > 1e-30 and diag["tol"] == 1e-30
 
-    @pytest.mark.parametrize("invariant_set", SOLVE_SETS)
+    @pytest.mark.parametrize("invariant_set", ["I3", "I4"])
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_each_pair_has_one_point_above_the_constant_point(self, k, invariant_set):
-        # the solver searches below the constant point only; a two-cycle with
-        # both points above it would show as extra sign changes above
+        # the reduction searches below the constant point only; a two-cycle
+        # with both points above it would show as extra sign changes above
         from hctree.weakperiodic import _Reduction
 
         for i in range(1, k + 2):
@@ -284,6 +294,29 @@ class TestSolver:
                 above = np.concatenate(([slope_x < slope_y], f > 0.0))
                 crossings = np.count_nonzero(above[1:] != above[:-1])
                 assert crossings == solve_weak_periodic(wp, invariant_set).non_ti_count // 2
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_first_plane_equals_the_two_periodic_system(self, k):
+        # on I2 the fixed points of W are the two-periodic solutions for
+        # every i (module docstring), both orders of the pair included, and no
+        # coordinate exceeds 1, also where the pair's small value is tiny
+        lam_cr = critical_lambda(k)
+        for i in (1, 2, k + 1):
+            for lam in np.geomspace(1.01 * lam_cr, 1e20, 200).tolist():
+                wp = WeakPeriodicParams(k, i, lam)
+                try:
+                    rep = solve_weak_periodic(wp, "I2")
+                except ConvergenceError:
+                    # allowed only where the gate's powers of 1 + lam*z overflow
+                    assert max(k, i) * math.log1p(lam) > math.log(sys.float_info.max), (i, lam)
+                    continue
+                constant, *pairs = solve_two_periodic(wp.model()).solutions
+                (z,) = constant.values
+                want = [(z, z, z, z)]
+                for z1, z2 in (law.values for law in pairs):
+                    want += [(z1, z2, z1, z2), (z2, z1, z2, z1)]
+                assert [fp.values for fp in rep.fixed_points] == sorted(want), (i, lam)
+                assert max(max(fp.values) for fp in rep.fixed_points) <= 1.0, (i, lam)
 
     def test_report_is_sorted(self):
         rep = solve_weak_periodic(WeakPeriodicParams(2, 1, 6.0), "I2")
