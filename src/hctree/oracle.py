@@ -1,24 +1,25 @@
 """Exact finite-volume cross-checks on small balls of the Cayley tree.
 
 Everything here is deliberately independent of the solver formulas: admissible
-configurations are all listed, partition functions are also
-computed by a bottom-up two-state recursion, and the two paths are compared
-wherever both are feasible. Kolmogorov consistency of the finite-volume
-measures and the conditional child distributions are extracted by brute force
-so they can vouch for the analytic transition matrices.
+configurations are all enumerated, partition functions are also computed by a
+bottom-up two-state recursion, and the two paths are compared wherever both
+are feasible. Kolmogorov consistency of the finite-volume measures and the
+conditional child distributions are extracted by brute force so they can
+vouch for the analytic transition matrices.
 
-The enumeration lists each configuration as an int64 bit mask, vertex v at
-bit n-1-v, ascending, in numpy blocks of at most _BLOCK_ROWS rows. Masks grow
-one vertex at a time up to the last level, which is added in one step: each
-prefix is followed by the ascending extensions its parents' spins allow, read
-from a table of at most _BLOCK_ROWS // 2 cells that covers as much of the
-level as fits. Every sum counts the configurations per weight class (label,
-occupied vertices and occupied leaves of each boundary weight) and adds
-count * weight per class in ascending key order, so results do not depend on
-the block size. Arithmetic is generic over the numeric type: floats give
-float results, and `fractions.Fraction` or int activities and boundary
-weights give exact partition functions and marginals. The sampler stores
-spins vertex-major and fills them one tree level at a time.
+The enumeration writes a configuration as an int64 bit mask, vertex v at bit
+n-1-v, grown one vertex at a time up to the last level, which is summed, not
+listed: a table of at most _BLOCK_ROWS // 2 cells groups the extensions each
+pattern of their parents' spins allows by key, and each prefix gives one (key,
+count) row per key, in blocks of at most _BLOCK_ROWS rows (a ball of 2**n <=
+_BLOCK_ROWS states fits one block ungrouped). Keys add over disjoint bits: the
+mask itself lists the configurations, 0 counts them, and every sum keys them
+by weight class (label, occupied vertices and occupied leaves of each boundary
+weight) and adds count * weight per class in ascending key order, whatever the
+block size. Arithmetic is generic over the numeric type: floats give float
+results, and `fractions.Fraction` or int activities and boundary weights give
+exact partition functions and marginals. The sampler stores spins vertex-major
+and fills them one tree level at a time.
 """
 
 from __future__ import annotations
@@ -146,16 +147,14 @@ def _enumeration_refusal(ball: FiniteBall) -> SizeCapError | None:
     first, in O(1)) or over 2**24 configurations as the recursion counts them."""
     if ball.n_vertices > ENUMERATION_VERTEX_CAP:
         return _vertex_cap_error(ball.n_vertices)
-    count = _count_recursion(ball)
-    if count > _ENUMERATION_CONFIGURATION_CAP:
+    if (count := _count_recursion(ball)) > _ENUMERATION_CONFIGURATION_CAP:
         return SizeCapError(f"enumeration supports at most {_ENUMERATION_CONFIGURATION_CAP} "
                             f"configurations, got {count}")
     return None
 
 
 def _require_enumerable(ball: FiniteBall) -> None:
-    refusal = _enumeration_refusal(ball)
-    if refusal is not None:
+    if (refusal := _enumeration_refusal(ball)) is not None:
         raise refusal
 
 
@@ -168,11 +167,12 @@ def _require_ball_enumerable(k: int, depth: int, root_degree: RootDegree) -> Non
         raise _vertex_cap_error(f"a ball of depth {depth}" if n is None else n)
 
 
-def _extension_table(n_vertices: int, parent: Sequence[int]):
-    """(tail, values, offsets): for a prefix whose tail parents p0..p1 have the
-    spins b, the low p1-p0+1 bits of mask >> (n_vertices-1-p1),
-    values[offsets[b]:offsets[b+1]] lists the tail bits its free parents
-    allow, ascending. The tail goes as low as keeps the cells, 2**(p1-p0+1)
+def _extension_table(n_vertices: int, parent: Sequence[int], key):
+    """(tail, keys, counts, offsets): a prefix whose tail parents p0..p1 have
+    the spins b (the low p1-p0+1 bits of mask >> (n_vertices-1-p1)) extends to
+    counts[i] tail masks of key keys[i], for i in offsets[b]:offsets[b+1], the
+    keys distinct and ascending where 2**n_vertices > _BLOCK_ROWS, else one
+    per mask, ascending. The tail goes as low as keeps the cells, 2**(p1-p0+1)
     patterns times 2**(n_vertices-tail) values, within _BLOCK_ROWS // 2."""
     tail, p1 = n_vertices, parent[n_vertices - 1]
     while tail - 1 > max(0, p1) and (
@@ -183,26 +183,29 @@ def _extension_table(n_vertices: int, parent: Sequence[int]):
     forbidden = np.bitwise_or.reduce(
         (spins >> p1 - parents & 1) << n_vertices - 1 - np.arange(tail, n_vertices), axis=1)
     pattern, values = np.nonzero(np.arange(1 << n_vertices - tail) & forbidden[:, None] == 0)
-    return tail, values, np.searchsorted(pattern, np.arange(len(spins) + 1))
+    keys, counts = key(values), np.ones(len(values), dtype=np.int64)
+    if 1 << n_vertices > _BLOCK_ROWS:  # else one block lists them all: grouping saves nothing
+        order = np.lexsort((keys, pattern))  # each pattern has a key: all its tail free
+        first, counts = _runs(pattern[order], keys[order])
+        pattern, keys = pattern[order[first]], keys[order[first]]
+    return tail, keys, counts, np.searchsorted(pattern, np.arange(len(spins) + 1))
 
 
-def _mask_blocks(n_vertices: int, parent: Sequence[int]):
+def _key_blocks(n_vertices: int, parent: Sequence[int], key):
     """Yield the admissible configurations of vertices 0..n_vertices-1 as
-    ascending int64 bit masks, vertex v at bit n_vertices-1-v, in blocks of at
-    most _BLOCK_ROWS rows.
+    blocks (keys, counts) of at most _BLOCK_ROWS rows, counts[i] of them with
+    the key keys[i]. key maps int64 bit masks, vertex v at bit n_vertices-1-v,
+    to int64 keys, and key(a | b) == key(a) + key(b) wherever a & b == 0.
 
-    Admissible means no occupied vertex has an occupied parent. The masks
-    grow one vertex at a time, each checked against its parent: m|bit goes
-    right after m wherever the parent is free, so ascending masks are the
-    lexicographic (depth-first) order. A block that grows past the row bound
-    is split in order and its pieces are finished one after another. From
-    the tail of _extension_table on, each m is followed at once by m | ext
-    for every ext its table lists, for as many m as fit in a block.
+    Admissible means no occupied vertex has an occupied parent. Prefixes, the
+    masks of the vertices before the tail of _extension_table, grow one vertex
+    at a time, ascending, and each prefix m gives a row key(m) + keys[i] per
+    row i of its pattern's table: with key the mask, the ascending masks.
     """
     rows = _BLOCK_ROWS
-    tail, values, offsets = _extension_table(n_vertices, parent)
+    tail, keys, counts, offsets = _extension_table(n_vertices, parent, key)
     shift, spins = n_vertices - 1 - parent[n_vertices - 1], len(offsets) - 2
-    pending = [(0, np.zeros(1, dtype=np.int64))]  # (next vertex, masks so far)
+    pending = [(1, np.array([0, 1 << n_vertices - 1], dtype=np.int64))]  # (next vertex, masks)
     while pending:
         first, masks = pending.pop()
         for v in range(first, tail):
@@ -210,27 +213,23 @@ def _mask_blocks(n_vertices: int, parent: Sequence[int]):
             pairs = np.empty((len(masks), 2), dtype=np.int64)
             pairs[:, 0] = masks
             np.bitwise_or(masks, 1 << (n_vertices - 1 - v), out=pairs[:, 1])
-            p = parent[v]
-            if p < 0:
-                masks = pairs.ravel()
-            else:
-                keep = np.ones((len(masks), 2), dtype=bool)
-                np.equal(masks & 1 << (n_vertices - 1 - p), 0, out=keep[:, 1])
-                masks = pairs[keep]
+            keep = np.ones((len(masks), 2), dtype=bool)
+            np.equal(masks & 1 << (n_vertices - 1 - parent[v]), 0, out=keep[:, 1])
+            masks = pairs[keep]
             if len(masks) > rows:
                 pending.extend((v + 1, masks[i:i + rows].copy())
                                for i in reversed(range(rows, len(masks), rows)))
                 masks = masks[:rows]
         pattern = masks >> shift & spins
-        starts, ends = offsets[pattern], offsets[pattern + 1]
+        starts, ends, prefix_keys = offsets[pattern], offsets[pattern + 1], key(masks)
         done = np.concatenate(([0], np.cumsum(ends - starts)))  # rows before each prefix
         lo = 0
         while lo < len(masks):
             hi = int(np.searchsorted(done, done[lo] + rows, "right")) - 1
             sizes = ends[lo:hi] - starts[lo:hi]
-            # values[starts[i]:ends[i]] for each prefix i in turn
+            # keys[starts[i]:ends[i]] for each prefix i in turn
             at = np.repeat(starts[lo:hi] - done[lo:hi], sizes) + np.arange(done[lo], done[hi])
-            yield np.repeat(masks[lo:hi], sizes) | values[at]
+            yield np.repeat(prefix_keys[lo:hi], sizes) + keys[at], counts[at]
             lo = hi
 
 
@@ -238,12 +237,12 @@ def enumerate_admissible(ball: FiniteBall):
     """Yield every admissible configuration of the ball in vertex order."""
     _require_enumerable(ball)
     shifts = np.arange(ball.n_vertices - 1, -1, -1)
-    for masks in _mask_blocks(ball.n_vertices, ball.parent):
+    for masks, _ in _key_blocks(ball.n_vertices, ball.parent, lambda masks: masks):
         yield from map(tuple, ((masks[:, None] >> shifts) & 1).tolist())
 
 
-def _count_enumeration(ball: FiniteBall) -> int:
-    return sum(len(masks) for masks in _mask_blocks(ball.n_vertices, ball.parent))
+def _count_enumeration(ball: FiniteBall) -> int:  # keyed by 0, the counts sum to the total
+    return sum(int(c.sum()) for _, c in _key_blocks(ball.n_vertices, ball.parent, np.zeros_like))
 
 
 def _count_recursion(ball: FiniteBall) -> int:
@@ -254,7 +253,7 @@ def _count_recursion(ball: FiniteBall) -> int:
 def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     """Number of admissible configurations, exactly.
 
-    method: "enumeration" (every configuration listed, capped at 40
+    method: "enumeration" (every configuration counted, capped at 40
     vertices and 2**24 configurations), "recursion" (per-subtree
     free/occupied counts, any size), or "auto" which runs the recursion and,
     within the enumeration's caps, cross-checks it against the enumeration.
@@ -265,12 +264,12 @@ def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown counting method {method!r}")
     total = _count_recursion(ball)
-    if method == "auto" and _enumeration_refusal(ball) is None:
-        check = _count_enumeration(ball)
-        if check != total:
+    # the caps of _enumeration_refusal, with the count already at hand
+    if method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP \
+            and total <= _ENUMERATION_CONFIGURATION_CAP:
+        if (check := _count_enumeration(ball)) != total:
             raise InternalCheckError(
-                f"admissible-count mismatch: enumeration {check}, recursion {total}"
-            )
+                f"admissible-count mismatch: enumeration {check}, recursion {total}")
     return total
 
 
@@ -314,10 +313,12 @@ def _grouped_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[i
     """{label: weight sum of the configurations with mask >> shift == label}.
 
     Configurations are counted exactly per key: label, occupied vertices and
-    occupied leaves of each distinct boundary weight. Each key's weight is
-    formed once in the inputs' own arithmetic, and each label adds count *
-    weight in ascending key order, so no sum depends on the block size. Labels
-    come ascending, each finished once the enumeration has passed it.
+    occupied leaves of each distinct boundary weight. The last tree level is
+    not listed: _key_blocks sums it per pattern of its parents' spins from a
+    table of its extensions' keys and counts. Each key's weight is formed once
+    in the inputs' own arithmetic, and each label adds count * weight in
+    ascending key order, so no sum depends on the block size. Labels come
+    ascending, each finished once the enumeration has passed it.
     """
     # (type, weight) -> bits of its leaves; the type keeps an int apart from an equal Fraction
     classes: dict[tuple[type, Any], int] = {}
@@ -345,21 +346,23 @@ def _grouped_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[i
             np.multiply(w, z_powers[j], out=w, where=j > 0)
         # a row per label, for the labels of one key count at a time; np.cumsum adds in order
         terms = counts * w
-        first = np.flatnonzero(np.diff(keys >> low, prepend=-1))
-        size = np.diff(first, append=len(keys))
+        first, size = _runs(keys >> low)
         label_sums = np.empty(len(first), dtype=w.dtype)
         for width in np.unique(size).tolist():
             rows = np.flatnonzero(size == width)
             label_sums[rows] = terms[first[rows, None] + np.arange(width)].cumsum(axis=1)[:, -1]
         sums.update(zip((keys[first] >> low).tolist(), label_sums.tolist()))
 
-    parts = []  # (unique keys, counts) of the labels not yet finished
-    for masks in _mask_blocks(n_vertices, parent):
-        block = masks >> shift
+    def key(masks):  # adds over disjoint bits: no field overflows into the next
+        keys = masks >> shift
         for width, bits in zip(widths, (-1, *classes.values())):  # -1: every vertex
-            block = block << width | np.bitwise_count(masks & bits)
-        parts.append(np.unique(block, return_counts=True))
-        passed = (masks[-1] >> shift) << low  # keys below it have all been seen
+            keys = keys << width | np.bitwise_count(masks & bits)
+        return keys
+
+    parts = []  # (keys, counts) of the labels not yet finished
+    for block in _key_blocks(n_vertices, parent, key):
+        parts.append(block)  # its first row has its smallest label, and its last its largest
+        passed = block[0][-1] >> low << low  # keys below it have all been seen
         if parts[0][0][0] < passed:
             keys, counts = _merge_counts(parts)
             done = int(np.searchsorted(keys, passed))
@@ -373,30 +376,29 @@ def _grouped_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[i
 
 
 def _merge_counts(parts):
-    """(unique keys ascending, counts) summed over several such pairs."""
+    """(unique keys ascending, counts) summed over several (keys, counts) pairs."""
     keys, counts = map(np.concatenate, zip(*parts))
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    first, _ = _runs(keys := keys[order])
     return keys[first], np.add.reduceat(counts[order], first)
+
+
+def _runs(*columns):
+    """(first row, length) of each run of equal rows, the rows sorted by the columns."""
+    ends = np.ones(len(columns[0]) + 1, dtype=bool)  # a run ends before each True
+    ends[1:-1] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+    bounds = np.flatnonzero(ends)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def _partition_recursion(ball: FiniteBall, lam, leaves: Mapping[int, Any]):
     """Per subtree: (value given vertex free, value given vertex occupied)."""
-    free = [0] * ball.n_vertices
-    occ = [0] * ball.n_vertices
+    free, occ = [0] * ball.n_vertices, [0] * ball.n_vertices
     for v in range(ball.n_vertices - 1, -1, -1):
-        if not ball.children[v]:
-            free[v] = 1
-            occ[v] = lam * leaves[v]
-        else:
-            f = 1
-            o = lam
-            for c in ball.children[v]:
-                f = f * (free[c] + occ[c])
-                o = o * free[c]
-            free[v] = f
-            occ[v] = o
+        f, o = 1, (lam if ball.children[v] else lam * leaves[v])
+        for c in ball.children[v]:
+            f, o = f * (free[c] + occ[c]), o * free[c]
+        free[v], occ[v] = f, o
     return free[0], occ[0]
 
 
@@ -419,15 +421,13 @@ def partition_function(ball: FiniteBall, lam, boundary_z, method: str = "auto"):
         return _grouped_sums(ball.n_vertices, ball.parent, lam, leaves, ball.n_vertices)[0]
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown partition method {method!r}")
-    f, o = _partition_recursion(ball, lam, leaves)
-    total = f + o
+    total = sum(_partition_recursion(ball, lam, leaves))
     if method == "auto" and _enumeration_refusal(ball) is None:
         check = _grouped_sums(ball.n_vertices, ball.parent, lam, leaves, ball.n_vertices)[0]
         denom = max(abs(total), abs(check))
         if denom > 0 and abs(total - check) > 1e-12 * denom:
             raise InternalCheckError(
-                f"partition-function mismatch: enumeration {check}, recursion {total}"
-            )
+                f"partition-function mismatch: enumeration {check}, recursion {total}")
     return total
 
 

@@ -311,7 +311,7 @@ class TestOracleCommand:
         def refuse(*args):
             raise AssertionError("enumerated")
 
-        monkeypatch.setattr(oracle, "_mask_blocks", refuse)
+        monkeypatch.setattr(oracle, "_key_blocks", refuse)
         code, out, err = run(capsys, "oracle", "-k", "3", "-l", "1", "-n", "3")
         assert (code, out) == (1, "")
         assert err == ("error: enumeration supports at most 16777216 configurations, "

@@ -199,7 +199,7 @@ class TestAdmissibleCounts:
         def refuse(*args):
             raise AssertionError("enumerated")
 
-        monkeypatch.setattr(oracle, "_mask_blocks", refuse)
+        monkeypatch.setattr(oracle, "_key_blocks", refuse)
         with pytest.raises(SizeCapError, match="^enumeration supports at most 16777216 "
                                                "configurations, got 2298661010$"):
             call(FiniteBall(3, 3))
@@ -577,20 +577,35 @@ class TestEnumerationBlocks:
 
     @pytest.mark.parametrize("rows", [3, 64, oracle._BLOCK_ROWS])
     @pytest.mark.parametrize("ball", _enumeration_cases(), ids=repr)
+    def test_counting_equals_the_listing(self, ball, rows, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
+        assert count_admissible(ball, "enumeration") == len(list(enumerate_admissible(ball)))
+
+    @pytest.mark.parametrize("rows", [3, 64, oracle._BLOCK_ROWS])
+    @pytest.mark.parametrize("ball", _enumeration_cases(), ids=repr)
     def test_blocks_are_bounded_and_ascending(self, ball, rows, monkeypatch):
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", rows)
         n = ball.n_vertices
-        blocks = list(oracle._mask_blocks(n, ball.parent))
-        assert all(1 <= len(masks) <= rows for masks in blocks)
-        masks = np.concatenate(blocks)
-        assert np.all(np.diff(masks) > 0)
-        assert len(masks) == count_admissible(ball, "recursion")
-        # the extension table adds vertices whose parents come before them,
-        # and it has at most _BLOCK_ROWS // 2 cells, patterns times values
-        tail, values, offsets = oracle._extension_table(n, ball.parent)
+        # the extension table adds vertices whose parents come before them;
+        # it has at most _BLOCK_ROWS // 2 cells, patterns times values, and
+        # its keys fit in them. Keyed by the masks, each value is its own
+        # key, ascending per pattern
+        tail, keys, counts, offsets = oracle._extension_table(n, ball.parent, lambda m: m)
         assert all(ball.parent[v] < tail for v in range(tail, n))
-        assert (len(offsets) - 1) << (n - tail) <= max(1, rows // 2)
-        assert len(values) == offsets[-1]
+        assert len(keys) <= (len(offsets) - 1) << (n - tail) <= max(1, rows // 2)
+        assert len(keys) == len(counts) == offsets[-1] and np.all(counts == 1)
+        assert all(np.all(np.diff(keys[a:b]) > 0) for a, b in zip(offsets, offsets[1:]))
+        assert all(len(masks) <= rows for masks, _ in oracle._key_blocks(n, ball.parent,
+                                                                          lambda m: m))
+        # keyed by its prefix alone, a prefix's rows come together, and where
+        # the table is grouped (over 2**n > _BLOCK_ROWS raw states) they are
+        # one row counting its extensions
+        blocks = list(oracle._key_blocks(n, ball.parent, lambda m: m >> n - tail << n - tail))
+        assert all(1 <= len(keys) == len(counts) <= rows for keys, counts in blocks)
+        prefixes, counts = map(np.concatenate, zip(*blocks))
+        assert np.all(np.diff(prefixes) > (0 if 1 << n > rows else -1))
+        assert np.all(counts >= 1)
+        assert counts.sum() == count_admissible(ball, "recursion")
 
     def test_distinct_weights_memory_is_bounded(self):
         # every leaf its own weight class, so nearly every configuration is
