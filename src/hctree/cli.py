@@ -27,7 +27,7 @@ from .core import (
     ModelParams,
     SizeCapError,
 )
-from .extremality import classify, g_function, h_function, report_for_law
+from .extremality import _certificates, classify, g_function, h_function
 from .solvers import (
     _solve_two_periodic_grid,
     asymptotic_bound,
@@ -43,7 +43,7 @@ __all__ = ["main"]
 PASS_THRESHOLD = 1e-8
 
 QUANTITIES = ("solutions", "D", "h", "g", "s2", "ks", "msw", "verdict", "weakperiodic_count")
-# read off solve_two_periodic's report, so the sweep solves the grid in one batch
+# from the fixed point and pair that _solve_two_periodic_grid solves in one batch
 SOLVED_QUANTITIES = ("solutions", "s2", "ks", "msw", "verdict")
 
 
@@ -332,8 +332,6 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
 def _sweep_value(args, lam: float):
     """A quantity outside SOLVED_QUANTITIES at one activity."""
     quantity = args.quantity
-    if quantity in ("D", "h", "g") and args.k != 3:
-        raise DomainError(f"quantity {quantity} is defined for k=3 only")
     if quantity == "D":
         return discriminant_k3(lam)
     if quantity == "h":
@@ -346,19 +344,18 @@ def _sweep_value(args, lam: float):
     return solve_weak_periodic(wp, args.invariant_set, args.tol).count
 
 
-def _solved_value(quantity: str, report):
-    """A quantity in SOLVED_QUANTITIES from the solve at one activity."""
+# each quantity's place in _certificates' tuple (ExtremalityReport's fields after law)
+_CERT_INDEX = {"s2": 1, "ks": 4, "msw": 5, "verdict": 10}
+
+
+def _solved_value(quantity: str, k: int, lam: float, z_fix: float, pair):
+    """A quantity in SOLVED_QUANTITIES from the fixed point and the pair (or
+    None) at one activity, by classify's arithmetic."""
     if quantity == "solutions":
-        return report.system_solution_count
-    # solutions come in order: the pair, where it exists, is last
-    rep = report_for_law(report.params, report.solutions[-1])
-    if quantity == "s2":
-        return rep.s2
-    if quantity == "ks":
-        return rep.ks_value
-    if quantity == "msw":
-        return rep.msw_value
-    return rep.verdict.value
+        return 1 if pair is None else 3
+    # the pair, where it exists, is the last law classify reports
+    value = _certificates(k, lam, pair or (z_fix,))[_CERT_INDEX[quantity]]
+    return value.value if quantity == "verdict" else value
 
 
 def _cmd_sweep(args):
@@ -368,9 +365,12 @@ def _cmd_sweep(args):
     if args.quantity is None:
         raise DomainError("missing required flag --quantity")
     grid = _grid(lmin, lmax, args.points, args.scale)
+    if args.quantity in ("D", "h", "g") and args.k != 3:
+        raise DomainError(f"quantity {args.quantity} is defined for k=3 only")
     if args.quantity in SOLVED_QUANTITIES:
-        values = [_solved_value(args.quantity, report)
-                  for report in _solve_two_periodic_grid(args.k, grid, args.tol)]
+        solved = _solve_two_periodic_grid(args.k, grid, args.tol)
+        values = [_solved_value(args.quantity, args.k, lam, z_fix, pair)
+                  for lam, (z_fix, pair) in zip(grid, solved)]
     else:
         values = [_sweep_value(args, lam) for lam in grid]
     doc = {

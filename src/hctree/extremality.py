@@ -22,7 +22,6 @@ from .core import (
     LawKind,
     ModelParams,
     recursion_map,
-    two_periodic_law,
 )
 from .solvers import solve_two_periodic, solve_two_periodic_k3_closed
 
@@ -42,8 +41,9 @@ class Verdict(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
-def _chain_values(params: ModelParams, law: BoundaryLaw) -> tuple[int, float, float, float]:
-    """(k_eff, s2, Martinelli value, Mossel value) of the chain a law induces.
+def _chain_values(k: int, lam: float, values) -> tuple[int, float, float, float]:
+    """(k_eff, s2, Martinelli value, Mossel value) of the chain that the
+    invariant law (one value) or the ascending pair (two values) induces.
 
     With w = lam*z a free parent has an occupied child with probability
     a = w/(1+w), an empty one with abar = 1/(1+w); an occupied parent has an
@@ -55,12 +55,12 @@ def _chain_values(params: ModelParams, law: BoundaryLaw) -> tuple[int, float, fl
     out so that no difference is ever formed. Either value at most 1 means
     reconstruction is impossible on the k_eff-ary tree.
     """
-    u = params.lam * law.values[0]
+    u = lam * values[0]
     a, a_bar = u / (1.0 + u), 1.0 / (1.0 + u)
-    if law.kind is LawKind.TRANSLATION_INVARIANT:
-        return params.k, a, params.k * a, params.k * a
-    v = params.lam * law.values[1]
-    b, b_bar, k_eff = v / (1.0 + v), 1.0 / (1.0 + v), params.k * params.k
+    if len(values) == 1:
+        return k, a, k * a, k * a
+    v = lam * values[1]
+    b, b_bar, k_eff = v / (1.0 + v), 1.0 / (1.0 + v), k * k
     s2, p00 = a * b, a + a_bar * b_bar
     if s2 == 0.0:  # b is 0 where lam*z2 underflows; every value tends to 0
         return k_eff, 0.0, 0.0, 0.0
@@ -70,8 +70,8 @@ def _chain_values(params: ModelParams, law: BoundaryLaw) -> tuple[int, float, fl
 
 def _k3_pair_s2(lam: float) -> float:
     """s2 of the k=3 pair's two-step chain; DomainError below 27/16."""
-    law = two_periodic_law(*solve_two_periodic_k3_closed(lam))
-    return _chain_values(ModelParams(3, lam), law)[1]
+    z1, z2 = solve_two_periodic_k3_closed(lam)
+    return _chain_values(3, lam, (z1, z2) if z1 <= z2 else (z2, z1))[1]
 
 
 def h_function(lam: float) -> float:
@@ -131,20 +131,25 @@ def _verdict(ks_value, msw_value, mart_ok, mossel_ok) -> Verdict:
     return Verdict.UNDETERMINED
 
 
+def _certificates(k: int, lam: float, values) -> tuple:
+    """ExtremalityReport's fields after the law, in order, from (k, lam) and
+    the values of a solved law; report_for_law and the sweep both read them
+    here."""
+    k_eff, s2, mart, mossel = _chain_values(k, lam, values)
+    gam = lam / (lam + 1.0)
+    ks, msw = k_eff * s2 * s2, k_eff * s2 * gam
+    mart_ok, mossel_ok = mart <= 1.0, mossel <= 1.0
+    return (k_eff, s2, s2, gam, ks, msw, mart, mart_ok, mossel, mossel_ok,
+            _verdict(ks, msw, mart_ok, mossel_ok))
+
+
 def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
     """The full diagnostic record for an invariant or alternating law that solves the
     recursion; a non-solution gets DomainError where its certificates contradict."""
     if law.kind is LawKind.WEAK_PERIODIC:
         raise DomainError("weak-periodic laws have no single chain matrix here")
-    k_eff, s2, mart_value, mossel_value = _chain_values(params, law)
-    if math.isnan(s2):  # lam*z overflowed, which no solution's z < 1 can do
-        raise DomainError(f"{law.kind.value} law {law.values} does not solve the recursion")
-    gam = params.lam / (params.lam + 1.0)
-    ks_value = k_eff * s2 * s2
-    msw_value = k_eff * s2 * gam
-    mart_ok, mossel_ok = mart_value <= 1.0, mossel_value <= 1.0
     try:
-        verdict = _verdict(ks_value, msw_value, mart_ok, mossel_ok)
+        certs = _certificates(params.k, params.lam, law.values)
     except InternalCheckError:
         # checked only here: each value must be the recursion's image of the
         # other (of itself for the invariant law)
@@ -152,20 +157,11 @@ def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
                    for z, w in zip(law.values, law.values[::-1])):
             raise DomainError(f"{law.kind.value} law {law.values} does not solve the recursion")
         raise
-    return ExtremalityReport(
-        law=law,
-        k_eff=k_eff,
-        s2=s2,
-        kappa=s2,
-        gamma=gam,
-        ks_value=ks_value,
-        msw_value=msw_value,
-        martinelli_value=mart_value,
-        martinelli_no_reconstruction=mart_ok,
-        mossel_value=mossel_value,
-        mossel_no_reconstruction=mossel_ok,
-        verdict=verdict,
-    )
+    # s2 is NaN where lam*z overflowed, which no solution's z < 1 can do; NaN
+    # fires no certificate, so _verdict passed it
+    if math.isnan(certs[1]):
+        raise DomainError(f"{law.kind.value} law {law.values} does not solve the recursion")
+    return ExtremalityReport(law, *certs)
 
 
 def classify(params: ModelParams, tol: float = 1e-12) -> tuple[ExtremalityReport, ...]:

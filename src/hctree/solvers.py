@@ -58,9 +58,14 @@ def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL, 
     f(z) - z changes sign exactly once on (0, 1). `start` is a bracket
     (lo, hi, steps) that this bisection reaches after `steps` steps.
     """
+    return _fixed_point(params.k, params.lam, tol, start)
+
+
+def _fixed_point(k: int, lam: float, tol: float,
+                 start: tuple[float, float, int] | None = None) -> float:
+    """solve_translation_invariant on floats."""
     if not tol > 0:
         raise DomainError("tol must be positive")
-    lam, k = params.lam, params.k
     # sign(f - id) is + at lo, - at hi; endpoints never evaluated
     lo, hi, used = start or (0.0, 1.0, 0)
     for _ in range(_BISECT_MAX_ITER - used):
@@ -77,7 +82,8 @@ def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL, 
         else:
             hi = mid
     z = 0.5 * (lo + hi)
-    residual = abs(recursion_map(params, z) - z)
+    # recursion_map's check: z is 0 where the fixed point is below every float
+    residual = abs((1.0 + lam * _check_positive("z", z)) ** (-k) - z)
     if residual > tol:
         raise ConvergenceError(
             "translation-invariant bisection stalled",
@@ -155,10 +161,11 @@ def _check_pair_found(z1: float, lam: float, **diagnostics) -> None:
                                lam=lam, **diagnostics)
 
 
-def _pair_residual(params: ModelParams, z1: float, z2: float) -> float:
+def _pair_residual(k: int, lam: float, z1: float, z2: float) -> float:
+    # recursion_map inlined: both values are positive floats
     return max(
-        abs(z1 - recursion_map(params, z2)),
-        abs(z2 - recursion_map(params, z1)),
+        abs(z1 - (1.0 + lam * z2) ** (-k)),
+        abs(z2 - (1.0 + lam * z1) ** (-k)),
     )
 
 
@@ -173,8 +180,13 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
                         start: tuple[float, float, int] | None = None) -> tuple[float, float]:
     """Two-cycle of the recursion via bisection of f(f(z)) - z left of the
     fixed point; `start` as in solve_translation_invariant."""
+    return _pair_generic(params.k, params.lam, z_fix, tol, start)
+
+
+def _pair_generic(k: int, lam: float, z_fix: float, tol: float,
+                  start: tuple[float, float, int] | None = None) -> tuple[float, float]:
+    """_solve_pair_generic on floats; its stall check is the pair's residual gate."""
     lo, hi = 0.0, _pair_bracket_hi(z_fix)
-    lam, k = params.lam, params.k
 
     def h(z: float) -> float:
         # recursion_map inlined: z is a positive float; the inner value is
@@ -182,7 +194,7 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
         # DomainError
         w = (1.0 + lam * z) ** (-k)
         if not w > 0.0:
-            return recursion_map(params, w) - z
+            _check_positive("z", w)
         return (1.0 + lam * w) ** (-k) - z
 
     h_hi = h(hi)
@@ -191,7 +203,7 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
             "no sign change for the two-cycle bracket; pair not found",
             bracket=(lo, hi),
             h_hi=h_hi,
-            lam=params.lam,
+            lam=lam,
         )
     # h > 0 near zero (f(f(0+)) is bounded away from 0), h < 0 at hi
     lo, hi, used = start or (lo, hi, 0)
@@ -205,16 +217,35 @@ def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
             hi = mid
     z1 = 0.5 * (lo + hi)
     # z1 is 0 where f(f(z)) underflows to 0 below every float z: h(z) = -z < 0
-    _check_pair_found(z1, params.lam, bracket=(lo, hi))
-    z2 = recursion_map(params, z1)
-    if _pair_residual(params, z1, z2) > tol:
+    _check_pair_found(z1, lam, bracket=(lo, hi))
+    z2 = (1.0 + lam * z1) ** (-k)
+    residual = _pair_residual(k, lam, z1, z2)
+    if residual > tol:
         raise ConvergenceError(
             "two-cycle bisection stalled",
             pair=(z1, z2),
-            residual=_pair_residual(params, z1, z2),
+            residual=residual,
             tol=tol,
         )
     return z1, z2
+
+
+def _closed_pair(k: int, lam: float, tol: float) -> tuple[float, float, float]:
+    """The k=2 or k=3 closed-form pair and its residual, gated at max(tol, 1e-9)."""
+    z1, z2 = (solve_two_periodic_k2_closed if k == 2 else solve_two_periodic_k3_closed)(lam)
+    residual = _pair_residual(k, lam, z1, z2)
+    if residual > max(tol, 1e-9):
+        raise ConvergenceError(
+            "alternating pair residual above tolerance",
+            pair=(z1, z2),
+            residual=residual,
+        )
+    return z1, z2, residual
+
+
+def _degenerate(lam: float, lam_cr: float) -> bool:
+    """On the critical activity to 1e-12 relative: the pair collapses there."""
+    return abs(lam - lam_cr) <= 1e-12 * max(1.0, lam_cr)
 
 
 def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveReport:
@@ -223,25 +254,17 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
     Below the critical activity only the fixed point exists; above it the
     report carries the fixed point plus the canonical pair, and the ordered
     solution count is 3. k=2 and k=3 use their closed forms, other k a
-    bisection of f(f(z)) - z on (0, z_fix).
+    bisection of f(f(z)) - z on (0, z_fix). The values come from the float
+    helpers that _solve_two_periodic_grid calls, and only here become records.
     """
-    lam_cr = critical_lambda(params.k)
-    return _two_periodic_report(params, lam_cr, solve_translation_invariant(params, tol), tol)
-
-
-def _degenerate(lam: float, lam_cr: float) -> bool:
-    """On the critical activity to 1e-12 relative: the pair collapses there."""
-    return abs(lam - lam_cr) <= 1e-12 * max(1.0, lam_cr)
-
-
-def _two_periodic_report(params: ModelParams, lam_cr: float, z_fix: float, tol: float,
-                         pair_start: tuple[float, float, int] | None = None) -> SolveReport:
-    """solve_two_periodic's report from the fixed point z_fix."""
+    k, lam = params.k, params.lam
+    lam_cr = critical_lambda(k)
+    z_fix = solve_translation_invariant(params, tol)
     ti = translation_invariant_law(z_fix)
     ti_res = abs(recursion_map(params, z_fix) - z_fix)
-    degenerate = _degenerate(params.lam, lam_cr)
+    degenerate = _degenerate(lam, lam_cr)
 
-    if degenerate or params.lam < lam_cr:
+    if degenerate or lam < lam_cr:
         return SolveReport(
             params=params,
             lambda_critical=lam_cr,
@@ -251,19 +274,13 @@ def _two_periodic_report(params: ModelParams, lam_cr: float, z_fix: float, tol: 
             degenerate_double_root=degenerate,
         )
 
-    if params.k == 2:
-        z1, z2 = solve_two_periodic_k2_closed(params.lam)
-    elif params.k == 3:
-        z1, z2 = solve_two_periodic_k3_closed(params.lam)
+    # the residual is gated inside: at tol by the bisection, at max(tol, 1e-9)
+    # for the closed forms
+    if k >= 4:
+        z1, z2 = _solve_pair_generic(params, z_fix, tol)
+        pair_res = _pair_residual(k, lam, z1, z2)
     else:
-        z1, z2 = _solve_pair_generic(params, z_fix, tol, start=pair_start)
-    pair_res = _pair_residual(params, z1, z2)
-    if pair_res > max(tol, 1e-9):
-        raise ConvergenceError(
-            "alternating pair residual above tolerance",
-            pair=(z1, z2),
-            residual=pair_res,
-        )
+        z1, z2, pair_res = _closed_pair(k, lam, tol)
     return SolveReport(
         params=params,
         lambda_critical=lam_cr,
@@ -315,41 +332,52 @@ def _narrow(k: int, lams: list[float], his: list[float],
 
 
 def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
-    """Yields solve_two_periodic(ModelParams(k, lam), tol) for each lam in
-    turn, bit for bit, and raises what it raises at the first lam it raises
-    at; the bisections start from brackets narrowed for all lams at once.
+    """Yields (z_fix, pair) for each lam in turn: the fixed point and the
+    ascending pair (None at and below the critical activity) that
+    solve_two_periodic(ModelParams(k, lam), tol) reports, bit for bit, and
+    raises what it raises at the first lam it raises at. No record is built:
+    the values come from the same float helpers and gates, and each
+    residual is computed once.
 
-    The fixed points are all solved before the first report, so their errors
-    wait for their turn; the pair brackets (k >= 4) need every fixed point.
+    The bisections start from brackets narrowed for all lams at once. The
+    fixed points are all solved before the first yield, so their errors wait
+    for their turn; the pair brackets (k >= 4) need every fixed point.
     """
     lams = list(lams)
-    params = []
+    if not lams:
+        return
+    lam_cr = critical_lambda(k)
+    valid, bad = [], None
     for lam in lams:
         try:
-            params.append(ModelParams(k, lam))
-        except DomainError:
-            break  # raised below, in its turn
-    if params:
-        lam_cr = critical_lambda(k)
-        fixed = []
-        for p, start in zip(params, _narrow(k, [p.lam for p in params], [1.0] * len(params),
-                                            pair=False)):
-            try:
-                fixed.append(solve_translation_invariant(p, tol, start=start))
-            except (ConvergenceError, DomainError) as exc:
-                fixed.append(exc)
-        pairs = {}
+            valid.append(_check_positive("lam", lam))
+        except DomainError as exc:
+            bad = exc  # raised below, in its turn
+            break
+    fixed = []
+    for lam, start in zip(valid, _narrow(k, valid, [1.0] * len(valid), pair=False)):
+        try:
+            fixed.append(_fixed_point(k, lam, tol, start))
+        except (ConvergenceError, DomainError) as exc:
+            fixed.append(exc)
+    paired = [isinstance(z, float) and lam >= lam_cr and not _degenerate(lam, lam_cr)
+              for lam, z in zip(valid, fixed)]
+    starts = iter(_narrow(k, [lam for lam, p in zip(valid, paired) if p],
+                          [_pair_bracket_hi(z) for z, p in zip(fixed, paired) if p],
+                          pair=True) if k >= 4 else ())
+    for lam, z, p in zip(valid, fixed, paired):
+        if not isinstance(z, float):
+            raise z
+        if not p:
+            yield z, None
+            continue
         if k >= 4:
-            todo = [i for i, (p, z) in enumerate(zip(params, fixed))
-                    if isinstance(z, float) and p.lam >= lam_cr and not _degenerate(p.lam, lam_cr)]
-            pairs = dict(zip(todo, _narrow(k, [params[i].lam for i in todo],
-                                           [_pair_bracket_hi(fixed[i]) for i in todo], pair=True)))
-        for i, (p, z) in enumerate(zip(params, fixed)):
-            if not isinstance(z, float):
-                raise z
-            yield _two_periodic_report(p, lam_cr, z, tol, pairs.get(i))
-    for lam in lams[len(params):]:
-        yield solve_two_periodic(ModelParams(k, lam), tol)
+            z1, z2 = _pair_generic(k, lam, z, tol, next(starts))
+        else:
+            z1, z2, _ = _closed_pair(k, lam, tol)
+        yield z, ((z1, z2) if z1 <= z2 else (z2, z1))
+    if bad is not None:
+        raise bad
 
 
 def _t_root(k: int) -> float:
@@ -376,9 +404,7 @@ def _t_root(k: int) -> float:
 def lambda_star(k: int) -> float:
     """Threshold below which the translation-invariant measure is provably
     extremal: (1/t**k)*(1/t - 1) at the polynomial root t above."""
-    _check_int("k", k, 2)
-    t = _t_root(k)
-    return (1.0 - t) / t ** (k + 1)
+    return critical_values(k).lambda_star
 
 
 def nonextremal_bound(k: int) -> float:

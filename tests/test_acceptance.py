@@ -244,7 +244,7 @@ def test_criterion_10_randomized_cross_validation():
             assert abs(m.p00 + m.p01 - 1.0) <= 1e-12
             assert abs(m.p10 + m.p11 - 1.0) <= 1e-12
             # the pair's values as report_for_law computes them
-            k_eff, s2, mart, _ = _chain_values(p, law)
+            k_eff, s2, mart, _ = _chain_values(p.k, p.lam, law.values)
             det = m.p00 * m.p11 - m.p01 * m.p10
             kappa = 0.5 * (abs(m.p00 - m.p10) + abs(m.p01 - m.p11))
             assert abs(s2 - det) <= 1e-13

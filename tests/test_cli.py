@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, config files."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from hctree import cli, oracle
 from hctree.cli import main
 from hctree.core import ModelParams
-from hctree.extremality import classify
+from hctree.extremality import classify, g_function, h_function
+from hctree.solvers import critical_values, solve_two_periodic
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schemas" / "cli_output.schema.json").read_text()
@@ -213,6 +215,45 @@ class TestSweepCommand:
             report = classify(ModelParams(k, row["lambda"]))[-1]
             want = report.verdict.value if quantity == "verdict" else report.msw_value
             assert row["value"] == want, row["lambda"]
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_solved_rows_equal_classify_bit_for_bit(self, capsys, k):
+        # a log grid across the critical activity, and each threshold between
+        # its float neighbours, where a verdict turns on the last bit
+        cv = critical_values(k)
+        thresholds = (cv.lambda_cr, cv.lambda_star, cv.lambda_nonextremal)
+        grids = [("-lmin", "0.05", "-lmax", "1e4", "-n", "60", "--scale", "log")]
+        grids += [("-lmin", repr(math.nextafter(lam, 0.0)),
+                   "-lmax", repr(math.nextafter(lam, math.inf)), "-n", "3")
+                  for lam in thresholds]
+        for quantity in cli.SOLVED_QUANTITIES:
+            lams = []
+            for grid in grids:
+                doc = run_json(capsys, "sweep", "-k", str(k), "--quantity", quantity, *grid,
+                               "--json")
+                for row in doc["rows"]:
+                    lam, params = row["lambda"], ModelParams(k, row["lambda"])
+                    if quantity == "solutions":
+                        want = solve_two_periodic(params).system_solution_count
+                    else:
+                        report = classify(params)[-1]
+                        want = {"s2": report.s2, "ks": report.ks_value,
+                                "msw": report.msw_value,
+                                "verdict": report.verdict.value}[quantity]
+                    assert row["value"] == want, (quantity, lam)
+                    lams.append(lam)
+            assert set(thresholds) <= set(lams)
+
+    def test_h_and_g_rows_equal_their_functions(self, capsys):
+        grids = [("-lmin", repr(27.0 / 16.0), "-lmax", "1e3", "-n", "60", "--scale", "log"),
+                 ("-lmin", repr(27.0 / 16.0), "-lmax", repr(math.nextafter(1.6875, 2.0)),
+                  "-n", "2")]
+        for quantity, function in (("h", h_function), ("g", g_function)):
+            for grid in grids:
+                doc = run_json(capsys, "sweep", "-k", "3", "--quantity", quantity, *grid,
+                               "--json")
+                for row in doc["rows"]:
+                    assert row["value"] == function(row["lambda"]), (quantity, row["lambda"])
 
     def test_weakperiodic_count_sweep(self, capsys):
         code, out, _ = run(

@@ -496,9 +496,30 @@ def _enumeration_cases():
 
 
 def _brute_force(n_vertices, parent):
-    """Admissible 0/1 tuples of vertices 0..n_vertices-1, lexicographic."""
+    """Admissible 0/1 tuples of vertices 0..n_vertices-1, lexicographic.
+
+    Every parent comes before its child, so the tuples grow one vertex at a
+    time: each prefix takes a 0, then a 1 where the vertex is the root or
+    its parent is 0, and the list stays in lexicographic order.
+    """
+    configs = [()]
+    for v in range(n_vertices):
+        configs = [c + (s,) for c in configs for s in (0, 1)
+                   if not (s and v and c[parent[v]])]
+    return configs
+
+
+def _product_filter(n_vertices, parent):
+    """_brute_force by filtering all 2**n_vertices tuples, for small balls."""
     return [config for config in itertools.product((0, 1), repeat=n_vertices)
             if not any(config[v] and config[parent[v]] for v in range(1, n_vertices))]
+
+
+@pytest.mark.parametrize("ball", _enumeration_cases(), ids=repr)
+def test_brute_force_equals_the_product_filter(ball):
+    assert all(ball.parent[v] < v for v in range(1, ball.n_vertices))
+    assert _brute_force(ball.n_vertices, ball.parent) == _product_filter(ball.n_vertices,
+                                                                         ball.parent)
 
 
 def _scalar_sums(n_vertices, parent, lam, leaves, shift):

@@ -439,21 +439,37 @@ class TestInlinedBisection:
         assert outcome(_solve_pair_generic, params, 0.5, 1e-12) == expected
 
 
+def law_floats(report):
+    """solve_two_periodic's law values as the grid yields them: the fixed
+    point and the ascending pair, or None where only the fixed point exists."""
+    ti, *pair = report.solutions
+    return ti.values[0], (pair[0].values if pair else None)
+
+
 def grid_outcomes(k, lams, tol):
-    """The grid solver's report bits or error per activity; after an error it
-    starts again at the next activity."""
+    """The grid solver's (z_fix, pair) or error per activity; after an error
+    it starts again at the next activity."""
     got = []
     while len(got) < len(lams):
         try:
-            for report in _solve_two_periodic_grid(k, lams[len(got):], tol):
-                got.append(report_bits(report))
+            for solved in _solve_two_periodic_grid(k, lams[len(got):], tol):
+                got.append(solved)
         except (ConvergenceError, DomainError) as exc:
             got.append((type(exc), exc.args, getattr(exc, "diagnostics", None)))
     return got
 
 
+def want_outcomes(k, lams, tol=1e-12):
+    """solve_two_periodic's law floats or error at each activity on its own."""
+    want = []
+    for lam in lams:
+        got = outcome(solve_two_periodic, ModelParams(k, lam), tol)
+        want.append(got if isinstance(got, tuple) else law_floats(got))
+    return want
+
+
 class TestGridSolver:
-    """The sweep's batched solve equals solve_two_periodic at each activity."""
+    """The sweep's batched solve yields solve_two_periodic's floats at each activity."""
 
     # tol=1e-300 makes most bisections fail, some not: every eighth activity
     # keeps the restarts after each error cheap
@@ -462,30 +478,25 @@ class TestGridSolver:
     def test_same_bits_and_first_error_as_each_activity(self, k, tol, stride):
         lams = bisection_activities(k) + [10.0 ** (4.0 + 8.0 * j / 99) for j in range(100)]
         lams = lams[::stride]
-        want = []
-        for lam in lams:
-            got = outcome(solve_two_periodic, ModelParams(k, lam), tol)
-            want.append(got if isinstance(got, tuple) else report_bits(got))
-        assert grid_outcomes(k, lams, tol) == want
+        assert grid_outcomes(k, lams, tol) == want_outcomes(k, lams, tol)
 
     def test_pair_below_the_float_range_raises_in_its_turn(self):
         # at k=100, lam=2000 and 1e12, f(f(z)) underflows to 0 for every
         # float z: the bisection runs down to (0, 5e-324), where it must stop
         # with ConvergenceError, not pass z1 = 0 on to recursion_map
         lams = [5.0, 2000.0, 1e12, 30.0]
-        want = [outcome(solve_two_periodic, ModelParams(100, lam)) for lam in lams]
+        want = want_outcomes(100, lams)
         for lam, got in zip(lams[1:3], want[1:3]):
             assert got == (ConvergenceError,
                            ("two-cycle below the smallest positive float; pair not found",),
                            {"bracket": (0.0, 5e-324), "lam": lam})
-        assert grid_outcomes(100, lams, 1e-12) == [
-            w if isinstance(w, tuple) else report_bits(w) for w in want]
+        assert grid_outcomes(100, lams, 1e-12) == want
 
     def test_invalid_activity_raises_in_its_turn(self):
-        reports = _solve_two_periodic_grid(4, [2.0, 3.0, -1.0, 5.0])
-        assert [r.system_solution_count for r in itertools.islice(reports, 2)] == [3, 3]
+        solved = _solve_two_periodic_grid(4, [2.0, 3.0, -1.0, 5.0])
+        assert [pair is not None for _, pair in itertools.islice(solved, 2)] == [True, True]
         with pytest.raises(DomainError, match="lam must be a positive finite number"):
-            next(reports)
+            next(solved)
 
     def test_numpy_pow_within_one_ulp_of_python_pow(self):
         # the batched bisection's margin rests on this (normal results only)
