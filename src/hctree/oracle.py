@@ -25,6 +25,8 @@ and fills them one tree level at a time.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -557,15 +559,18 @@ def sample_tree_chain(
 
     The root spin follows the stationary distribution of the two-step chain;
     each edge into an odd level applies the one-step matrix at z1, each edge
-    into an even level the one at z2. Draws use numpy's default PCG64
-    generator seeded once, consuming one uniform per vertex per sample in
-    breadth-first order, so results are reproducible given (seed, shape).
+    into an even level the one at z2. Draws take one uniform per vertex per
+    sample in breadth-first order from one stream of numpy's PCG64 seeded
+    with seed, cut at sample boundaries with PCG64.advance and drawn in
+    parallel over the usable CPUs, so results are still a pure function of
+    (seed, k, depth, count, root degree).
     """
     for name, value in (("depth", depth), ("count", count)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise DomainError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {value!r}")
+    _check_int("seed", seed, 0)
     if z1 <= 0 or z2 <= 0:
         raise DomainError("z1, z2 must be positive")
     ball = FiniteBall(params.k, depth, root_degree)
@@ -582,21 +587,41 @@ def sample_tree_chain(
     level_end = [0, *np.cumsum(np.bincount(ball.level)).tolist()]  # levels are contiguous
     # a vertex is occupied where its uniform is below q and its parent is free
     q = np.array([pi1, *(q_odd if lev % 2 == 1 else q_even for lev in ball.level[1:])])
-    rng = np.random.default_rng(seed)
-    # row v of by_vertex holds vertex v of every sample. Row blocks draw the
-    # same stream as one rng.random((count, n)) call, into one buffer; each is
-    # compared sample-major, transposed into its columns and filled one level
-    # at a time, where each parent's children are consecutive
+    # row v of by_vertex holds vertex v of every sample. Part j fills samples
+    # bounds[j] to bounds[j + 1] in row blocks, drawing the same stream as
+    # one rng.random((count, n)) call: each block is compared sample-major,
+    # transposed into its columns and filled one level at a time, where each
+    # parent's children are consecutive. The parts' buffers hold one block
     by_vertex = np.zeros((n, count), dtype=bool)
-    rows = min(count, max(1, _SAMPLE_BLOCK // n))
-    uniforms, below = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
-    for first in range(0, count, rows):
-        m = min(rows, count - first)
-        block = by_vertex[:, first:first + m]
-        block[...] = np.less(rng.random(out=uniforms[:m]), q, out=below[:m]).T
-        for a, b, c in zip(level_end, level_end[1:], level_end[2:]):
-            children = block[b:c].reshape(b - a, -1, m)  # splits an axis: a view
-            np.greater(children, block[a:b, None], out=children)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = max(1, min(cpus or 1, count * n // _SAMPLE_BLOCK))
+    bounds = [count * j // parts for j in range(parts + 1)]
+    rows = min(count, max(1, _SAMPLE_BLOCK // parts // n))
+    errors = []
+
+    def fill(j):
+        try:
+            # one 64-bit draw per float64 uniform: part j starts at sample bounds[j]
+            rng = np.random.Generator(np.random.PCG64(seed).advance(bounds[j] * n))
+            uniforms, below = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
+            for first in range(bounds[j], bounds[j + 1], rows):
+                m = min(rows, bounds[j + 1] - first)
+                block = by_vertex[:, first:first + m]
+                block[...] = np.less(rng.random(out=uniforms[:m]), q, out=below[:m]).T
+                for a, b, c in zip(level_end, level_end[1:], level_end[2:]):
+                    children = block[b:c].reshape(b - a, -1, m)  # splits an axis: a view
+                    np.greater(children, block[a:b, None], out=children)
+        except BaseException as exc:  # re-raised in the caller once every part is done
+            errors.append(exc)
+
+    workers = [threading.Thread(target=fill, args=(j,)) for j in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    fill(0)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
 
     metadata = {
         "generator": "numpy.random.default_rng (PCG64)",

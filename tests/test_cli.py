@@ -332,6 +332,11 @@ class TestOracleCommand:
         b = run_json(capsys, *args)
         assert a == b
 
+    def test_sample_mode_refuses_a_negative_seed(self, capsys):
+        code, out, err = run(capsys, "oracle", "-k", "2", "-l", "5", "-n", "3",
+                             "--mode", "sample", "--samples", "10", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
+
     @pytest.mark.parametrize("mode", ["ti", "periodic", "perturbed"])
     @pytest.mark.parametrize("depth,got", [
         ("30", "2147483647"), ("1000000000", "a ball of depth 1000000000"),

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import operator
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -57,6 +58,12 @@ def frontier_ball(k, depth, root_degree):
         frontier = nxt
     leaves = tuple(v for v in range(len(parent)) if level[v] == depth)
     return tuple(parent), tuple(level), tuple(map(tuple, children)), leaves
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the sampler see cpus usable CPUs, so it splits into up to cpus parts."""
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
 def alternating_assignment(ball, z1, z2):
@@ -711,18 +718,29 @@ class TestEnumerationBlocks:
         split = sample_tree_chain(p, z, z, depth=3, count=50, seed=5, root_degree="full")
         assert np.array_equal(split.spins, unsplit.spins)
 
-    @pytest.mark.parametrize("block", [40, 1 << 18])
-    def test_sampler_spins_equal_the_recorded_digest(self, block, monkeypatch):
+    # any split of the samples draws the same stream. 64 samples of 15
+    # vertices hold 24 blocks of 40 uniforms: 1, 2, 3 or 5 parts (3 and 5
+    # do not divide 64), whose blocks of 40 // parts uniforms make rows of
+    # 2, 1, 1 and 1 samples, the last two shorter than one sample. They
+    # hold 2 blocks of 381, so at most 2 parts, and one default block, so
+    # one part
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("block", [40, 381, 1 << 18])
+    def test_sampler_spins_equal_the_recorded_digest(self, block, cpus, monkeypatch):
         # digest of the spins drawn by one rng.random((count, n)) call and a
         # vertex-by-vertex fill
         monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", block)
+        use_cpus(monkeypatch, cpus)
         z1, z2 = solve_two_periodic_k2_closed(5.0)
         res = sample_tree_chain(ModelParams(2, 5.0), z1, z2, depth=3, count=64, seed=7)
         assert hashlib.sha256(res.spins.tobytes()).hexdigest() == (
             "1fe339856d35d2168e29ca46f78b1b020e6157457343a483a7831098ceede666")
 
     # 381 uniforms make blocks of 7 rows (k=3) and 3 rows (k=2), each run
-    # ending in a block of 1
+    # ending in a block of 1; split into 2, 3 or 5 parts, each part's
+    # 190, 127 or 76 uniforms make blocks of 3, 2 or 1 rows (k=3) and of 1
+    # row (k=2), and 3 and 5 parts split neither 50 nor 1000 samples evenly
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("block", [40, 381, 1 << 18])
     @pytest.mark.parametrize("k,lam,depth,count,seed,root,digest", [
         (3, 2.0, 3, 50, 5, "full",
@@ -731,10 +749,11 @@ class TestEnumerationBlocks:
          "ee5658067fc3345020cdc574f603330fc1d33790d82c1446c8d0ef4892b280d8"),
     ], ids=["k3-depth3-full", "k2-depth6"])
     def test_sampler_spins_equal_more_recorded_digests(self, k, lam, depth, count, seed, root,
-                                                        digest, block, monkeypatch):
+                                                        digest, block, cpus, monkeypatch):
         # digests recorded from a vertex-by-vertex fill of one
         # rng.random((count, n)) draw, as above
         monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", block)
+        use_cpus(monkeypatch, cpus)
         p = ModelParams(k, lam)
         z1, z2 = (solve_two_periodic_k2_closed(lam) if k == 2
                   else (solve_translation_invariant(p),) * 2)
@@ -778,10 +797,13 @@ class TestEnumerationBlocks:
         with pytest.raises(DomainError, match="spins must be bool or integer"):
             hard_core_violations(FiniteBall(2, 3), np.zeros((4, 15), dtype=dtype))
 
-    def test_sampler_and_violation_count_memory(self):
-        # the spins plus one block of uniforms and its comparison; the count
-        # holds one gathered column block and its AND. A full-size temporary
-        # or a copy of the spins to another memory order fails either bound
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_sampler_and_violation_count_memory(self, parts, monkeypatch):
+        # the spins plus one block of uniforms and its comparison, shared by
+        # all parts; the count holds one gathered column block and its AND.
+        # A full-size temporary, a full block per part or a copy of the spins
+        # to another memory order fails either bound
+        use_cpus(monkeypatch, parts)  # 100,000 samples of 127 vertices are 48 blocks
         p = ModelParams(2, 5.0)
         z1, z2 = solve_two_periodic_k2_closed(5.0)
         tracemalloc.start()
@@ -805,15 +827,29 @@ class TestSamplerArguments:
         ("count", 0, "count must be >= 1, got 0"),
         ("depth", True, "depth must be an integer, got True"),
         ("depth", 2.0, "depth must be an integer, got 2.0"),
-        ("depth", 0, "depth must be >= 1, got 0")])
+        ("depth", 0, "depth must be >= 1, got 0"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("seed", True, "seed must be an integer >= 0, got True"),
+        ("seed", 2.5, "seed must be an integer >= 0, got 2.5"),
+        ("seed", None, "seed must be an integer >= 0, got None")])
     def test_refused_before_the_ball_is_built(self, name, value, message, monkeypatch):
         def no_ball(*args):
             raise AssertionError("built a ball before checking the arguments")
 
         monkeypatch.setattr(oracle, "FiniteBall", no_ball)
-        args = {"depth": 2, "count": 4, name: value}
+        args = {"depth": 2, "count": 4, "seed": 0, name: value}
         with pytest.raises(DomainError, match=f"^{message}$"):
-            sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, seed=0, **args)
+            sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, **args)
+
+    def test_huge_seed_is_accepted_and_split_like_one_part(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 40)
+        p = ModelParams(2, 5.0)
+        use_cpus(monkeypatch, 1)
+        serial = sample_tree_chain(p, 0.1, 0.1, depth=3, count=64, seed=10**41)
+        use_cpus(monkeypatch, 3)
+        split = sample_tree_chain(p, 0.1, 0.1, depth=3, count=64, seed=10**41)
+        assert np.array_equal(split.spins, serial.spins)
+        assert split.metadata["seed"] == 10**41
 
 
     # 2047 vertices at depth 10: the largest count under 2**28 spins is 131,136
@@ -828,6 +864,55 @@ class TestSamplerArguments:
         monkeypatch.setattr(oracle.np, "zeros", no_zeros)
         with pytest.raises(Allocated if allowed else SizeCapError):
             sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=10, count=count, seed=0)
+
+
+class TestSamplerThreads:
+    @pytest.fixture
+    def generators(self, monkeypatch):
+        """The threads that made a generator; "main" or "worker" in fail
+        makes that thread raise PartFailed instead."""
+        made, fail, real = [], set(), np.random.Generator
+
+        def generator(bits):
+            made.append(threading.current_thread())
+            if ("main" if made[-1] is threading.main_thread() else "worker") in fail:
+                raise PartFailed
+            return real(bits)
+
+        monkeypatch.setattr(oracle.np.random, "Generator", generator)
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 40)
+        return made, fail
+
+    def test_parts_run_in_threads_that_end_with_the_call(self, generators, monkeypatch):
+        made, _ = generators
+        use_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=3, count=64, seed=7)
+        assert threading.active_count() == before
+        # part 0 in the calling thread, parts 1 and 2 in threads of their own
+        assert threading.main_thread() in made
+        assert len(set(made)) == len(made) == 3
+
+    def test_one_part_starts_no_thread(self, generators, monkeypatch):
+        made, _ = generators
+        use_cpus(monkeypatch, 1)
+        sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=3, count=64, seed=7)
+        assert made == [threading.main_thread()]
+
+    @pytest.mark.parametrize("failing", ["main", "worker"])
+    def test_a_failed_part_reaches_the_caller_after_every_part_ends(self, generators, failing,
+                                                                    monkeypatch):
+        _, fail = generators
+        fail.add(failing)
+        use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(PartFailed):
+            sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=3, count=64, seed=7)
+        assert threading.active_count() == before
+
+
+class PartFailed(Exception):
+    pass
 
 
 def test_float_cross_check_holds_on_a_31_vertex_ball():
