@@ -38,8 +38,8 @@ __all__ = [
 # halving [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074
 _BISECT_MAX_ITER = 1100
 _DEFAULT_TOL = 1e-12
-_PAIR_BRACKET_MARGIN = 1e-9  # keep the two-cycle bracket clear of the fixed point
-_NARROW_REL = 2.0 ** -44  # relative sign margin of the batched bisection (_narrow)
+_NARROW_REL = 2.0 ** -44  # relative sign margins of _narrow, derived there
+_PAIR_NARROW_REL = 2.0 ** -48
 
 _K3_CRITICAL = 27.0 / 16.0
 
@@ -169,54 +169,43 @@ def _pair_residual(k: int, lam: float, z1: float, z2: float) -> float:
     )
 
 
-def _pair_bracket_hi(z_fix: float) -> float:
-    """Right end of the two-cycle bracket, clear of the fixed point."""
-    hi = z_fix - _PAIR_BRACKET_MARGIN
-    # a fixed point below the margin (k=4 from lam ~ 1e11) is halved instead
-    return hi if hi > 0.0 else 0.5 * z_fix
-
-
-def _solve_pair_generic(params: ModelParams, z_fix: float, tol: float, *,
-                        start: tuple[float, float, int] | None = None) -> tuple[float, float]:
-    """Two-cycle of the recursion via bisection of f(f(z)) - z left of the
-    fixed point; `start` as in solve_translation_invariant."""
-    return _pair_generic(params.k, params.lam, z_fix, tol, start)
-
-
-def _pair_generic(k: int, lam: float, z_fix: float, tol: float,
-                  start: tuple[float, float, int] | None = None) -> tuple[float, float]:
-    """_solve_pair_generic on floats; its stall check is the pair's residual gate."""
-    lo, hi = 0.0, _pair_bracket_hi(z_fix)
-
-    def h(z: float) -> float:
-        # recursion_map inlined: z is a positive float; the inner value is
-        # checked, so one that underflows to 0 still raises recursion_map's
-        # DomainError
-        w = (1.0 + lam * z) ** (-k)
-        if not w > 0.0:
-            _check_positive("z", w)
-        return (1.0 + lam * w) ** (-k) - z
-
-    h_hi = h(hi)
-    if h_hi >= 0.0:
-        raise ConvergenceError(
-            "no sign change for the two-cycle bracket; pair not found",
-            bracket=(lo, hi),
-            h_hi=h_hi,
-            lam=lam,
-        )
-    # h > 0 near zero (f(f(0+)) is bounded away from 0), h < 0 at hi
-    lo, hi, used = start or (lo, hi, 0)
+def _solve_pair_generic(
+    k: int, lam: float, z_fix: float, tol: float, start: tuple[float, float, int] | None = None
+) -> tuple[float, float, float]:
+    """Two-cycle (z1, z2) and its residual, gated at tol, by bisection of
+    G(u) = lam*u*v*sum(u**j * v**(k-1-j), j < k) - 1, v = 1/(1 + lam*u**k):
+    1/u = 1 + lam*v**k minus 1/v = 1 + lam*u**k over v - u, in u = z1**(1/k)
+    and v = z2**(1/k). G(0+) = -1 and G(u_fix) = |f'(z_fix)| - 1 > 0 above
+    lam_cr: (0, u_fix) brackets the pair with no margin. The sum is
+    v**(k-1)*(1 - r**k)/d, r = u/v = 1 - d: -expm1(k*log1p(-d)) where v**k -
+    u**k cancels, and v**k - u**k for d >= 0.5 (u**k <= v**k/2**k). `start`
+    is as in solve_translation_invariant, in u.
+    """
+    log1p, expm1 = math.log1p, math.expm1
+    # G inlined as p = G + 1: below 1 at lo, above at hi; ends never evaluated
+    lo, hi, used = start or (0.0, z_fix ** (1.0 / k), 0)
     for _ in range(_BISECT_MAX_ITER - used):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if h(mid) > 0.0:
-            lo = mid
+        a = mid ** k
+        v = 1.0 / (1.0 + lam * a)
+        d = (v - mid) / v
+        w = v ** k
+        if d >= 0.5:
+            p = lam * mid * (w - a) / d
         else:
+            # d is 0 only where v rounds to mid, next to u_fix: q's limit is k
+            p = lam * mid * w * (-expm1(k * log1p(-d)) / d if d else k)
+        if p > 1.0:
             hi = mid
-    z1 = 0.5 * (lo + hi)
-    # z1 is 0 where f(f(z)) underflows to 0 below every float z: h(z) = -z < 0
+        else:
+            lo = mid
+    z1 = (0.5 * (lo + hi)) ** k
+    if z1 > 0.0:
+        # one pass of the map applied twice takes back the ulps of u**k
+        z1 = (1.0 + lam * (1.0 + lam * z1) ** (-k)) ** (-k)
+    # z1 is 0 where u**k (or the pass) underflows: the pair is below every float
     _check_pair_found(z1, lam, bracket=(lo, hi))
     z2 = (1.0 + lam * z1) ** (-k)
     residual = _pair_residual(k, lam, z1, z2)
@@ -227,7 +216,7 @@ def _pair_generic(k: int, lam: float, z_fix: float, tol: float,
             residual=residual,
             tol=tol,
         )
-    return z1, z2
+    return z1, z2, residual
 
 
 def _closed_pair(k: int, lam: float, tol: float) -> tuple[float, float, float]:
@@ -254,8 +243,10 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
     Below the critical activity only the fixed point exists; above it the
     report carries the fixed point plus the canonical pair, and the ordered
     solution count is 3. k=2 and k=3 use their closed forms, other k a
-    bisection of f(f(z)) - z on (0, z_fix). The values come from the float
-    helpers that _solve_two_periodic_grid calls, and only here become records.
+    bisection of the two-cycle equation with the fixed point divided out,
+    which finds the pair at every activity above the critical one. The values
+    come from the float helpers that _solve_two_periodic_grid calls, and only
+    here become records.
     """
     k, lam = params.k, params.lam
     lam_cr = critical_lambda(k)
@@ -276,11 +267,8 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
 
     # the residual is gated inside: at tol by the bisection, at max(tol, 1e-9)
     # for the closed forms
-    if k >= 4:
-        z1, z2 = _solve_pair_generic(params, z_fix, tol)
-        pair_res = _pair_residual(k, lam, z1, z2)
-    else:
-        z1, z2, pair_res = _closed_pair(k, lam, tol)
+    z1, z2, pair_res = (_solve_pair_generic(k, lam, z_fix, tol) if k >= 4
+                        else _closed_pair(k, lam, tol))
     return SolveReport(
         params=params,
         lambda_critical=lam_cr,
@@ -293,16 +281,21 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
 
 def _narrow(k: int, lams: list[float], his: list[float],
             pair: bool) -> list[tuple[float, float, int]]:
-    """Bisect f(z) - z (f(f(z)) - z if pair) on (0, hi) for every activity at
-    once, as far as numpy's pow cannot change a step's sign; returns the
-    `start` (lo, hi, steps) for each activity's scalar loop.
+    """Bisect f(z) - z (G(u) of _solve_pair_generic if pair) on (0, hi) for
+    every activity at once, as far as numpy cannot change a step's sign;
+    returns the `start` (lo, hi, steps) for each activity's scalar loop.
 
-    numpy's pow may differ from libm's by an ulp, and the pair's inner power
-    amplifies that by up to k; a step is taken only where |g| exceeds
-    _NARROW_REL * (k+1) * max(f, mid), every value is normal and mid is not
-    an end, so it goes the way the scalar step goes. An activity stops for
-    good at its first other step: exact zeros, underflow and errors are left
-    to the scalar loop.
+    A step is taken only where |g| exceeds the margin, every value is normal
+    and mid is not an end; an activity stops for good at its first other step.
+    Fixed point: g = f - mid, margin _NARROW_REL * (k+1) * max(f, mid).
+    Pair: g = 1 - p, margin _PAIR_NARROW_REL * (k+1) * p = (32k + 32)e * p for
+    e = 2**-53. libm's pow, log1p and expm1 are within an ulp of exact, and
+    numpy's within an ulp of libm's (tested): 4e; + - * / e. So a = u**k is within
+    4e, v 7e, w = v**k (7k + 4)e, d 9e absolute. d < 0.5: q = sum(r**j, j < k)
+    moves by (k-1)*9e (q'(r) <= (k-1)*q), and log1p, times k, expm1 (condition
+    <= 1 below 0) and the division add 10e: p = lam*u*w*q is within (16k + 8)e.
+    d >= 0.5: a <= w/16 (k >= 4), d is within 9e relative, p = lam*u*(w - a)/d
+    within (7.5k + 18)e. Two loops' p differ by at most (32k + 16)e < margin.
     """
     import numpy as np
 
@@ -311,17 +304,25 @@ def _narrow(k: int, lams: list[float], his: list[float],
     hi = np.array(his, dtype=float)
     steps = np.zeros(lam.shape, dtype=np.int64)
     live = np.ones(lam.shape, dtype=bool)
-    rel = _NARROW_REL * (k + 1)
+    rel = (_PAIR_NARROW_REL if pair else _NARROW_REL) * (k + 1)
     with np.errstate(all="ignore"):
         while True:
             mid = 0.5 * (lo + hi)
-            f = (1.0 + lam * mid) ** -k
-            live &= f >= sys.float_info.min
             if pair:
-                f = (1.0 + lam * f) ** -k
+                a = mid ** k
+                v = 1.0 / (1.0 + lam * a)
+                d = (v - mid) / v
+                w = v ** k
+                scale = np.where(d >= 0.5, lam * mid * (w - a) / d,
+                                 lam * mid * w * (-np.expm1(k * np.log1p(-d)) / d))
+                g = 1.0 - scale
+                live &= np.minimum(np.minimum(a, w), d) >= sys.float_info.min
+            else:
+                f = (1.0 + lam * mid) ** -k
+                g = f - mid
+                scale = np.maximum(f, mid)
                 live &= f >= sys.float_info.min
-            g = f - mid
-            live &= (mid != lo) & (mid != hi) & (np.abs(g) > rel * np.maximum(f, mid))
+            live &= (mid != lo) & (mid != hi) & (np.abs(g) > rel * scale)
             if not live.any():
                 break
             up = g > 0.0
@@ -363,7 +364,7 @@ def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
     paired = [isinstance(z, float) and lam >= lam_cr and not _degenerate(lam, lam_cr)
               for lam, z in zip(valid, fixed)]
     starts = iter(_narrow(k, [lam for lam, p in zip(valid, paired) if p],
-                          [_pair_bracket_hi(z) for z, p in zip(fixed, paired) if p],
+                          [z ** (1.0 / k) for z, p in zip(fixed, paired) if p],
                           pair=True) if k >= 4 else ())
     for lam, z, p in zip(valid, fixed, paired):
         if not isinstance(z, float):
@@ -371,10 +372,8 @@ def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
         if not p:
             yield z, None
             continue
-        if k >= 4:
-            z1, z2 = _pair_generic(k, lam, z, tol, next(starts))
-        else:
-            z1, z2, _ = _closed_pair(k, lam, tol)
+        z1, z2, _ = (_solve_pair_generic(k, lam, z, tol, next(starts)) if k >= 4
+                     else _closed_pair(k, lam, tol))
         yield z, ((z1, z2) if z1 <= z2 else (z2, z1))
     if bad is not None:
         raise bad

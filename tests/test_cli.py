@@ -73,7 +73,7 @@ class TestSolveCommand:
         code, _, _ = run(capsys, "solve", "-k", "0", "-l", "5")
         assert code == 2
 
-    def test_pair_with_fixed_point_below_the_bracket_margin(self, capsys):
+    def test_pair_with_fixed_point_near_zero(self, capsys):
         doc = run_json(capsys, "solve", "-k", "4", "-l", "1e12", "--json")
         assert doc["solutions"][1]["values"] == pytest.approx([1e-48, 1.0], rel=1e-11)
 
@@ -475,6 +475,23 @@ def test_nan_tol_exits_2(command, capsys):
 def test_infinite_tol_is_null_in_json(command, capsys):
     doc = run_json(capsys, *command.split(), "--tol", "inf", "--json")
     assert doc["tol"] is None
+
+
+# each activity is at most 1e-7 relative above the critical one, where the
+# pair is close to the fixed point
+@pytest.mark.parametrize("command,shows", [
+    ("solve -k 4 -l 1.0534979529218105", "ordered system solutions: 3\n"),
+    ("classify -k 6 -l 0.5971968059719678", "  two-periodic  z=(0.33482203231041, "),
+    ("weak -k 4 -l 1.0534979529218105 --set I2", "fixed points: 3  (non-constant: 2)\n"),
+    ("sweep -k 4 --quantity solutions -lmin 1.05349794 -lmax 1.0534980 -n 5",
+     "1.053497955,3\n1.05349797,3\n1.053497985,3\n1.053498,3\n"),
+    ("sweep -k 4 --quantity verdict -lmin 1.0534979413333332 -lmax 1.0534989958847734 -n 60",
+     "1.05349899588477,ProvenExtremal\n"),
+])
+def test_pair_found_just_above_the_critical_activity(command, shows, capsys):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert shows in out
 
 
 class TestConfigFile:

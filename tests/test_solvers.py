@@ -14,6 +14,7 @@ from hctree.core import (
     DomainError,
     LawKind,
     ModelParams,
+    _check_positive,
     recursion_map,
 )
 from hctree.solvers import (
@@ -194,7 +195,7 @@ class TestPairClosedForms:
     def test_k3_generic_solver_matches_closed_form(self, lam):
         p = ModelParams(3, lam)
         z_fix = solve_translation_invariant(p)
-        got = _solve_pair_generic(p, z_fix, 1e-13)
+        got = _solve_pair_generic(3, lam, z_fix, 1e-13)
         want = solve_two_periodic_k3_closed(lam)
         assert got[0] == pytest.approx(want[0], rel=1e-9)
         assert got[1] == pytest.approx(want[1], rel=1e-9)
@@ -323,8 +324,8 @@ class TestTinyRoots:
         assert report.solutions[-1].values[0] == pytest.approx(z1, rel=1e-12)
         assert z1 == pytest.approx(9.99999900000006e-81, rel=1e-12)
 
-    def test_generic_pair_when_the_fixed_point_is_below_the_bracket_margin(self):
-        # z_fix is 2.5e-10 here, under the 1e-9 the bracket keeps clear of it
+    def test_generic_pair_when_the_fixed_point_is_near_zero(self):
+        # z_fix is 2.5e-10 here; the bracket (0, z_fix**(1/k)) needs no margin
         k, lam = 4, 1e12
         report = solve_two_periodic(ModelParams(k, lam))
         z1, z2 = report.solutions[-1].values
@@ -361,35 +362,42 @@ def reference_translation_invariant(params, tol=1e-12):
     return z
 
 
-def reference_pair_generic(params, z_fix, tol, start=None):
+def reference_pair_generic(k, lam, z_fix, tol, start=None):
     assert start is None  # solve_two_periodic bisects from the full bracket
-    lo = 0.0
-    hi = z_fix - 1e-9
-    if hi <= 0.0:
-        raise ConvergenceError("fixed point too close to zero to bracket a pair", z_fix=z_fix)
+    params = ModelParams(k, lam)
 
-    def h(z):
-        return recursion_map(params, recursion_map(params, z)) - z
+    def deflated(u):
+        # G(u) = lam*u*v*sum(u**j * v**(k-1-j) for j < k) - 1, the sum as
+        # v**(k-1) * (1 - r**k)/(1 - r) with r = u/v = 1 - d
+        a = _check_positive("u", u) ** k
+        v = 1.0 / (1.0 + lam * a)
+        d = (v - u) / v
+        if d >= 0.5:
+            return lam * u * (v ** k - a) / d - 1.0
+        q = -math.expm1(k * math.log1p(-d)) / d if d != 0.0 else k
+        return lam * u * v ** k * q - 1.0
 
-    h_hi = h(hi)
-    if h_hi >= 0.0:
-        raise ConvergenceError("no sign change for the two-cycle bracket; pair not found",
-                               bracket=(lo, hi), h_hi=h_hi, lam=params.lam)
-    for _ in range(200):
+    lo, hi = 0.0, z_fix ** (1.0 / k)
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if h(mid) > 0.0:
-            lo = mid
-        else:
+        if deflated(mid) > 0.0:
             hi = mid
-    z1 = 0.5 * (lo + hi)
+        else:
+            lo = mid
+    z1 = (0.5 * (lo + hi)) ** k
+    if z1 > 0.0:
+        z1 = recursion_map(params, recursion_map(params, z1))
+    if not z1 > 0.0:
+        raise ConvergenceError("two-cycle below the smallest positive float; pair not found",
+                               lam=lam, bracket=(lo, hi))
     z2 = recursion_map(params, z1)
     residual = max(abs(z1 - recursion_map(params, z2)), abs(z2 - recursion_map(params, z1)))
     if residual > tol:
         raise ConvergenceError("two-cycle bisection stalled", pair=(z1, z2),
                                residual=residual, tol=tol)
-    return z1, z2
+    return z1, z2, residual
 
 
 def outcome(fn, *args):
@@ -430,13 +438,6 @@ class TestInlinedBisection:
                 assert got == expected, lam
             else:
                 assert report_bits(got) == report_bits(expected), lam
-
-    def test_underflowing_inner_value_raises_as_before(self):
-        # f(0.5) underflows to 0 at this activity; the outer step must refuse it
-        params = ModelParams(4, 1e300)
-        expected = outcome(reference_pair_generic, params, 0.5, 1e-12)
-        assert expected[0] is DomainError
-        assert outcome(_solve_pair_generic, params, 0.5, 1e-12) == expected
 
 
 def law_floats(report):
@@ -481,15 +482,16 @@ class TestGridSolver:
         assert grid_outcomes(k, lams, tol) == want_outcomes(k, lams, tol)
 
     def test_pair_below_the_float_range_raises_in_its_turn(self):
-        # at k=100, lam=2000 and 1e12, f(f(z)) underflows to 0 for every
-        # float z: the bisection runs down to (0, 5e-324), where it must stop
-        # with ConvergenceError, not pass z1 = 0 on to recursion_map
+        # at k=100, lam=2000 and 1e12 the bisection finds u = z1**(1/k) next
+        # to 1/(1 + lam), but u**100 underflows to 0: it must stop with
+        # ConvergenceError, not pass z1 = 0 on to recursion_map
         lams = [5.0, 2000.0, 1e12, 30.0]
         want = want_outcomes(100, lams)
         for lam, got in zip(lams[1:3], want[1:3]):
+            u = 1.0 / (1.0 + lam)
             assert got == (ConvergenceError,
                            ("two-cycle below the smallest positive float; pair not found",),
-                           {"bracket": (0.0, 5e-324), "lam": lam})
+                           {"bracket": (u, math.nextafter(u, 1.0)), "lam": lam})
         assert grid_outcomes(100, lams, 1e-12) == want
 
     def test_invalid_activity_raises_in_its_turn(self):
@@ -499,11 +501,68 @@ class TestGridSolver:
             next(solved)
 
     def test_numpy_pow_within_one_ulp_of_python_pow(self):
-        # the batched bisection's margin rests on this (normal results only)
+        # the batched bisections' margins rest on this (normal results only):
+        # (1 + lam*z)**-k for the fixed point, u**k and v**k in (0, 1) for the pair
         rng = np.random.default_rng(20211)
         for k in (2, 3, 4, 7, 10, 30, 100):
-            bases = 1.0 + 10.0 ** rng.uniform(-12.0, 12.0, 20_000)
-            for base, got in zip(bases.tolist(), (bases ** -k).tolist()):
-                want = base ** -k
-                if want >= sys.float_info.min:
-                    assert abs(got - want) <= math.ulp(want), (k, base)
+            for bases, power in ((1.0 + 10.0 ** rng.uniform(-12.0, 12.0, 20_000), -k),
+                                 (10.0 ** rng.uniform(-8.0, 0.0, 20_000), k)):
+                for base, got in zip(bases.tolist(), (bases ** power).tolist()):
+                    want = base ** power
+                    if want >= sys.float_info.min:
+                        assert abs(got - want) <= math.ulp(want), (power, base)
+
+    def test_numpy_log1p_and_expm1_within_one_ulp_of_math(self):
+        # the pair's margin rests on this: log1p(-d) for d in (0, 0.5), and
+        # expm1 of k times that
+        rng = np.random.default_rng(20212)
+        d = 10.0 ** rng.uniform(-17.0, math.log10(0.5), 50_000)
+        x = -(10.0 ** rng.uniform(-17.0, 3.0, 50_000))
+        for fn, args in ((np.log1p, -d), (np.expm1, x)):
+            for arg, got in zip(args.tolist(), fn(args).tolist()):
+                want = getattr(math, fn.__name__)(arg)
+                assert abs(got - want) <= math.ulp(want), (fn.__name__, arg)
+
+
+def near_critical_activities(k):
+    """lam_cr*(1 + 10**-j) for j = 2..11 and the first float past the
+    window where _degenerate reports the collapsed pair; none inside it."""
+    lam_cr = critical_lambda(k)
+    edge = lam_cr + 1e-12 * max(1.0, lam_cr)
+    while solvers._degenerate(edge, lam_cr):
+        edge = math.nextafter(edge, math.inf)
+    while not solvers._degenerate(math.nextafter(edge, 0.0), lam_cr):
+        edge = math.nextafter(edge, 0.0)
+    lams = [lam_cr * (1.0 + 10.0 ** -j) for j in range(2, 12)] + [edge]
+    return [lam for lam in lams if not solvers._degenerate(lam, lam_cr)]
+
+
+class TestPairNextToTheCriticalActivity:
+    """The pair is found at every activity above the critical one, up to the
+    degenerate window, and as accurately as double precision allows there."""
+
+    @pytest.mark.parametrize("k", [*range(2, 11), 15, 30, 100])
+    def test_found_and_within_the_conditioning_of_mpmath(self, k):
+        # The map evaluated in double is about k*eps off, and the pair keeps
+        # a distance of about sqrt(lam/lam_cr - 1) from the fixed point, so
+        # its error grows like k*eps/sqrt(lam/lam_cr - 1): measured up to
+        # 1.1 times that for k >= 4 and 2.1 times for k = 3's Cardano form.
+        mpmath = pytest.importorskip("mpmath")
+        lam_cr = critical_lambda(k)
+        for lam in near_critical_activities(k):
+            report = solve_two_periodic(ModelParams(k, lam))
+            (z_fix,), (z1, z2) = (law.values for law in report.solutions)
+            with mpmath.workdps(50):
+                lam_mp = mpmath.mpf(lam)
+
+                def f(z):
+                    return (1 + lam_mp * z) ** -k
+
+                # polished from z1 on f(f(z)) = z, which shares nothing with
+                # the solver's equation; the root must be z1's, not z_fix's
+                start = mpmath.mpf(z1)
+                root = mpmath.findroot(lambda z: f(f(z)) - z, (start, start * (1 + 2.0 ** -40)))
+                assert abs(root - z1) < abs(root - z_fix) / 100, lam
+                bound = 4 * k * sys.float_info.epsilon * max(1.0, (lam / lam_cr - 1.0) ** -0.5)
+                for got, want in ((z1, root), (z2, f(root))):
+                    assert abs(got - want) <= bound * want, (lam, got, want)
