@@ -38,7 +38,7 @@ __all__ = [
 # halving [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074
 _BISECT_MAX_ITER = 1100
 _DEFAULT_TOL = 1e-12
-_NARROW_REL = 2.0 ** -44  # relative sign margins of _narrow, derived there
+_NARROW_REL = 2.0 ** -50  # relative sign margins of _narrow, derived there
 _PAIR_NARROW_REL = 2.0 ** -48
 
 _K3_CRITICAL = 27.0 / 16.0
@@ -287,10 +287,15 @@ def _narrow(k: int, lams: list[float], his: list[float],
 
     A step is taken only where |g| exceeds the margin, every value is normal
     and mid is not an end; an activity stops for good at its first other step.
-    Fixed point: g = f - mid, margin _NARROW_REL * (k+1) * max(f, mid).
-    Pair: g = 1 - p, margin _PAIR_NARROW_REL * (k+1) * p = (32k + 32)e * p for
-    e = 2**-53. libm's pow, log1p and expm1 are within an ulp of exact, and
-    numpy's within an ulp of libm's (tested): 4e; + - * / e. So a = u**k is within
+    Fixed point: g = f - mid, margin _NARROW_REL * max(f, mid) = 8e * max(f, mid)
+    for e = 2**-53. Both loops round base = 1 + lam*mid the same way, so their
+    f = base**-k differ only by pow: numpy's is within an ulp of libm's
+    (tested), 2e * f for a normal f. A rounded difference keeps the sign of
+    the exact one, and |g| > 8e * f puts f - mid more than 7e * f from 0:
+    both loops see the same sign, and neither a zero.
+    Pair: g = 1 - p, margin _PAIR_NARROW_REL * (k+1) * p = (32k + 32)e * p.
+    libm's pow, log1p and expm1 are within an ulp of exact, and numpy's within
+    an ulp of libm's (tested): 4e; + - * / e. So a = u**k is within
     4e, v 7e, w = v**k (7k + 4)e, d 9e absolute. d < 0.5: q = sum(r**j, j < k)
     moves by (k-1)*9e (q'(r) <= (k-1)*q), and log1p, times k, expm1 (condition
     <= 1 below 0) and the division add 10e: p = lam*u*w*q is within (16k + 8)e.
@@ -304,7 +309,7 @@ def _narrow(k: int, lams: list[float], his: list[float],
     hi = np.array(his, dtype=float)
     steps = np.zeros(lam.shape, dtype=np.int64)
     live = np.ones(lam.shape, dtype=bool)
-    rel = (_PAIR_NARROW_REL if pair else _NARROW_REL) * (k + 1)
+    rel = _PAIR_NARROW_REL * (k + 1) if pair else _NARROW_REL
     with np.errstate(all="ignore"):
         while True:
             mid = 0.5 * (lo + hi)

@@ -21,13 +21,16 @@ would give s > 1 > r, so s = r, and then s = r = 1: a = B**-k, b = A**-k.
 On I3 and I4 a fixed point solves E(a, b) = 0 and E(b, a) = 0 for one E
 monotone in its second argument, so b = F(a) and a = F(b): the fixed points
 are the constant point and the two-cycles of F, roots of E(F(t), t) found by
-sign changes along log t and refined to adjacent floats.
+sign changes along log t and refined to adjacent floats. The scan runs on
+numpy arrays; each bracket is then refined on its own, on Python floats with
+math.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -117,20 +120,20 @@ _REFINE_MAX_ITER = 200
 _SLOPE_ROUNDING = 64 * np.finfo(float).eps
 
 
-def _log_equation(wp, v, za, zb, zc, partials=False):
+def _log_equation(wp, v, za, zb, zc, partials=False, log=np.log, log1p=np.log1p):
     """log(v / w) / i, for w the component of W with inputs (za, zb, zc):
     log(v)/i + log1p(lam * zb**p * (1+lam*za)**-q) + r * log1p(lam*zc) with
     p = 1 - 1/i, q = k/i, r = k/i - 1. partials=True gives its derivatives
-    in log v, log za, log zb and log zc instead."""
+    in log v, log za, log zb and log zc instead. Arrays take numpy's log and
+    log1p (under np.errstate), floats math's."""
     k, i, lam = wp.k, wp.i, wp.lam
     p, q, r = 1.0 - 1.0 / i, k / i, k / i - 1.0
-    with np.errstate(all="ignore"):
-        mid = lam * zb ** p * (1.0 + lam * za) ** -q
-        if not partials:
-            return np.log(v) / i + np.log1p(mid) + r * np.log1p(lam * zc)
-        share = mid / (1.0 + mid)
-        return (1.0 / i, -q * share * lam * za / (1.0 + lam * za), p * share,
-                r * lam * zc / (1.0 + lam * zc))
+    mid = lam * zb ** p * (1.0 + lam * za) ** -q
+    if not partials:
+        return log(v) / i + log1p(mid) + r * log1p(lam * zc)
+    share = mid / (1.0 + mid)
+    return (1.0 / i, -q * share * lam * za / (1.0 + lam * za), p * share,
+            r * lam * zc / (1.0 + lam * zc))
 
 
 class _Reduction:
@@ -142,64 +145,87 @@ class _Reduction:
     def __init__(self, wp, invariant_set, z):
         k, i, lam = wp.k, wp.i, wp.lam
         # each component of W lies in ((1+lam)**-k, 1) for i <= k; I4 at i = k+1 has no pair
-        self.wp, self.slots, self.lo, self.centre = wp, _SLOTS[invariant_set], (1.0 + lam) ** -k, z
+        self.wp, slots, self.lo, self.centre = wp, _SLOTS[invariant_set], (1.0 + lam) ** -k, z
         self.to_plane = lambda x, y: (x, y)
         if i == k + 1 and invariant_set == "I3":
             # r < 0 and p = q: the equations read X = f(Y), Y = f(X) for
             # f(t) = (1 + lam*t**p)**-i in X = a/(1+lam*a), Y = b/(1+lam*b),
             # so (1+lam)**-i < X, Y < min(1, 1/lam)
-            self.slots, self.lo, self.centre = "y0x0", (1.0 + lam) ** -i, z / (1.0 + lam * z)
+            slots, self.lo, self.centre = "y0x0", (1.0 + lam) ** -i, z / (1.0 + lam * z)
             if lam > 1.0:  # f(Y) < 1/lam
                 self.lo = max(self.lo, ((lam ** (1.0 / i) - 1.0) / lam) ** (i / k))
             self.to_plane = lambda x, y: (x / (1.0 - lam * x), y / (1.0 - lam * y))
+        # each slot's entry of (x, y, 0), and the slots that x and y fill
+        self._fill = itemgetter(*("xy0".index(s) for s in slots))
+        self._x_slots, self._y_slots = ([n for n, s in enumerate(slots) if s == w] for w in "xy")
 
-    def equation(self, x, y, partials=False):
-        fill = {"x": x, "y": y, "0": 0.0}
-        return _log_equation(self.wp, *(fill[s] for s in self.slots), partials=partials)
+    def equation(self, x, y, partials=False, log=np.log, log1p=np.log1p):
+        return _log_equation(self.wp, *self._fill((x, y, 0.0)), partials, log, log1p)
 
     def slopes(self, x, y):
         """The derivatives of E in log x and in log y."""
         d = self.equation(x, y, partials=True)
-        return [sum(dv for dv, s in zip(d, self.slots) if s == wrt) for wrt in "xy"]
+        return [sum(d[n] for n in slots) for slots in (self._x_slots, self._y_slots)]
 
     def residual(self, t, y):
         """F(t), by Newton on log y from the starts y, and R(t) mapped into
-        [-1, 1] by tanh. E is convex in log y: Newton descends monotonically
-        from above the root and overshoots at most once from below."""
+        [-1, 1] by tanh, on arrays. E is convex in log y: Newton descends
+        monotonically from above the root and overshoots at most once from
+        below."""
         y, todo = y.copy(), np.arange(y.size)
-        for _ in range(_NEWTON_MAX_ITER):
-            if todo.size == 0:
-                return y, np.tanh(self.equation(y, t))
-            tt, yt = t[todo], y[todo]
-            step = np.minimum(-self.equation(tt, yt) / self.slopes(tt, yt)[1], _MAX_LOG_STEP)
-            y[todo] = yt * np.exp(step)
-            # convergence is quadratic, so the step just taken was the last
-            todo = todo[~(np.abs(step) <= 1e-9)]
+        with np.errstate(all="ignore"):
+            for _ in range(_NEWTON_MAX_ITER):
+                tt, yt = t[todo], y[todo]
+                step = np.minimum(-self.equation(tt, yt) / self.slopes(tt, yt)[1], _MAX_LOG_STEP)
+                y[todo] = yt * np.exp(step)
+                # convergence is quadratic, so the step just taken was the last
+                todo = todo[~(np.abs(step) <= 1e-9)]
+                if todo.size == 0:
+                    return y, np.tanh(self.equation(y, t))
         raise ConvergenceError("elimination Newton did not converge", point=t[todo].tolist())
+
+    def residual_at(self, t, y):
+        """residual's F(t) and R(t) at one float t from one start y, on floats
+        with math. Where math raises (log(0), an overflow), numpy would carry
+        an inf or a NaN that never converges: both end in the same
+        ConvergenceError."""
+        def equation(x, y):
+            return self.equation(x, y, False, math.log, math.log1p)
+
+        try:
+            for _ in range(_NEWTON_MAX_ITER):
+                # min keeps a NaN step, as np.minimum does
+                step = min(-equation(t, y) / self.slopes(t, y)[1], _MAX_LOG_STEP)
+                y *= math.exp(step)
+                if abs(step) <= 1e-9:
+                    return y, math.tanh(equation(y, t))
+        except (ArithmeticError, ValueError):
+            pass
+        raise ConvergenceError("elimination Newton did not converge", point=t)
 
 
 def _refine(red, a, b, fa, fb, ya):
     """Illinois (regula falsi that halves the value of an end kept twice in
-    a row) on brackets [a, b] with R > 0 at one end only, down to adjacent
-    floats. Returns one end of each bracket and F there."""
-    yb, moved_b = ya.copy(), np.zeros(a.size)  # +1 where b moved last, -1 where a did
+    a row) on one bracket [a, b] of floats with R > 0 at one end only, down
+    to adjacent floats. Returns the end with the smaller |R| and F there."""
+    yb, moved_b = ya, 0  # +1 where b moved last, -1 where a did
     for _ in range(_REFINE_MAX_ITER):
         mid = 0.5 * (a + b)
-        todo = np.flatnonzero((mid != a) & (mid != b) & (fa != 0.0) & (fb != 0.0))
-        if todo.size == 0:
-            near_a = np.abs(fa) <= np.abs(fb)
-            return np.where(near_a, a, b), np.where(near_a, ya, yb)
-        at, bt, fat, fbt = a[todo], b[todo], fa[todo], fb[todo]
-        c = bt - fbt * (bt - at) / (fbt - fat)
-        c = np.where((c > at) & (c < bt), c, mid[todo])
-        yc, fc = red.residual(c, ya[todo])
-        to_b = (fc > 0.0) == (fbt > 0.0)
-        fa[todo] = np.where(to_b & (moved_b[todo] > 0), 0.5 * fat, fat)
-        fb[todo] = np.where(~to_b & (moved_b[todo] < 0), 0.5 * fbt, fbt)
-        for ends, f, y, moved in ((b, fb, yb, to_b), (a, fa, ya, ~to_b)):
-            ends[todo[moved]], f[todo[moved]], y[todo[moved]] = c[moved], fc[moved], yc[moved]
-        moved_b[todo] = np.where(to_b, 1.0, -1.0)
-    raise ConvergenceError("bracket refinement did not converge", bracket=(a.tolist(), b.tolist()))
+        if mid == a or mid == b or fa == 0.0 or fb == 0.0:
+            return (a, ya) if abs(fa) <= abs(fb) else (b, yb)
+        c = b - fb * (b - a) / (fb - fa)
+        if not a < c < b:
+            c = mid
+        yc, fc = red.residual_at(c, ya)
+        if (fc > 0.0) == (fb > 0.0):
+            if moved_b > 0:
+                fa *= 0.5
+            b, fb, yb, moved_b = c, fc, yc, 1
+        else:
+            if moved_b < 0:
+                fb *= 0.5
+            a, fa, ya, moved_b = c, fc, yc, -1
+    raise ConvergenceError("bracket refinement did not converge", bracket=(a, b))
 
 
 @dataclass(frozen=True)
@@ -259,10 +285,12 @@ def _reduced_pairs(wp, invariant_set, z):
         j = past[0]
         a, b = np.append(a, probes[j - 1]), np.append(b, probes[j])
         fa, fb, ya = np.append(fa, fp[j - 1]), np.append(fb, fp[j]), np.append(ya, yp[j - 1])
-    roots, y = _refine(red, a, b, fa, fb, ya)
-    if (y <= c).any():
-        raise ConvergenceError("a two-cycle lies below the constant point", images=y.tolist())
-    return np.stack(red.to_plane(roots, y), axis=1), list(zip(a.tolist(), b.tolist()))
+    a, b = a.tolist(), b.tolist()
+    roots = [_refine(red, *ends) for ends in zip(a, b, fa.tolist(), fb.tolist(), ya.tolist())]
+    if any(y <= c for _, y in roots):
+        raise ConvergenceError("a two-cycle lies below the constant point",
+                               images=[y for _, y in roots])
+    return np.array([red.to_plane(t, y) for t, y in roots]).reshape(-1, 2), list(zip(a, b))
 
 
 def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hctree import weakperiodic
 from hctree.core import ConvergenceError, DomainError, ModelParams
 from hctree.solvers import (
     critical_lambda,
@@ -258,15 +259,23 @@ class TestSolver:
         assert rep.count == expected
 
     def test_gate_failure_raises_with_its_bracket(self):
-        # a tolerance between the constant point's relative residual (2.3e-16)
-        # and the pair's (6.1e-16) rejects the pair: the solve raises with the
-        # bracket the pair was refined in, it drops nothing
+        # a tolerance between the constant point's relative residual and the
+        # pair's rejects the pair: the solve raises with the bracket the pair
+        # was refined in, it drops nothing
+        wp = WeakPeriodicParams(6, 1, 10.0)
+        rep = solve_weak_periodic(wp, "I4")
+        points = np.array([fp.values for fp in rep.fixed_points])
+        relative = (np.abs(weak_system_map(wp, points) - points) / points).max(axis=1)
+        constant = relative[list(rep.ti_flags).index(True)]
+        pair = min(r for r, flag in zip(relative, rep.ti_flags) if not flag)
+        assert constant < pair
+        tol = math.sqrt(constant * pair)
         with pytest.raises(ConvergenceError) as err:
-            solve_weak_periodic(WeakPeriodicParams(6, 1, 10.0), "I4", 4e-16)
+            solve_weak_periodic(wp, "I4", tol)
         diag = err.value.diagnostics
         lo, hi = diag["bracket"]
         assert lo < hi and lo <= min(diag["point"]) <= hi
-        assert diag["relative_residual"] > 4e-16 and diag["tol"] == 4e-16
+        assert diag["relative_residual"] == pair and diag["tol"] == tol
         # I2's points come from solve_two_periodic, with no bracket
         with pytest.raises(ConvergenceError) as err:
             solve_weak_periodic(WeakPeriodicParams(2, 1, 5.0), "I2", 1e-30)
@@ -322,6 +331,85 @@ class TestSolver:
         rep = solve_weak_periodic(WeakPeriodicParams(2, 1, 6.0), "I2")
         firsts = [fp.values[0] for fp in rep.fixed_points]
         assert firsts == sorted(firsts)
+
+
+# planes with a pair: I4 inside k = 6's window, and I3 in the substituted
+# unknowns at i = k+1
+REFINED_PAIRS = [(6, 1, "I4", 5.8), (6, 1, "I4", 10.0), (6, 1, "I4", 63.0),
+                 (3, 4, "I3", 2.0), (5, 6, "I3", 1.0)]
+
+
+class TestFloatRefine:
+    """The Illinois refine and the Newton under it run on Python floats, one
+    bracket at a time."""
+
+    @pytest.mark.parametrize("k,i,invariant_set,lam", REFINED_PAIRS)
+    def test_returned_root_is_next_to_a_sign_change(self, k, i, invariant_set, lam, monkeypatch):
+        # R, as the refine evaluated it, has the other sign at a neighbouring
+        # float of the returned t, or is 0 there
+        values, roots = {}, []
+        residual_at, refine = weakperiodic._Reduction.residual_at, weakperiodic._refine
+
+        def recording_residual_at(red, t, y):
+            y, f = residual_at(red, t, y)
+            values[t] = f
+            return y, f
+
+        def recording_refine(red, a, b, fa, fb, ya):
+            values.update({a: fa, b: fb})
+            t, y = refine(red, a, b, fa, fb, ya)
+            roots.append(t)
+            return t, y
+
+        monkeypatch.setattr(weakperiodic._Reduction, "residual_at", recording_residual_at)
+        monkeypatch.setattr(weakperiodic, "_refine", recording_refine)
+        rep = solve_weak_periodic(WeakPeriodicParams(k, i, lam), invariant_set)
+        assert roots and rep.non_ti_count == 2 * len(roots)
+        for t in roots:
+            assert isinstance(t, float)
+            f = values[t]
+            neighbours = [s for s in (math.nextafter(t, 0.0), math.nextafter(t, math.inf))
+                          if s in values]
+            assert f == 0.0 or any((values[s] > 0.0) != (f > 0.0) for s in neighbours)
+
+    def test_refine_failure_raises_with_its_bracket(self, monkeypatch):
+        monkeypatch.setattr(weakperiodic, "_REFINE_MAX_ITER", 1)
+        wp = WeakPeriodicParams(6, 1, 10.0)
+        with pytest.raises(ConvergenceError, match="bracket refinement did not converge") as err:
+            solve_weak_periodic(wp, "I4")
+        lo, hi = err.value.diagnostics["bracket"]
+        assert type(lo) is float and type(hi) is float
+        red = weakperiodic._Reduction(wp, "I4", solve_translation_invariant(wp.model()))
+        assert red.lo <= lo < hi < red.centre
+
+    def test_newton_failure_raises_with_its_point(self, monkeypatch):
+        monkeypatch.setattr(weakperiodic, "_NEWTON_MAX_ITER", 1)
+        wp = WeakPeriodicParams(6, 1, 10.0)
+        red = weakperiodic._Reduction(wp, "I4", solve_translation_invariant(wp.model()))
+        t = 0.05
+        with pytest.raises(ConvergenceError, match="elimination Newton") as err:
+            red.residual_at(t, red.centre)
+        assert err.value.diagnostics["point"] == t
+        # the grid's Newton on arrays reports every point it left unconverged
+        with pytest.raises(ConvergenceError, match="elimination Newton") as err:
+            solve_weak_periodic(wp, "I4")
+        point = err.value.diagnostics["point"]
+        assert point and all(red.lo <= p < red.centre for p in point)
+
+    @pytest.mark.parametrize("start", [0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("invariant_set,i", [("I3", 1), ("I4", 1), ("I4", 3), ("I3", 7)])
+    def test_math_domain_errors_end_as_the_array_path_does(self, invariant_set, i, start):
+        # math raises where numpy carries -inf, inf or NaN into a Newton that
+        # never converges: both paths raise ConvergenceError with the point
+        wp = WeakPeriodicParams(6, i, 10.0)
+        red = weakperiodic._Reduction(wp, invariant_set, solve_translation_invariant(wp.model()))
+        t = 0.5 * (red.lo + red.centre)
+        with pytest.raises(ConvergenceError) as err:
+            red.residual(np.array([t]), np.array([start]))
+        assert err.value.diagnostics["point"] == [t]
+        with pytest.raises(ConvergenceError) as err:
+            red.residual_at(t, start)
+        assert err.value.diagnostics["point"] == t
 
 
 # Fixed points on a fixed (k, i, set, lam) grid, in plane coordinates (a, b),
