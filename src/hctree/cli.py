@@ -403,10 +403,9 @@ def _cmd_oracle(args):
     from .oracle import (
         FiniteBall,
         RootDegree,
+        _draw,
         _require_ball_enumerable,
         consistency_check,
-        hard_core_violations,
-        sample_tree_chain,
     )
 
     params = _params(args)
@@ -418,11 +417,12 @@ def _cmd_oracle(args):
     if args.mode == "sample":
         report = solve_two_periodic(params, args.tol)
         z1, z2 = _pair(report) or report.solutions[0].values * 2
-        result = sample_tree_chain(params, z1, z2, depth, args.samples, args.seed, root)
-        violations = hard_core_violations(result.ball, result.spins)
+        # counted block by block: the spins are never all held
+        _, _, violations, metadata = _draw(params, z1, z2, depth, args.samples, args.seed, root,
+                                           False)
         passed = violations == 0
         doc.update(samples=args.samples, seed=args.seed, violations=violations,
-                   passed=passed, metadata=result.metadata)
+                   passed=passed, metadata=metadata)
         text = [f"mode=sample  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
                 f"root={root.value}  samples={args.samples}  seed={args.seed}",
                 f"z1={_fmt(z1)}  z2={_fmt(z2)}",

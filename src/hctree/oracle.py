@@ -542,8 +542,14 @@ def hard_core_violations(ball: FiniteBall, spins: np.ndarray) -> int:
         raise DomainError(f"spins must be bool or integer, got {spins.dtype}")
     by_vertex, parent = spins.reshape(-1, n).T, np.array(ball.parent[1:], dtype=np.intp)
     cols = max(1, _SAMPLE_BLOCK // n)  # bounds the temporaries
-    return sum(int(np.count_nonzero(np.logical_and(block[1:], block[parent])))
-               for block in (by_vertex[:, i:i + cols] for i in range(0, by_vertex.shape[1], cols)))
+    return sum(_block_violations(by_vertex[:, i:i + cols], parent)
+               for i in range(0, by_vertex.shape[1], cols))
+
+
+def _block_violations(block: np.ndarray, parent: np.ndarray) -> int:
+    """Adjacent occupied pairs in vertex-major spins: each row from row 1 on
+    ANDed with its parent's row, parent as an intp array of ball.parent[1:]."""
+    return int(np.count_nonzero(np.logical_and(block[1:], block[parent])))
 
 
 def sample_tree_chain(
@@ -565,6 +571,15 @@ def sample_tree_chain(
     parallel over the usable CPUs, so results are still a pure function of
     (seed, k, depth, count, root degree).
     """
+    ball, by_vertex, _, metadata = _draw(params, z1, z2, depth, count, seed, root_degree, True)
+    return SampleResult(ball=ball, spins=by_vertex.view(np.int8).T, metadata=metadata)
+
+
+def _draw(params, z1, z2, depth, count, seed, root_degree, keep):
+    """sample_tree_chain's checks and draw: (ball, the (n, count) spins by
+    vertex if keep else None, their adjacent occupied pairs if not keep else
+    None, metadata). Without keep each part fills one reused block and counts
+    it while it is still in cache, so no more than a block a part is held."""
     for name, value in (("depth", depth), ("count", count)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -591,26 +606,31 @@ def sample_tree_chain(
     # bounds[j] to bounds[j + 1] in row blocks, drawing the same stream as
     # one rng.random((count, n)) call: each block is compared sample-major,
     # transposed into its columns and filled one level at a time, where each
-    # parent's children are consecutive. The parts' buffers hold one block
-    by_vertex = np.zeros((n, count), dtype=bool)
+    # parent's children are consecutive. The parts' buffers hold one block,
+    # as do their own blocks of spins, in place of by_vertex, without keep
+    by_vertex = np.zeros((n, count), dtype=bool) if keep else None
+    parent = np.array(ball.parent[1:], dtype=np.intp)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parts = max(1, min(cpus or 1, count * n // _SAMPLE_BLOCK))
     bounds = [count * j // parts for j in range(parts + 1)]
     rows = min(count, max(1, _SAMPLE_BLOCK // parts // n))
-    errors = []
+    errors, found = [], [0] * parts
 
     def fill(j):
         try:
             # one 64-bit draw per float64 uniform: part j starts at sample bounds[j]
             rng = np.random.Generator(np.random.PCG64(seed).advance(bounds[j] * n))
             uniforms, below = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
+            own = None if keep else np.empty((n, rows), dtype=bool)
             for first in range(bounds[j], bounds[j + 1], rows):
                 m = min(rows, bounds[j + 1] - first)
-                block = by_vertex[:, first:first + m]
+                block = by_vertex[:, first:first + m] if keep else own[:, :m]
                 block[...] = np.less(rng.random(out=uniforms[:m]), q, out=below[:m]).T
                 for a, b, c in zip(level_end, level_end[1:], level_end[2:]):
                     children = block[b:c].reshape(b - a, -1, m)  # splits an axis: a view
                     np.greater(children, block[a:b, None], out=children)
+                if not keep:
+                    found[j] += _block_violations(block, parent)
         except BaseException as exc:  # re-raised in the caller once every part is done
             errors.append(exc)
 
@@ -637,4 +657,4 @@ def sample_tree_chain(
         "draw_order": "one uniform per vertex per sample, breadth-first",
         "root_degree": ball.root_degree.value,
     }
-    return SampleResult(ball=ball, spins=by_vertex.view(np.int8).T, metadata=metadata)
+    return ball, by_vertex, None if keep else sum(found), metadata

@@ -337,6 +337,44 @@ class TestOracleCommand:
                              "--mode", "sample", "--samples", "10", "--seed", "-1")
         assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
 
+    @pytest.mark.parametrize("args,message", [
+        (("-n", "0", "--samples", "5"), "depth must be >= 1, got 0"),
+        (("-n", "2", "--samples", "0"), "count must be >= 1, got 0"),
+        (("-n", "2", "--samples", "-3"), "count must be >= 1, got -3"),
+        (("-n", "2", "--samples", "5", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    ])
+    def test_sample_arguments_refused_before_the_ball_is_built(self, capsys, monkeypatch,
+                                                               args, message):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("built a ball before checking the arguments")
+
+        monkeypatch.setattr(oracle, "FiniteBall", no_ball)
+        code, out, err = run(capsys, "oracle", "-k", "2", "-l", "5", "--mode", "sample", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    # 2047 vertices at depth 10: the largest count under 2**28 spins is 131,136
+    @pytest.mark.parametrize("samples,allowed", [("131136", True), ("131137", False)])
+    def test_sample_spin_cap_exits_1_before_a_block_is_allocated(self, capsys, monkeypatch,
+                                                                 samples, allowed):
+        class Allocated(Exception):
+            pass
+
+        def no_block(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(oracle.np, "empty", no_block)
+        monkeypatch.setattr(oracle.np, "zeros", no_block)
+        if allowed:
+            with pytest.raises(Allocated):
+                main(["oracle", "-k", "2", "-l", "5", "-n", "10", "--mode", "sample",
+                      "--samples", samples])
+            return
+        code, out, err = run(capsys, "oracle", "-k", "2", "-l", "5", "-n", "10",
+                             "--mode", "sample", "--samples", samples)
+        assert (code, out) == (1, "")
+        assert err == ("error: sampling holds at most 268435456 spins, "
+                       "got 131137 samples of 2047 vertices\n")
+
     @pytest.mark.parametrize("mode", ["ti", "periodic", "perturbed"])
     @pytest.mark.parametrize("depth,got", [
         ("30", "2147483647"), ("1000000000", "a ball of depth 1000000000"),

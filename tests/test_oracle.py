@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import operator
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hctree import oracle
+from hctree import cli, oracle
 from hctree.core import (
     DomainError,
     InternalCheckError,
@@ -866,6 +867,13 @@ class TestSamplerArguments:
             sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=10, count=count, seed=0)
 
 
+def streamed(*args):
+    """(violations, metadata) of the CLI sampler's draw, counted block by block."""
+    _, spins, violations, metadata = oracle._draw(*args, False)
+    assert spins is None
+    return violations, metadata
+
+
 class TestSamplerThreads:
     @pytest.fixture
     def generators(self, monkeypatch):
@@ -883,32 +891,120 @@ class TestSamplerThreads:
         monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 40)
         return made, fail
 
-    def test_parts_run_in_threads_that_end_with_the_call(self, generators, monkeypatch):
+    # the kept spins of sample_tree_chain and the count the CLI streams
+    @pytest.fixture(params=[sample_tree_chain, streamed], ids=["kept", "streamed"])
+    def draw(self, request):
+        return request.param
+
+    def test_parts_run_in_threads_that_end_with_the_call(self, generators, draw, monkeypatch):
         made, _ = generators
         use_cpus(monkeypatch, 3)
         before = threading.active_count()
-        sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=3, count=64, seed=7)
+        draw(ModelParams(2, 5.0), 0.1, 0.1, 3, 64, 7, "half")
         assert threading.active_count() == before
         # part 0 in the calling thread, parts 1 and 2 in threads of their own
         assert threading.main_thread() in made
         assert len(set(made)) == len(made) == 3
 
-    def test_one_part_starts_no_thread(self, generators, monkeypatch):
+    def test_one_part_starts_no_thread(self, generators, draw, monkeypatch):
         made, _ = generators
         use_cpus(monkeypatch, 1)
-        sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=3, count=64, seed=7)
+        draw(ModelParams(2, 5.0), 0.1, 0.1, 3, 64, 7, "half")
         assert made == [threading.main_thread()]
 
     @pytest.mark.parametrize("failing", ["main", "worker"])
-    def test_a_failed_part_reaches_the_caller_after_every_part_ends(self, generators, failing,
-                                                                    monkeypatch):
+    def test_a_failed_part_reaches_the_caller_after_every_part_ends(self, generators, draw,
+                                                                    failing, monkeypatch):
         _, fail = generators
         fail.add(failing)
         use_cpus(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(PartFailed):
-            sample_tree_chain(ModelParams(2, 5.0), 0.1, 0.1, depth=3, count=64, seed=7)
+            draw(ModelParams(2, 5.0), 0.1, 0.1, 3, 64, 7, "half")
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["main", "worker"])
+    def test_a_failed_part_reaches_the_cli_caller(self, generators, failing, monkeypatch):
+        _, fail = generators
+        fail.add(failing)
+        use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(PartFailed):
+            cli.main(["oracle", "-k", "2", "-l", "5", "-n", "3", "--mode", "sample",
+                      "--samples", "64"])
+        assert threading.active_count() == before
+
+
+class TestStreamedViolations:
+    # as in the digest tests: 40 and 381 uniforms make blocks of 1 to 7 rows,
+    # split over 1, 2, 3 or 5 parts; no count below is a multiple of 3 or 5,
+    # and 101 and 77 are odd. Without the level fill occupied children
+    # survive their parents, so a stream that counts nothing fails
+    @pytest.mark.parametrize("level_fill", [True, False], ids=["hard-core", "no-level-fill"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("block", [40, 381, 1 << 18])
+    @pytest.mark.parametrize("k,lam,depth,count,seed,root", [
+        (2, 5.0, 3, 64, 7, "half"),
+        (2, 5.0, 4, 101, 3, "full"),
+        (3, 2.0, 3, 50, 5, "full"),
+        (3, 2.0, 2, 77, 11, "half"),
+    ], ids=["k2-half", "k2-full", "k3-full", "k3-half"])
+    def test_streamed_count_equals_the_count_of_the_kept_spins(
+            self, k, lam, depth, count, seed, root, block, cpus, level_fill, monkeypatch):
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", block)
+        use_cpus(monkeypatch, cpus)
+        p = ModelParams(k, lam)
+        z1, z2 = (solve_two_periodic_k2_closed(lam) if k == 2
+                  else (solve_translation_invariant(p),) * 2)
+        if not level_fill:
+            monkeypatch.setattr(oracle.np, "greater", lambda children, parents, out: out)
+        args = (p, z1, z2, depth, count, seed, root)
+        kept = sample_tree_chain(*args)
+        violations, metadata = streamed(*args)
+        assert violations == hard_core_violations(kept.ball, kept.spins)
+        assert (violations > 0) is not level_fill
+        assert metadata == kept.metadata
+
+    def test_parts_keep_their_counts_under_frequent_thread_switches(self, monkeypatch):
+        # five parts on fewer cores, 400 one-sample blocks each, switching
+        # threads every microsecond: a count lost between parts would show
+        monkeypatch.setattr(oracle, "_SAMPLE_BLOCK", 40)
+        monkeypatch.setattr(oracle.np, "greater", lambda children, parents, out: out)
+        use_cpus(monkeypatch, 5)
+        args = (ModelParams(2, 5.0), 0.1, 0.5, 3, 2000, 17, "half")
+        kept = sample_tree_chain(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = {streamed(*args)[0] for _ in range(3)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == {hard_core_violations(kept.ball, kept.spins)}
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_cli_sampler_memory_does_not_grow_with_the_samples(self, parts, monkeypatch,
+                                                               capsys):
+        # each part holds one block of uniforms, its comparison and one reused
+        # block of spins, about 3 MB in all for any count; the spins of
+        # 1,000,000 samples of 127 vertices are 127 MB, and anything of one
+        # byte a sample grows by 900 kB from 100,000 samples. The parts'
+        # counting temporaries, at most 350 kB, may or may not overlap
+        use_cpus(monkeypatch, parts)
+        argv = ["oracle", "-k", "2", "-l", "5", "-n", "6", "--mode", "sample", "--samples"]
+        assert cli.main([*argv, "1000"]) == 0  # the first call's imports and caches
+        peaks = []
+        tracemalloc.start()
+        try:
+            for samples in ("100000", "1000000"):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                assert cli.main([*argv, samples]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.count("adjacent occupied pairs: 0\nPASS") == 3
+        assert peaks[1] < 8 << 20
+        assert peaks[1] < peaks[0] + (512 << 10)
 
 
 class PartFailed(Exception):
