@@ -579,7 +579,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SizeCapError, InternalCheckError, OSError) as exc:
+    except (ConvergenceError, SizeCapError, InternalCheckError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,9 @@ occupied neighbours. A splitting measure is described by one positive number
 per vertex, the boundary-law value, normalised so the empty-spin component
 is 1. Moving one level toward the root maps a constant value z to
 (1 + lam*z)**(-k), with k the branching number and lam > 0 the activity.
-This module holds the parameter/record types, that recursion, and the one-
-and two-step transition matrices of the associated tree-indexed spin chain.
+This module holds the parameter/record types and that recursion. The
+transition matrices of the associated tree-indexed spin chain live in the
+tests, which check the oracle's conditional distributions against them.
 """
 
 from __future__ import annotations
@@ -22,18 +23,14 @@ __all__ = [
     "InternalCheckError",
     "LawKind",
     "ModelParams",
+    "SOLVE_SETS",
     "SizeCapError",
     "SolveReport",
-    "TransitionMatrix2",
     "recursion_map",
-    "single_step_matrix",
     "translation_invariant_law",
     "two_periodic_law",
-    "two_step_matrix",
     "weak_periodic_law",
 ]
-
-_ROW_SUM_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -150,24 +147,6 @@ def weak_periodic_law(values, invariant_set: str) -> BoundaryLaw:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix2:
-    """Row-stochastic 2x2 matrix of a two-state chain, rows indexed by spin."""
-
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def __post_init__(self):
-        for name in ("p00", "p01", "p10", "p11"):
-            p = getattr(self, name)
-            if not math.isfinite(p) or p < -1e-12 or p > 1.0 + 1e-12:
-                raise DomainError(f"{name}={p!r} is not a probability")
-        if abs(self.p00 + self.p01 - 1.0) > _ROW_SUM_TOL or abs(self.p10 + self.p11 - 1.0) > _ROW_SUM_TOL:
-            raise DomainError("rows must sum to 1")
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of the homogeneous/alternating boundary-law solve.
 
@@ -198,33 +177,3 @@ def recursion_map(params: ModelParams, z: float) -> float:
     z = _check_positive("z", z)
     return (1.0 + params.lam * z) ** (-params.k)
 
-
-def single_step_matrix(params: ModelParams, z: float) -> TransitionMatrix2:
-    """Parent-to-child spin transitions when the child's subtree carries value z.
-
-    Row 0 (empty parent): child occupied with odds lam*z. Row 1 (occupied
-    parent): the child must be empty, so the row is (1, 0).
-    """
-    z = _check_positive("z", z)
-    w = params.lam * z
-    return TransitionMatrix2(1.0 / (1.0 + w), w / (1.0 + w), 1.0, 0.0)
-
-
-def two_step_matrix(params: ModelParams, z1: float, z2: float) -> TransitionMatrix2:
-    """Grandparent-to-grandchild transitions through an alternating pair.
-
-    Equals single_step_matrix(z1) composed with single_step_matrix(z2); the
-    entries are written out so the matrix is one rounding step away from the
-    inputs rather than a product of two rounded matrices.
-    """
-    z1 = _check_positive("z1", z1)
-    z2 = _check_positive("z2", z2)
-    u = params.lam * z1
-    v = params.lam * z2
-    d = (1.0 + u) * (1.0 + v)
-    return TransitionMatrix2(
-        (1.0 + u + u * v) / d,
-        v / d,
-        1.0 / (1.0 + v),
-        v / (1.0 + v),
-    )

@@ -4,8 +4,8 @@ Everything here is deliberately independent of the solver formulas: admissible
 configurations are all enumerated, partition functions are also computed by a
 bottom-up two-state recursion, and the two paths are compared wherever both
 are feasible. Kolmogorov consistency of the finite-volume measures and the
-conditional child distributions are extracted by brute force so they can
-vouch for the analytic transition matrices.
+conditional child distributions are extracted by brute force, and the tests
+check them against their own transition matrices of the chain.
 
 The enumeration writes a configuration as an int64 bit mask, vertex v at bit
 n-1-v, grown one vertex at a time up to the last level, which is summed, not
@@ -41,7 +41,7 @@ from .core import (
     ModelParams,
     SizeCapError,
     _check_int,
-    two_step_matrix,
+    _check_positive,
 )
 
 __all__ = [
@@ -586,17 +586,16 @@ def _draw(params, z1, z2, depth, count, seed, root_degree, keep):
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {value!r}")
     _check_int("seed", seed, 0)
-    if z1 <= 0 or z2 <= 0:
-        raise DomainError("z1, z2 must be positive")
+    z1, z2 = _check_positive("z1", z1), _check_positive("z2", z2)
     ball = FiniteBall(params.k, depth, root_degree)
     if count * ball.n_vertices > _SAMPLE_SPIN_CAP:
         raise SizeCapError(f"sampling holds at most {_SAMPLE_SPIN_CAP} spins, "
                            f"got {count} samples of {ball.n_vertices} vertices")
 
-    two_step = two_step_matrix(params, z1, z2)
-    pi1 = two_step.p01 / (two_step.p01 + two_step.p10)
-    q_odd = params.lam * z1 / (1.0 + params.lam * z1)
-    q_even = params.lam * z2 / (1.0 + params.lam * z2)
+    # the two-step chain's p01/(p01 + p10), with p01 = v/((1+u)(1+v)) and
+    # p10 = 1/(1+v), is v/(1+u+v); q is the one-step chance to occupy a child
+    u, v = params.lam * z1, params.lam * z2
+    pi1, q_odd, q_even = v / (1.0 + u + v), u / (1.0 + u), v / (1.0 + v)
 
     n = ball.n_vertices
     level_end = [0, *np.cumsum(np.bincount(ball.level)).tolist()]  # levels are contiguous
@@ -650,8 +649,8 @@ def _draw(params, z1, z2, depth, count, seed, root_degree, keep):
         "depth": int(depth),
         "k": params.k,
         "lambda": params.lam,
-        "z1": float(z1),
-        "z2": float(z2),
+        "z1": z1,
+        "z2": z2,
         "root_distribution": "stationary law of the two-step chain",
         "parity": "z1 on edges into odd levels, z2 into even levels",
         "draw_order": "one uniform per vertex per sample, breadth-first",

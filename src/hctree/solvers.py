@@ -50,20 +50,19 @@ def critical_lambda(k: int) -> float:
     return (k / (k - 1.0)) ** k / (k - 1.0)
 
 
-def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL, *,
-                                start: tuple[float, float, int] | None = None) -> float:
+def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) -> float:
     """The unique fixed point of the recursion in (0, 1), found by bisection.
 
     The map is strictly decreasing with f(0+)=1 and f(1) < 1, so
-    f(z) - z changes sign exactly once on (0, 1). `start` is a bracket
-    (lo, hi, steps) that this bisection reaches after `steps` steps.
+    f(z) - z changes sign exactly once on (0, 1).
     """
-    return _fixed_point(params.k, params.lam, tol, start)
+    return _fixed_point(params.k, params.lam, tol)
 
 
 def _fixed_point(k: int, lam: float, tol: float,
                  start: tuple[float, float, int] | None = None) -> float:
-    """solve_translation_invariant on floats."""
+    """solve_translation_invariant on floats. `start` is a bracket
+    (lo, hi, steps) that this bisection reaches after `steps` steps."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     # sign(f - id) is + at lo, - at hi; endpoints never evaluated
@@ -179,7 +178,7 @@ def _solve_pair_generic(
     lam_cr: (0, u_fix) brackets the pair with no margin. The sum is
     v**(k-1)*(1 - r**k)/d, r = u/v = 1 - d: -expm1(k*log1p(-d)) where v**k -
     u**k cancels, and v**k - u**k for d >= 0.5 (u**k <= v**k/2**k). `start`
-    is as in solve_translation_invariant, in u.
+    is as in _fixed_point, in u.
     """
     log1p, expm1 = math.log1p, math.expm1
     # G inlined as p = G + 1: below 1 at lo, above at hi; ends never evaluated

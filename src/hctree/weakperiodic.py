@@ -46,7 +46,6 @@ from .core import (
 from .solvers import solve_translation_invariant, solve_two_periodic
 
 __all__ = [
-    "SOLVE_SETS",
     "WeakPeriodicParams",
     "WeakSolveReport",
     "lambda_pm",
@@ -340,6 +339,11 @@ def s_pm(k: int) -> tuple[float, float]:
 
 def lambda_pm(k: int) -> tuple[float, float]:
     """Activity window ((s+1)**k * s at each root) on which the I4 plane is
-    guaranteed to carry at least three fixed points for i = 1."""
+    guaranteed to carry at least three fixed points for i = 1. The upper end
+    passes the float range from k = 161 on and is then math.inf."""
     sm, sp = s_pm(k)
-    return ((sm + 1.0) ** k * sm, (sp + 1.0) ** k * sp)
+    try:
+        lam_plus = (sp + 1.0) ** k * sp
+    except OverflowError:  # the power alone overflows from k = 162 on
+        lam_plus = math.inf
+    return ((sm + 1.0) ** k * sm, lam_plus)

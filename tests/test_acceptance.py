@@ -11,13 +11,12 @@ import time
 import numpy as np
 import pytest
 
+from chain_reference import single_step_matrix, two_step_matrix
 from hctree.core import (
     LawKind,
     ModelParams,
     recursion_map,
-    single_step_matrix,
     two_periodic_law,
-    two_step_matrix,
 )
 from hctree.extremality import (
     Verdict,

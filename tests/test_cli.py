@@ -426,6 +426,15 @@ class TestCriticalCommand:
         assert doc["lambda_plus"] == pytest.approx(64.0, rel=1e-12)
         assert doc["asymptotic_bound"] is not None
 
+    @pytest.mark.parametrize("k", ["162", "1000"])
+    def test_lambda_plus_past_the_float_range_is_null(self, capsys, k):
+        doc = run_json(capsys, "critical", "-k", k, "--json")
+        assert doc["lambda_plus"] is None
+        assert 0.0 < doc["lambda_minus"] < 1.0
+        code, out, _ = run(capsys, "critical", "-k", k)
+        assert code == 0
+        assert "lambda_plus (weak-periodic branch activity): inf" in out
+
     def test_csv_layout(self, capsys):
         code, out, _ = run(capsys, "critical", "-k", "3", "--csv")
         assert code == 0
@@ -628,6 +637,24 @@ class TestEntryPoints:
         proc = subprocess.run([sys.executable, "-c", script, *command],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_solve_sets_do_not_import_numpy(self):
+        script = ("import sys\nimport hctree\nassert hctree.SOLVE_SETS == ('I2', 'I3', 'I4')\n"
+                  "sys.exit(3 if 'numpy' in sys.modules else 0)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", [("solve", "-l", "1"), ("critical",)])
+    def test_k_past_the_float_range_is_an_error_line(self, command):
+        # 10**400 parses as an int but does not convert to a float
+        proc = subprocess.run(
+            [sys.executable, "-m", "hctree", command[0], "-k", str(10**400), *command[1:]],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: int too large to convert to float\n"
 
     def test_usage_error_from_subprocess(self):
         proc = subprocess.run(

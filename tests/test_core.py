@@ -1,21 +1,20 @@
-"""Parameter records, law containers, and transition-matrix primitives."""
+"""Parameter records, law containers, the recursion, and the reference
+transition matrices the other tests check against."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from chain_reference import single_step_matrix, two_step_matrix
 from hctree.core import (
     BoundaryLaw,
     DomainError,
     LawKind,
     ModelParams,
-    TransitionMatrix2,
     recursion_map,
-    single_step_matrix,
     translation_invariant_law,
     two_periodic_law,
-    two_step_matrix,
     weak_periodic_law,
 )
 
@@ -113,16 +112,6 @@ class TestRecursionMap:
             recursion_map(ModelParams(2, 1.0), 0.0)
 
 
-class TestTransitionMatrix2:
-    def test_row_sum_enforced(self):
-        with pytest.raises(DomainError):
-            TransitionMatrix2(0.5, 0.4, 1.0, 0.0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            TransitionMatrix2(1.5, -0.5, 1.0, 0.0)
-
-
 class TestChainMatrices:
     @given(branchings, activities, values)
     def test_single_step_structure(self, k, lam, z):
@@ -190,7 +179,7 @@ class TestPackageNames:
             "BoundaryLaw", "ConvergenceError", "CriticalValues", "DomainError",
             "ENUMERATION_VERTEX_CAP", "ExtremalityReport", "FiniteBall", "InternalCheckError",
             "LawKind", "ModelParams", "RootDegree", "SOLVE_SETS", "SampleResult",
-            "SizeCapError", "SolveReport", "TransitionMatrix2", "Verdict",
+            "SizeCapError", "SolveReport", "Verdict",
             "WeakPeriodicParams", "WeakSolveReport", "__version__", "asymptotic_bound",
             "classify", "conditional_child_distribution", "consistency_check",
             "count_admissible", "critical_lambda", "critical_values", "discriminant_k3",
@@ -198,9 +187,9 @@ class TestPackageNames:
             "hard_core_violations", "k3_cubic_root", "lambda_pm",
             "lambda_star", "nonextremal_bound",
             "partition_function", "recursion_map", "report_for_law", "root_marginal", "s_pm",
-            "sample_tree_chain", "single_step_matrix", "solve_translation_invariant",
+            "sample_tree_chain", "solve_translation_invariant",
             "solve_two_periodic", "solve_two_periodic_k2_closed",
             "solve_two_periodic_k3_closed", "solve_weak_periodic",
-            "translation_invariant_law", "two_periodic_law", "two_step_matrix",
-            "weak_periodic_law", "weak_system_map",
+            "translation_invariant_law", "two_periodic_law", "weak_periodic_law",
+            "weak_system_map",
         ]

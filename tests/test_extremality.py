@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from chain_reference import single_step_matrix, two_step_matrix
 from hctree import extremality
 from hctree.core import (
     DomainError,
     InternalCheckError,
     LawKind,
     ModelParams,
-    single_step_matrix,
     two_periodic_law,
-    two_step_matrix,
     translation_invariant_law,
 )
 from hctree.extremality import (

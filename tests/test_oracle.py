@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chain_reference import single_step_matrix, two_step_matrix
 from hctree import cli, oracle
 from hctree.core import (
     DomainError,
     InternalCheckError,
     ModelParams,
-    single_step_matrix,
-    two_step_matrix,
 )
 from hctree.oracle import (
     ENUMERATION_VERTEX_CAP,
@@ -446,8 +445,11 @@ class TestSampler:
             sample_tree_chain(p, 0.1, 0.1, depth=0, count=1, seed=0)
         with pytest.raises(DomainError):
             sample_tree_chain(p, 0.1, 0.1, depth=1, count=0, seed=0)
-        with pytest.raises(DomainError):
-            sample_tree_chain(p, -0.1, 0.1, depth=1, count=1, seed=0)
+        for z in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sample_tree_chain(p, z, 0.1, depth=1, count=1, seed=0)
+            with pytest.raises(DomainError):
+                sample_tree_chain(p, 0.1, z, depth=1, count=1, seed=0)
 
 
 class TestNonFiniteInputs:

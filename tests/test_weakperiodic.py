@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hctree import weakperiodic
-from hctree.core import ConvergenceError, DomainError, ModelParams
+from hctree.core import SOLVE_SETS, ConvergenceError, DomainError, ModelParams
 from hctree.solvers import (
     critical_lambda,
     solve_translation_invariant,
@@ -17,7 +17,6 @@ from hctree.solvers import (
     solve_two_periodic_k3_closed,
 )
 from hctree.weakperiodic import (
-    SOLVE_SETS,
     WeakPeriodicParams,
     lambda_pm,
     s_pm,
@@ -524,6 +523,12 @@ class TestWindowEndpoints:
         lo, hi = lambda_pm(6)
         assert lo == pytest.approx(5.6953125, rel=1e-14)
         assert hi == pytest.approx(64.0, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [161, 162, 1000, 100000])
+    def test_upper_end_past_the_float_range_is_inf(self, k):
+        lo, hi = lambda_pm(k)
+        assert 0.0 < lo < 1.0
+        assert hi == math.inf
 
     @pytest.mark.parametrize("k", [6, 7, 9])
     def test_endpoints_touch_diagonal(self, k):
