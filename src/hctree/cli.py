@@ -26,11 +26,14 @@ from .core import (
     LawKind,
     ModelParams,
     SizeCapError,
+    _check_positive,
 )
 from .extremality import _certificates, classify, g_function, h_function
 from .solvers import (
+    _has_pair,
     _solve_two_periodic_grid,
     asymptotic_bound,
+    critical_lambda,
     critical_values,
     discriminant_k3,
     solve_translation_invariant,
@@ -44,7 +47,9 @@ PASS_THRESHOLD = 1e-8
 
 QUANTITIES = ("solutions", "D", "h", "g", "s2", "ks", "msw", "verdict", "weakperiodic_count")
 # from the fixed point and pair that _solve_two_periodic_grid solves in one batch
-SOLVED_QUANTITIES = ("solutions", "s2", "ks", "msw", "verdict")
+SOLVED_QUANTITIES = ("s2", "ks", "msw", "verdict")
+# a sweep keeps about 1 KB a point: 2**18 points is about 256 MB, like the ball and sampler caps
+_SWEEP_POINT_CAP = 1 << 18
 
 
 def _fmt(x) -> str:
@@ -316,6 +321,8 @@ def _cmd_classify(args):
 def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
     if points < 2:
         raise DomainError(f"points must be >= 2, got {points}")
+    if points > _SWEEP_POINT_CAP:
+        raise SizeCapError(f"a sweep may have at most {_SWEEP_POINT_CAP} points, got {points}")
     if not lmin < lmax:
         raise DomainError(f"need lambda_min < lambda_max, got {lmin} >= {lmax}")
     if scale == "log":
@@ -330,7 +337,7 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
 
 
 def _sweep_value(args, lam: float):
-    """A quantity outside SOLVED_QUANTITIES at one activity."""
+    """D, h, g or weakperiodic_count at one activity."""
     quantity = args.quantity
     if quantity == "D":
         return discriminant_k3(lam)
@@ -351,8 +358,6 @@ _CERT_INDEX = {"s2": 1, "ks": 4, "msw": 5, "verdict": 10}
 def _solved_value(quantity: str, k: int, lam: float, z_fix: float, pair):
     """A quantity in SOLVED_QUANTITIES from the fixed point and the pair (or
     None) at one activity, by classify's arithmetic."""
-    if quantity == "solutions":
-        return 1 if pair is None else 3
     # the pair, where it exists, is the last law classify reports
     value = _certificates(k, lam, pair or (z_fix,))[_CERT_INDEX[quantity]]
     return value.value if quantity == "verdict" else value
@@ -367,7 +372,11 @@ def _cmd_sweep(args):
     grid = _grid(lmin, lmax, args.points, args.scale)
     if args.quantity in ("D", "h", "g") and args.k != 3:
         raise DomainError(f"quantity {args.quantity} is defined for k=3 only")
-    if args.quantity in SOLVED_QUANTITIES:
+    if args.quantity == "solutions":
+        # counted, not solved: the pair exists at every activity _has_pair admits
+        lam_cr = critical_lambda(args.k)
+        values = [3 if _has_pair(_check_positive("lam", lam), lam_cr) else 1 for lam in grid]
+    elif args.quantity in SOLVED_QUANTITIES:
         solved = _solve_two_periodic_grid(args.k, grid, args.tol)
         values = [_solved_value(args.quantity, args.k, lam, z_fix, pair)
                   for lam, (z_fix, pair) in zip(grid, solved)]
@@ -476,37 +485,23 @@ def _cmd_critical(args):
         lam_minus, lam_plus = lambda_pm(k)
     else:
         s_minus = s_plus = lam_minus = lam_plus = None
-    doc = {
-        "command": "critical",
-        "k": k,
-        "epsilon": eps,
-        "lambda_critical": cv.lambda_cr,
-        "t_star": cv.t_star,
-        "lambda_star": cv.lambda_star,
-        "kesten_stigum_bound": cv.lambda_nonextremal,
-        "asymptotic_bound": _num(asym),
-        "s_minus": _num(s_minus),
-        "s_plus": _num(s_plus),
-        "lambda_minus": _num(lam_minus),
-        "lambda_plus": _num(lam_plus),
-    }
+    # (JSON key, text label, value); None is JSON null and no CSV or text row
     rows = [
-        ("lambda_critical (two-periodic pair appears above)", cv.lambda_cr),
-        ("t_star (threshold polynomial root)", cv.t_star),
-        ("lambda_star (invariant law proven extremal below)", cv.lambda_star),
-        ("kesten_stigum_bound (invariant law non-extremal above)", cv.lambda_nonextremal),
+        ("lambda_critical", "two-periodic pair appears above", cv.lambda_cr),
+        ("t_star", "threshold polynomial root", cv.t_star),
+        ("lambda_star", "invariant law proven extremal below", cv.lambda_star),
+        ("kesten_stigum_bound", "invariant law non-extremal above", cv.lambda_nonextremal),
+        ("asymptotic_bound", f"large-k estimate, eps={eps:g}", asym),
+        ("s_minus", "weak-periodic branch parameter", s_minus),
+        ("s_plus", "weak-periodic branch parameter", s_plus),
+        ("lambda_minus", "weak-periodic branch activity", lam_minus),
+        ("lambda_plus", "weak-periodic branch activity", lam_plus),
     ]
-    if asym is not None:
-        rows.append((f"asymptotic_bound (large-k estimate, eps={eps:g})", asym))
-    if s_plus is not None:
-        rows.extend([
-            ("s_minus (weak-periodic branch parameter)", s_minus),
-            ("s_plus (weak-periodic branch parameter)", s_plus),
-            ("lambda_minus (weak-periodic branch activity)", lam_minus),
-            ("lambda_plus (weak-periodic branch activity)", lam_plus),
-        ])
-    csv = ["quantity,value", *(f"{name.split(' ', 1)[0]},{_fmt(value)}" for name, value in rows)]
-    text = [f"k = {k}", *(f"  {name}: {_fmt(value)}" for name, value in rows)]
+    doc = {"command": "critical", "k": k, "epsilon": eps,
+           **{key: _num(value) for key, _, value in rows}}
+    rows = [row for row in rows if row[2] is not None]
+    csv = ["quantity,value", *(f"{key},{_fmt(value)}" for key, _, value in rows)]
+    text = [f"k = {k}", *(f"  {key} ({label}): {_fmt(value)}" for key, label, value in rows)]
     return doc, csv, text
 
 

@@ -218,17 +218,20 @@ def _solve_pair_generic(
     return z1, z2, residual
 
 
-def _closed_pair(k: int, lam: float, tol: float) -> tuple[float, float, float]:
-    """The k=2 or k=3 closed-form pair and its residual, gated at max(tol, 1e-9)."""
-    z1, z2 = (solve_two_periodic_k2_closed if k == 2 else solve_two_periodic_k3_closed)(lam)
-    residual = _pair_residual(k, lam, z1, z2)
-    if residual > max(tol, 1e-9):
-        raise ConvergenceError(
-            "alternating pair residual above tolerance",
-            pair=(z1, z2),
-            residual=residual,
-        )
-    return z1, z2, residual
+def _solve_pair(k: int, lam: float, z_fix: float, tol: float,
+                start: tuple[float, float, int] | None = None) -> tuple[float, float, float]:
+    """The alternating pair (z1, z2), ascending, and its residual, gated at
+    tol: the closed form for k=2 and 3, _solve_pair_generic from `start`
+    otherwise. Call it only where _has_pair holds."""
+    if k >= 4:
+        z1, z2, residual = _solve_pair_generic(k, lam, z_fix, tol, start)
+    else:
+        z1, z2 = (solve_two_periodic_k2_closed if k == 2 else solve_two_periodic_k3_closed)(lam)
+        residual = _pair_residual(k, lam, z1, z2)
+        if residual > tol:
+            raise ConvergenceError("alternating pair residual above tolerance",
+                                   pair=(z1, z2), residual=residual, tol=tol)
+    return (z1, z2, residual) if z1 <= z2 else (z2, z1, residual)
 
 
 def _degenerate(lam: float, lam_cr: float) -> bool:
@@ -236,46 +239,31 @@ def _degenerate(lam: float, lam_cr: float) -> bool:
     return abs(lam - lam_cr) <= 1e-12 * max(1.0, lam_cr)
 
 
+def _has_pair(lam: float, lam_cr: float) -> bool:
+    """Whether the pair exists: above the critical activity, off its degenerate window."""
+    return lam > lam_cr and not _degenerate(lam, lam_cr)
+
+
 def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveReport:
     """All solutions of the alternating two-equation system at this activity.
 
     Below the critical activity only the fixed point exists; above it the
-    report carries the fixed point plus the canonical pair, and the ordered
-    solution count is 3. k=2 and k=3 use their closed forms, other k a
-    bisection of the two-cycle equation with the fixed point divided out,
-    which finds the pair at every activity above the critical one. The values
-    come from the float helpers that _solve_two_periodic_grid calls, and only
-    here become records.
+    report carries the fixed point plus the canonical pair from _solve_pair,
+    and the ordered solution count is 3. The values come from the float
+    helpers that _solve_two_periodic_grid calls, and only here become records.
     """
     k, lam = params.k, params.lam
     lam_cr = critical_lambda(k)
     z_fix = solve_translation_invariant(params, tol)
-    ti = translation_invariant_law(z_fix)
-    ti_res = abs(recursion_map(params, z_fix) - z_fix)
-    degenerate = _degenerate(lam, lam_cr)
-
-    if degenerate or lam < lam_cr:
-        return SolveReport(
-            params=params,
-            lambda_critical=lam_cr,
-            solutions=(ti,),
-            residuals=(ti_res,),
-            system_solution_count=1,
-            degenerate_double_root=degenerate,
-        )
-
-    # the residual is gated inside: at tol by the bisection, at max(tol, 1e-9)
-    # for the closed forms
-    z1, z2, pair_res = (_solve_pair_generic(k, lam, z_fix, tol) if k >= 4
-                        else _closed_pair(k, lam, tol))
-    return SolveReport(
-        params=params,
-        lambda_critical=lam_cr,
-        solutions=(ti, two_periodic_law(z1, z2)),
-        residuals=(ti_res, pair_res),
-        system_solution_count=3,
-        degenerate_double_root=False,
-    )
+    solutions = [translation_invariant_law(z_fix)]
+    residuals = [abs(recursion_map(params, z_fix) - z_fix)]
+    if _has_pair(lam, lam_cr):
+        z1, z2, pair_res = _solve_pair(k, lam, z_fix, tol)
+        solutions.append(two_periodic_law(z1, z2))
+        residuals.append(pair_res)
+    return SolveReport(params=params, lambda_critical=lam_cr, solutions=tuple(solutions),
+                       residuals=tuple(residuals), system_solution_count=2 * len(solutions) - 1,
+                       degenerate_double_root=_degenerate(lam, lam_cr))
 
 
 def _narrow(k: int, lams: list[float], his: list[float],
@@ -365,20 +353,14 @@ def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
             fixed.append(_fixed_point(k, lam, tol, start))
         except (ConvergenceError, DomainError) as exc:
             fixed.append(exc)
-    paired = [isinstance(z, float) and lam >= lam_cr and not _degenerate(lam, lam_cr)
-              for lam, z in zip(valid, fixed)]
+    paired = [isinstance(z, float) and _has_pair(lam, lam_cr) for lam, z in zip(valid, fixed)]
     starts = iter(_narrow(k, [lam for lam, p in zip(valid, paired) if p],
                           [z ** (1.0 / k) for z, p in zip(fixed, paired) if p],
                           pair=True) if k >= 4 else ())
     for lam, z, p in zip(valid, fixed, paired):
         if not isinstance(z, float):
             raise z
-        if not p:
-            yield z, None
-            continue
-        z1, z2, _ = (_solve_pair_generic(k, lam, z, tol, next(starts)) if k >= 4
-                     else _closed_pair(k, lam, tol))
-        yield z, ((z1, z2) if z1 <= z2 else (z2, z1))
+        yield z, (_solve_pair(k, lam, z, tol, next(starts, None))[:2] if p else None)
     if bad is not None:
         raise bad
 
@@ -412,10 +394,14 @@ def lambda_star(k: int) -> float:
 
 def nonextremal_bound(k: int) -> float:
     """Threshold above which the translation-invariant measure is provably
-    not extremal: (sqrt(k)/(sqrt(k)-1))**k / (sqrt(k)-1)."""
+    not extremal: (sqrt(k)/(sqrt(k)-1))**k / (sqrt(k)-1). It passes the
+    float range from k = 503,082 on and is then math.inf."""
     _check_int("k", k, 2)
     r = math.sqrt(k)
-    return (r / (r - 1.0)) ** k / (r - 1.0)
+    try:
+        return (r / (r - 1.0)) ** k / (r - 1.0)
+    except OverflowError:  # the power alone overflows
+        return math.inf
 
 
 def asymptotic_bound(k: int, eps: float) -> float:

@@ -226,7 +226,7 @@ class TestSweepCommand:
         grids += [("-lmin", repr(math.nextafter(lam, 0.0)),
                    "-lmax", repr(math.nextafter(lam, math.inf)), "-n", "3")
                   for lam in thresholds]
-        for quantity in cli.SOLVED_QUANTITIES:
+        for quantity in ("solutions", *cli.SOLVED_QUANTITIES):
             lams = []
             for grid in grids:
                 doc = run_json(capsys, "sweep", "-k", str(k), "--quantity", quantity, *grid,
@@ -234,6 +234,7 @@ class TestSweepCommand:
                 for row in doc["rows"]:
                     lam, params = row["lambda"], ModelParams(k, row["lambda"])
                     if quantity == "solutions":
+                        # counted without solving: equal to the count wherever solve succeeds
                         want = solve_two_periodic(params).system_solution_count
                     else:
                         report = classify(params)[-1]
@@ -243,6 +244,29 @@ class TestSweepCommand:
                     assert row["value"] == want, (quantity, lam)
                     lams.append(lam)
             assert set(thresholds) <= set(lams)
+
+    @pytest.mark.parametrize("k,grid,rows", [
+        (2, ("-lmin", "1e4", "-lmax", "1e300", "-n", "200"), 200),
+        (100, ("-lmin", "0.01", "-lmax", "1e12", "-n", "400"), 400),
+    ])
+    def test_solutions_counted_where_the_pair_underflows(self, capsys, k, grid, rows):
+        # solve raises past the pair's underflow, but the count there is 3
+        doc = run_json(capsys, "sweep", "-k", str(k), "--quantity", "solutions", *grid,
+                       "--scale", "log", "--json")
+        assert len(doc["rows"]) == rows
+        lam_cr = critical_values(k).lambda_cr
+        assert all(row["value"] == (3 if row["lambda"] > lam_cr else 1) for row in doc["rows"])
+        assert doc["rows"][-1]["value"] == 3
+
+    @pytest.mark.parametrize("points", [262_145, 10**12])
+    def test_points_above_the_cap_exit_1_before_the_grid(self, capsys, points):
+        code, out, err = run(capsys, "sweep", "-k", "2", "--quantity", "ks",
+                             "-lmin", "1", "-lmax", "2", "-n", str(points))
+        assert (code, out) == (1, "")
+        assert err == f"error: a sweep may have at most 262144 points, got {points}\n"
+
+    def test_points_at_the_cap_are_a_grid(self):
+        assert len(cli._grid(1.0, 2.0, cli._SWEEP_POINT_CAP, "linear")) == 262_144
 
     def test_h_and_g_rows_equal_their_functions(self, capsys):
         grids = [("-lmin", repr(27.0 / 16.0), "-lmax", "1e3", "-n", "60", "--scale", "log"),
@@ -434,6 +458,20 @@ class TestCriticalCommand:
         code, out, _ = run(capsys, "critical", "-k", k)
         assert code == 0
         assert "lambda_plus (weak-periodic branch activity): inf" in out
+
+    @pytest.mark.parametrize("k,finite", [(503_081, True), (503_082, False),
+                                          (10**6, False)])
+    def test_kesten_stigum_bound_past_the_float_range_is_null(self, capsys, k, finite):
+        doc = run_json(capsys, "critical", "-k", str(k), "--json")
+        assert (doc["kesten_stigum_bound"] is not None) == finite
+        assert doc["asymptotic_bound"] is not None
+        shown = "2.5375678480324e+305" if finite else "inf"
+        code, out, _ = run(capsys, "critical", "-k", str(k))
+        assert code == 0
+        assert f"kesten_stigum_bound (invariant law non-extremal above): {shown}\n" in out
+        code, out, _ = run(capsys, "critical", "-k", str(k), "--csv")
+        assert code == 0
+        assert f"\nkesten_stigum_bound,{shown}\n" in out
 
     def test_csv_layout(self, capsys):
         code, out, _ = run(capsys, "critical", "-k", "3", "--csv")

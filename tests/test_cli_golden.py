@@ -40,6 +40,8 @@ COMMANDS = [
     *(f"sweep {grid}{fmt}"
       for grid in (
           "-k 2 --quantity solutions -lmin 1 -lmax 10 -n 10",
+          # counted from the critical activity where the pair underflows
+          "-k 2 --quantity solutions -lmin 1e4 -lmax 1e300 -n 5 --scale log",
           "-k 3 --quantity D -lmin 1 -lmax 3 -n 9",
           "-k 3 --quantity h -lmin 1.6875016875 -lmax 100 -n 7 --scale log",
           "-k 3 --quantity g -lmin 1.6875016875 -lmax 100 -n 7 --scale log",
@@ -67,7 +69,8 @@ COMMANDS = [
           "-k 3 -l 1 -n 2 --mode sample --samples 500 --seed 7 --root full",
       )
       for fmt in ("", " --json")),
-    *(f"critical -k {k}{fmt}" for k in (2, 3, 5, 6, 10) for fmt in FORMATS),
+    # at k = 503082 the spectral bound passes the float range: inf, JSON null
+    *(f"critical -k {k}{fmt}" for k in (2, 3, 5, 6, 10, 503082) for fmt in FORMATS),
     "critical -k 4 --epsilon 0.5",
     *(f"weak {rest}{fmt}"
       for rest in (
@@ -96,6 +99,7 @@ COMMANDS = [
     "sweep -k 2 --quantity D -lmin 1 -lmax 2",
     "sweep -k 2 --quantity ks -lmin 2 -lmax 1",
     "sweep -k 2 --quantity ks -lmin 1 -lmax 2 -n 1",
+    "sweep -k 2 --quantity ks -lmin 1 -lmax 2 -n 262145",
     "sweep -k 2 --quantity ks -lmin 0 -lmax 2 --scale log",
     "sweep -k 3 --quantity h -lmin 1 -lmax 2 -n 3",
     "sweep -k 3 --quantity D -lmin 0 -lmax 2 -n 3",

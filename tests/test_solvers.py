@@ -19,6 +19,7 @@ from hctree.core import (
 )
 from hctree.solvers import (
     CriticalValues,
+    _solve_pair,
     _solve_pair_generic,
     _solve_two_periodic_grid,
     asymptotic_bound,
@@ -201,6 +202,36 @@ class TestPairClosedForms:
         assert got[1] == pytest.approx(want[1], rel=1e-9)
 
 
+class TestSolvePair:
+    """The one entry point to the pair: closed forms for k=2, 3, bisection above."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_ascending_and_a_two_cycle(self, k):
+        for lam in (critical_lambda(k) * 1.01, 5.0, 100.0):
+            z_fix = solve_translation_invariant(ModelParams(k, lam))
+            z1, z2, residual = _solve_pair(k, lam, z_fix, 1e-12)
+            assert 0.0 < z1 < z_fix < z2 < 1.0
+            assert residual <= 1e-12
+            assert residual == max(abs(z1 - (1.0 + lam * z2) ** -k),
+                                   abs(z2 - (1.0 + lam * z1) ** -k))
+
+    @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0)])
+    def test_closed_form_gated_at_tol(self, k, lam):
+        # no 1e-9 floor: a tol below the closed form's residual refuses it
+        z_fix = solve_translation_invariant(ModelParams(k, lam))
+        with pytest.raises(ConvergenceError) as err:
+            _solve_pair(k, lam, z_fix, 1e-300)
+        assert err.value.diagnostics["tol"] == 1e-300
+        assert err.value.diagnostics["residual"] > 1e-300
+
+    def test_has_pair_is_above_the_critical_activity_off_its_window(self):
+        lam_cr = critical_lambda(4)
+        assert not solvers._has_pair(lam_cr, lam_cr)
+        assert not solvers._has_pair(lam_cr * (1.0 + 1e-13), lam_cr)
+        assert not solvers._has_pair(math.nextafter(lam_cr, 0.0), lam_cr)
+        assert solvers._has_pair(lam_cr * (1.0 + 1e-11), lam_cr)
+
+
 class TestSolveTwoPeriodic:
     @pytest.mark.parametrize("k,lam", [(2, 1.0), (2, 2.0), (2, 3.999), (3, 1.0), (5, 0.5)])
     def test_unique_below_threshold(self, k, lam):
@@ -268,6 +299,11 @@ class TestThresholdActivities:
     def test_nonextremal_bound_formula(self):
         # (sqrt(k)/(sqrt(k)-1))**k / (sqrt(k)-1), exact at k=4: 2**4 = 16
         assert nonextremal_bound(4) == pytest.approx(16.0, rel=1e-14)
+
+    def test_nonextremal_bound_past_the_float_range_is_inf(self):
+        # the power overflows from k = 503,082 on
+        assert math.isfinite(nonextremal_bound(503_081))
+        assert nonextremal_bound(503_082) == nonextremal_bound(10**6) == math.inf
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_ordering(self, k):
