@@ -87,7 +87,7 @@ def _build_parser():
         p = subs.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file supplying defaults; flags override it")
-        p.set_defaults(run=run)
+        p.set_defaults(command=name, run=run)
         return p
 
     def add_k(p):
@@ -168,9 +168,10 @@ def _build_parser():
 
 @functools.lru_cache(maxsize=None)
 def _shared_parser():
-    """The parser main() reads argv with, built once per process.
+    """The top-level parser and the subcommands' parsers main() reads argv
+    with, built once per process.
 
-    It must never be mutated: a --config run passes the file's values in the
+    They must never be mutated: a --config run passes the file's values in the
     namespace it parses into, or they would leak into later calls in the
     same process.
     """
@@ -235,8 +236,9 @@ def _pair(report):
     return law.values if law.kind is LawKind.TWO_PERIODIC else None
 
 
-# Each _cmd_* returns its output once in every form: the JSON document, the
-# CSV lines and the text lines (None where the command has no text form).
+# Each _cmd_* returns its output in every form as a function that renders it:
+# the JSON document, the CSV lines and the text lines (None where the command
+# has no such form). main() calls only the one it prints.
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +249,41 @@ def _cmd_solve(args):
     params = _params(args)
     report = solve_two_periodic(params, args.tol)
     found = list(zip(report.solutions, report.residuals))
-    doc = {
-        "command": "solve",
-        "k": params.k,
-        "lambda": params.lam,
-        "tol": _num(args.tol),
-        "lambda_critical": report.lambda_critical,
-        "system_solution_count": report.system_solution_count,
-        "degenerate_double_root": report.degenerate_double_root,
-        "solutions": [
-            {"kind": law.kind.value, "values": [float(v) for v in law.values],
-             "residual": float(res)}
-            for law, res in found
-        ],
-    }
-    csv = ["kind,z1,z2,residual"]
-    text = [f"k={params.k}  lambda={_fmt(params.lam)}  "
-            f"critical activity={_fmt(report.lambda_critical)}",
-            f"ordered system solutions: {report.system_solution_count}"]
-    if report.degenerate_double_root:
-        text.append("note: at the bifurcation point the pair collapses onto the fixed point")
-    for law, res in found:
-        z2 = _fmt(law.values[1]) if len(law.values) > 1 else ""
-        csv.append(f"{law.kind.value},{_fmt(law.values[0])},{z2},{_fmt(res)}")
-        vals = "  ".join(f"z{idx + 1}={_fmt(v)}" for idx, v in enumerate(law.values)) \
-            if len(law.values) > 1 else f"z={_fmt(law.values[0])}"
-        text.append(f"  {law.kind.value:22s} {vals}  residual={_fmt(res)}")
+
+    def doc():
+        return {
+            "command": "solve",
+            "k": params.k,
+            "lambda": params.lam,
+            "tol": _num(args.tol),
+            "lambda_critical": report.lambda_critical,
+            "system_solution_count": report.system_solution_count,
+            "degenerate_double_root": report.degenerate_double_root,
+            "solutions": [
+                {"kind": law.kind.value, "values": [float(v) for v in law.values],
+                 "residual": float(res)}
+                for law, res in found
+            ],
+        }
+
+    def csv():
+        return ["kind,z1,z2,residual",
+                *(f"{law.kind.value},{_fmt(law.values[0])},"
+                  f"{_fmt(law.values[1]) if len(law.values) > 1 else ''},{_fmt(res)}"
+                  for law, res in found)]
+
+    def text():
+        lines = [f"k={params.k}  lambda={_fmt(params.lam)}  "
+                 f"critical activity={_fmt(report.lambda_critical)}",
+                 f"ordered system solutions: {report.system_solution_count}"]
+        if report.degenerate_double_root:
+            lines.append("note: at the bifurcation point the pair collapses onto the fixed point")
+        for law, res in found:
+            vals = "  ".join(f"z{idx + 1}={_fmt(v)}" for idx, v in enumerate(law.values)) \
+                if len(law.values) > 1 else f"z={_fmt(law.values[0])}"
+            lines.append(f"  {law.kind.value:22s} {vals}  residual={_fmt(res)}")
+        return lines
+
     return doc, csv, text
 
 
@@ -283,34 +294,46 @@ _CERTS = ("s2", "kappa", "gamma", "ks_value", "msw_value", "martinelli_value", "
 def _cmd_classify(args):
     params = _params(args)
     reports = classify(params, args.tol)
-    doc = {"command": "classify", "k": params.k, "lambda": params.lam, "tol": _num(args.tol),
-           "reports": []}
-    csv = [",".join(("kind", "z1", "z2", "k_eff", *_CERTS, "verdict"))]
-    text = [f"k={params.k}  lambda={_fmt(params.lam)}"]
-    for r in reports:
-        entry = {"kind": r.law.kind.value, "values": [float(v) for v in r.law.values],
-                 "k_eff": r.k_eff}
-        for name in _CERTS:
-            entry[name] = _num(getattr(r, name))
-            if name in ("martinelli_value", "mossel_value"):
-                flag = name.replace("value", "no_reconstruction")
-                entry[flag] = getattr(r, flag)
-        entry["verdict"] = r.verdict.value
-        doc["reports"].append(entry)
-        z2 = _fmt(r.law.values[1]) if len(r.law.values) > 1 else ""
-        csv.append(",".join((r.law.kind.value, _fmt(r.law.values[0]), z2, str(r.k_eff),
-                             *(_fmt(getattr(r, name)) for name in _CERTS), r.verdict.value)))
-        vals = ", ".join(_fmt(v) for v in r.law.values)
-        text += [
-            f"  {r.law.kind.value}  z=({vals})",
-            f"    k_eff={r.k_eff}  s2={_fmt(r.s2)}  kappa={_fmt(r.kappa)}  "
-            f"gamma<={_fmt(r.gamma)}",
-            f"    spectral value={_fmt(r.ks_value)}  contraction value={_fmt(r.msw_value)}",
-            f"    reconstruction tests: {_fmt(r.martinelli_value)} "
-            f"(ok={r.martinelli_no_reconstruction}), {_fmt(r.mossel_value)} "
-            f"(ok={r.mossel_no_reconstruction})",
-            f"    verdict: {r.verdict.value}",
-        ]
+
+    def doc():
+        entries = []
+        for r in reports:
+            entry = {"kind": r.law.kind.value, "values": [float(v) for v in r.law.values],
+                     "k_eff": r.k_eff}
+            for name in _CERTS:
+                entry[name] = _num(getattr(r, name))
+                if name in ("martinelli_value", "mossel_value"):
+                    flag = name.replace("value", "no_reconstruction")
+                    entry[flag] = getattr(r, flag)
+            entry["verdict"] = r.verdict.value
+            entries.append(entry)
+        return {"command": "classify", "k": params.k, "lambda": params.lam,
+                "tol": _num(args.tol), "reports": entries}
+
+    def csv():
+        return [",".join(("kind", "z1", "z2", "k_eff", *_CERTS, "verdict")),
+                *(",".join((r.law.kind.value, _fmt(r.law.values[0]),
+                            _fmt(r.law.values[1]) if len(r.law.values) > 1 else "",
+                            str(r.k_eff), *(_fmt(getattr(r, name)) for name in _CERTS),
+                            r.verdict.value))
+                  for r in reports)]
+
+    def text():
+        lines = [f"k={params.k}  lambda={_fmt(params.lam)}"]
+        for r in reports:
+            vals = ", ".join(_fmt(v) for v in r.law.values)
+            lines += [
+                f"  {r.law.kind.value}  z=({vals})",
+                f"    k_eff={r.k_eff}  s2={_fmt(r.s2)}  kappa={_fmt(r.kappa)}  "
+                f"gamma<={_fmt(r.gamma)}",
+                f"    spectral value={_fmt(r.ks_value)}  contraction value={_fmt(r.msw_value)}",
+                f"    reconstruction tests: {_fmt(r.martinelli_value)} "
+                f"(ok={r.martinelli_no_reconstruction}), {_fmt(r.mossel_value)} "
+                f"(ok={r.mossel_no_reconstruction})",
+                f"    verdict: {r.verdict.value}",
+            ]
+        return lines
+
     return doc, csv, text
 
 
@@ -382,25 +405,29 @@ def _cmd_sweep(args):
                   for lam, (z_fix, pair) in zip(grid, solved)]
     else:
         values = [_sweep_value(args, lam) for lam in grid]
-    doc = {
-        "command": "sweep",
-        "k": args.k,
-        "quantity": args.quantity,
-        "scale": args.scale,
-        "lambda_min": lmin,
-        "lambda_max": lmax,
-        "points": args.points,
-        "i": args.i,
-        "invariant_set": args.invariant_set,
-        "rows": [
-            {"lambda": lam, "value": val if isinstance(val, (int, str)) else _num(val)}
-            for lam, val in zip(grid, values)
-        ],
-    }
-    csv = [f"lambda,{args.quantity}"]
-    for lam, val in zip(grid, values):
-        cell = val if isinstance(val, str) else (str(val) if isinstance(val, int) else _fmt(val))
-        csv.append(f"{_fmt(lam)},{cell}")
+
+    def doc():
+        return {
+            "command": "sweep",
+            "k": args.k,
+            "quantity": args.quantity,
+            "scale": args.scale,
+            "lambda_min": lmin,
+            "lambda_max": lmax,
+            "points": args.points,
+            "i": args.i,
+            "invariant_set": args.invariant_set,
+            "rows": [
+                {"lambda": lam, "value": val if isinstance(val, (int, str)) else _num(val)}
+                for lam, val in zip(grid, values)
+            ],
+        }
+
+    def csv():
+        return [f"lambda,{args.quantity}",
+                *(f"{_fmt(lam)},{val if isinstance(val, (int, str)) else _fmt(val)}"
+                  for lam, val in zip(grid, values))]
+
     return doc, csv, None
 
 
@@ -420,8 +447,8 @@ def _cmd_oracle(args):
     params = _params(args)
     depth = _need(args, "-n/--depth", "depth")
     root = RootDegree(args.root)
-    doc = {"command": "oracle", "k": params.k, "lambda": params.lam, "depth": depth,
-           "mode": args.mode, "root": root.value}
+    head = {"command": "oracle", "k": params.k, "lambda": params.lam, "depth": depth,
+            "mode": args.mode, "root": root.value}
 
     if args.mode == "sample":
         report = solve_two_periodic(params, args.tol)
@@ -430,14 +457,16 @@ def _cmd_oracle(args):
         _, _, violations, metadata = _draw(params, z1, z2, depth, args.samples, args.seed, root,
                                            False)
         passed = violations == 0
-        doc.update(samples=args.samples, seed=args.seed, violations=violations,
-                   passed=passed, metadata=metadata)
-        text = [f"mode=sample  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
-                f"root={root.value}  samples={args.samples}  seed={args.seed}",
-                f"z1={_fmt(z1)}  z2={_fmt(z2)}",
-                f"adjacent occupied pairs: {violations}",
-                "PASS" if passed else "FAIL"]
-        return doc, None, text
+        return (
+            lambda: {**head, "samples": args.samples, "seed": args.seed,
+                     "violations": violations, "passed": passed, "metadata": metadata},
+            None,
+            lambda: [f"mode=sample  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
+                     f"root={root.value}  samples={args.samples}  seed={args.seed}",
+                     f"z1={_fmt(z1)}  z2={_fmt(z2)}",
+                     f"adjacent occupied pairs: {violations}",
+                     "PASS" if passed else "FAIL"],
+        )
 
     # exact enumeration is capped: refuse an oversized ball before building it
     _require_ball_enumerable(params.k, depth, root)
@@ -459,14 +488,16 @@ def _cmd_oracle(args):
         assignment, values = z, [z]
     deviation = consistency_check(ball, params.lam, assignment)
     passed = deviation < PASS_THRESHOLD
-    doc.update(boundary_values=[float(v) for v in values], max_deviation=deviation,
-               threshold=PASS_THRESHOLD, passed=passed)
-    text = [f"mode={args.mode}  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
-            f"root={root.value}  vertices={ball.n_vertices}",
-            f"boundary values: {', '.join(_fmt(v) for v in values)}",
-            f"max deviation = {_fmt(deviation)}  (threshold {_fmt(PASS_THRESHOLD)})",
-            "PASS" if passed else "FAIL"]
-    return doc, None, text
+    return (
+        lambda: {**head, "boundary_values": [float(v) for v in values],
+                 "max_deviation": deviation, "threshold": PASS_THRESHOLD, "passed": passed},
+        None,
+        lambda: [f"mode={args.mode}  k={params.k}  lambda={_fmt(params.lam)}  depth={depth}  "
+                 f"root={root.value}  vertices={ball.n_vertices}",
+                 f"boundary values: {', '.join(_fmt(v) for v in values)}",
+                 f"max deviation = {_fmt(deviation)}  (threshold {_fmt(PASS_THRESHOLD)})",
+                 "PASS" if passed else "FAIL"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +528,14 @@ def _cmd_critical(args):
         ("lambda_minus", "weak-periodic branch activity", lam_minus),
         ("lambda_plus", "weak-periodic branch activity", lam_plus),
     ]
-    doc = {"command": "critical", "k": k, "epsilon": eps,
-           **{key: _num(value) for key, _, value in rows}}
-    rows = [row for row in rows if row[2] is not None]
-    csv = ["quantity,value", *(f"{key},{_fmt(value)}" for key, _, value in rows)]
-    text = [f"k = {k}", *(f"  {key} ({label}): {_fmt(value)}" for key, label, value in rows)]
-    return doc, csv, text
+    shown = [row for row in rows if row[2] is not None]
+    return (
+        lambda: {"command": "critical", "k": k, "epsilon": eps,
+                 **{key: _num(value) for key, _, value in rows}},
+        lambda: ["quantity,value", *(f"{key},{_fmt(value)}" for key, _, value in shown)],
+        lambda: [f"k = {k}",
+                 *(f"  {key} ({label}): {_fmt(value)}" for key, label, value in shown)],
+    )
 
 
 def _cmd_weak(args):
@@ -512,29 +545,37 @@ def _cmd_weak(args):
     wp = WeakPeriodicParams(params.k, args.i, params.lam)
     report = solve_weak_periodic(wp, args.invariant_set, args.tol)
     found = list(zip(report.fixed_points, report.residuals, report.ti_flags))
-    doc = {
-        "command": "weak",
-        "k": wp.k,
-        "lambda": wp.lam,
-        "i": wp.i,
-        "invariant_set": report.invariant_set,
-        "tol": _num(args.tol),
-        "count": report.count,
-        "non_constant_count": report.non_ti_count,
-        "fixed_points": [
-            {"values": [float(v) for v in law.values], "residual": float(res),
-             "constant": bool(flag)}
-            for law, res, flag in found
-        ],
-    }
-    csv = ["z1,z2,z3,z4,residual,constant"]
-    text = [f"k={wp.k}  lambda={_fmt(wp.lam)}  i={wp.i}  set={report.invariant_set}",
-            f"fixed points: {report.count}  (non-constant: {report.non_ti_count})"]
-    for law, res, flag in found:
-        vals = [_fmt(v) for v in law.values]
-        csv.append(f"{','.join(vals)},{_fmt(res)},{str(bool(flag)).lower()}")
-        tag = "constant" if flag else "non-constant"
-        text.append(f"  ({', '.join(vals)})  residual={_fmt(res)}  [{tag}]")
+
+    def doc():
+        return {
+            "command": "weak",
+            "k": wp.k,
+            "lambda": wp.lam,
+            "i": wp.i,
+            "invariant_set": report.invariant_set,
+            "tol": _num(args.tol),
+            "count": report.count,
+            "non_constant_count": report.non_ti_count,
+            "fixed_points": [
+                {"values": [float(v) for v in law.values], "residual": float(res),
+                 "constant": bool(flag)}
+                for law, res, flag in found
+            ],
+        }
+
+    def csv():
+        return ["z1,z2,z3,z4,residual,constant",
+                *(f"{','.join(_fmt(v) for v in law.values)},{_fmt(res)},"
+                  f"{str(bool(flag)).lower()}"
+                  for law, res, flag in found)]
+
+    def text():
+        return [f"k={wp.k}  lambda={_fmt(wp.lam)}  i={wp.i}  set={report.invariant_set}",
+                f"fixed points: {report.count}  (non-constant: {report.non_ti_count})",
+                *(f"  ({', '.join(_fmt(v) for v in law.values)})  residual={_fmt(res)}  "
+                  f"[{'constant' if flag else 'non-constant'}]"
+                  for law, res, flag in found)]
+
     return doc, csv, text
 
 
@@ -546,27 +587,33 @@ def main(argv=None) -> int:
     parser, subs = _shared_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
+        sub = subs.get(argv[0]) if argv else None
+        if sub is None:
+            # -h, no command, an unknown command or a leading --: the top-level
+            # parser prints the usage or the error
+            parser.parse_args(argv)
             parser.print_usage(sys.stderr)
             return 2
+        # the subcommand's own parser reads the rest; what it leaves over is
+        # reported by the top-level parser, as when it parses the whole argv
+        args, extra = sub.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.config:
             # argparse sets a default only where the namespace has no value,
             # so the file's values fill in and the flags still override them;
             # a format flag also drops the file's other format
-            sub = subs[args.command]
             values = _read_config(args.config, sub)
             if args.json or getattr(args, "csv", False):
                 values = {key: v for key, v in values.items() if key not in ("json", "csv")}
-            args = sub.parse_args(argv[argv.index(args.command) + 1:],
-                                  argparse.Namespace(**values))
+            args = sub.parse_args(argv[1:], argparse.Namespace(**values))
         if not getattr(args, "tol", 1.0) > 0:  # every command but critical has --tol
             raise DomainError("tol must be positive")
         doc, csv, text = args.run(args)
         if args.json:
-            lines = [json.dumps(doc, indent=2, allow_nan=False)]
+            lines = [json.dumps(doc(), indent=2, allow_nan=False)]
         else:
-            lines = csv if text is None or getattr(args, "csv", False) else text
+            lines = (csv if text is None or getattr(args, "csv", False) else text)()
         _emit("\n".join(lines) + "\n", getattr(args, "out", None))
         return 0
     except SystemExit as exc:  # argparse reports usage errors and --help this way

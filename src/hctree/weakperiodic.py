@@ -330,11 +330,13 @@ def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
 def s_pm(k: int) -> tuple[float, float]:
     """The two roots (k - 3 -+ sqrt(k**2 - 6k + 1)) / 4; real from k = 6 up.
 
-    Vieta gives s_minus * s_plus = 1/2 for every such k.
+    s_minus is 1/(2 s_plus) by Vieta (s_minus * s_plus = 1/2). The difference
+    k - 3 - sqrt(...) cancels: it reads 1.1e-8 for 1.0e-8 at k = 10**8 and 0
+    from k = 3 * 10**8 on.
     """
     _check_int("k", k, 6)
-    d = math.sqrt(k * k - 6.0 * k + 1.0)
-    return ((k - 3.0 - d) / 4.0, (k - 3.0 + d) / 4.0)
+    s_plus = (k - 3.0 + math.sqrt(k * k - 6.0 * k + 1.0)) / 4.0
+    return (0.5 / s_plus, s_plus)
 
 
 def lambda_pm(k: int) -> tuple[float, float]:
@@ -346,4 +348,5 @@ def lambda_pm(k: int) -> tuple[float, float]:
         lam_plus = (sp + 1.0) ** k * sp
     except OverflowError:  # the power alone overflows from k = 162 on
         lam_plus = math.inf
-    return ((sm + 1.0) ** k * sm, lam_plus)
+    # exp(k log1p(s)) keeps the low bits of a small s_minus that s + 1 drops
+    return (math.exp(k * math.log1p(sm)) * sm, lam_plus)

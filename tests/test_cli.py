@@ -644,6 +644,31 @@ class TestConfigFile:
         assert err == "error: missing required flag -k/--k\n"
 
 
+def _raises(*_):
+    raise AssertionError("rendered a format that is not printed")
+
+
+class TestRendersOnlyItsFormat:
+    """A run renders only the format it prints: --json formats no text cell
+    (_fmt) and text or CSV builds no JSON number (_num)."""
+
+    @pytest.mark.parametrize("command, fmt", [
+        *((c, fmt) for c in ("solve -k 2 -l 5", "classify -k 2 -l 5", "critical -k 6",
+                             "weak -k 2 -l 5")
+          for fmt in ("", " --csv", " --json")),
+        *((c, fmt) for c in ("sweep -k 2 --quantity ks -lmin 1 -lmax 40 -n 8",
+                             "oracle -k 2 -l 5 -n 3 --mode periodic",
+                             "oracle -k 2 -l 5 -n 3 --mode sample --samples 100")
+          for fmt in ("", " --json")),
+    ])
+    def test_one_successful_command_per_subcommand(self, capsys, monkeypatch, command, fmt):
+        argv = (command + fmt).split()
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, "_fmt" if fmt == " --json" else "_num", _raises)
+        assert run(capsys, *argv) == (0, want, "")
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

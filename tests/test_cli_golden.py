@@ -6,6 +6,8 @@ The data file is written by this module:
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 
+It prints each command whose entry it adds, removes or changes.
+
 `{tmp}` in a command stands for a fresh temporary directory; it is put back
 in place of that directory in stderr, and a command that writes
 `{tmp}/out.csv` has the file's text recorded beside its stdout.
@@ -91,6 +93,10 @@ COMMANDS = [
     "solve -k 2 -l 5 --tol -1",
     "solve -k 2 -l 5 --csv --json",
     "solve -k 2 -l 5 --config {tmp}/missing.cfg",
+    # arguments the subcommand leaves over, and a leading --: top-level usage errors
+    "solve -k 2 -l 5 extra",
+    "classify -k 2 -l 5 -- -k 3",
+    "-- solve -k 2 -l 5",
     # the two-cycle lies below the smallest positive float: exit code 1
     *(f"solve -k 100 -l 2000{fmt}" for fmt in FORMATS),
     "classify -k 0 -l 5 --json",
@@ -179,5 +185,14 @@ def test_parser_built_once_and_left_unchanged(monkeypatch, tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --write")
-    GOLDEN.write_text(json.dumps({c: run_command(c) for c in COMMANDS}, indent=1) + "\n")
+    golden = {c: run_command(c) for c in COMMANDS}
+    # what moves, so a change can list its moved entries from this output
+    for command in COMMANDS:
+        if command not in GOLDEN_DATA:
+            print(f"added: {command!r}")
+        elif golden[command] != GOLDEN_DATA[command]:
+            print(f"changed: {command!r}")
+    for command in sorted(GOLDEN_DATA.keys() - golden.keys()):
+        print(f"removed: {command!r}")
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(COMMANDS)} commands to {GOLDEN}")

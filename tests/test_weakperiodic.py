@@ -524,6 +524,19 @@ class TestWindowEndpoints:
         assert lo == pytest.approx(5.6953125, rel=1e-14)
         assert hi == pytest.approx(64.0, rel=1e-14)
 
+    @pytest.mark.parametrize("k", [6, 7, 10, 30, 100, 1000, 10**6, 10**10])
+    def test_lower_end_against_50_digits(self, k):
+        # s_minus by Vieta and lambda_minus through log1p: k - 3 - sqrt(...)
+        # cancels and s_minus + 1 drops the low bits of a small s_minus
+        mpmath = pytest.importorskip("mpmath")  # ships with sympy
+        with mpmath.workdps(50):
+            d = mpmath.sqrt(mpmath.mpf(k) ** 2 - 6 * k + 1)
+            sm, sp = (k - 3 - d) / 4, (k - 3 + d) / 4
+            want = (sm, sp, (1 + sm) ** k * sm)
+            got = (*s_pm(k), lambda_pm(k)[0])
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15 * w
+
     @pytest.mark.parametrize("k", [161, 162, 1000, 100000])
     def test_upper_end_past_the_float_range_is_inf(self, k):
         lo, hi = lambda_pm(k)
