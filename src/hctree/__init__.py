@@ -23,8 +23,8 @@ _LAZY = {
                "conditional_child_distribution", "consistency_check", "count_admissible",
                "enumerate_admissible", "hard_core_violations", "partition_function",
                "root_marginal", "sample_tree_chain"),
-    "weakperiodic": ("WeakPeriodicParams", "WeakSolveReport", "lambda_pm", "s_pm",
-                     "solve_weak_periodic", "weak_system_map"),
+    "weakperiodic": ("WeakPeriodicParams", "WeakSolveReport", "solve_weak_periodic",
+                     "weak_system_map"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -36,6 +36,8 @@ from .solvers import (
     critical_lambda,
     critical_values,
     discriminant_k3,
+    lambda_pm,
+    s_pm,
     solve_translation_invariant,
     solve_two_periodic,
 )
@@ -178,13 +180,13 @@ def _shared_parser():
     return _build_parser()
 
 
-def _parse_bool(raw: str) -> bool:
+def _parse_bool(raw: str, where: str) -> bool:
     low = raw.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise DomainError(f"expected a boolean, got {raw!r}")
+    raise DomainError(f"{where}: expected a boolean, got {raw!r}")
 
 
 def _read_config(path: str, sub: argparse.ArgumentParser) -> dict:
@@ -205,7 +207,7 @@ def _read_config(path: str, sub: argparse.ArgumentParser) -> dict:
             if action is None or action.dest in ("help", "config"):
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
             if action.nargs == 0:
-                overrides[action.dest] = _parse_bool(value)
+                overrides[action.dest] = _parse_bool(value, f"{path}:{lineno}")
                 continue
             try:
                 converted = (action.type or str)(value)
@@ -359,31 +361,32 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
     return vals
 
 
-def _sweep_value(args, lam: float):
-    """D, h, g or weakperiodic_count at one activity."""
-    quantity = args.quantity
-    if quantity == "D":
-        return discriminant_k3(lam)
-    if quantity == "h":
-        return h_function(lam)
-    if quantity == "g":
-        return g_function(lam)
-    from .weakperiodic import WeakPeriodicParams, solve_weak_periodic
-
-    wp = WeakPeriodicParams(args.k, args.i, lam)
-    return solve_weak_periodic(wp, args.invariant_set, args.tol).count
-
-
-# each quantity's place in _certificates' tuple (ExtremalityReport's fields after law)
+# each solved quantity's place in _certificates' tuple (ExtremalityReport's fields after law)
 _CERT_INDEX = {"s2": 1, "ks": 4, "msw": 5, "verdict": 10}
 
 
-def _solved_value(quantity: str, k: int, lam: float, z_fix: float, pair):
-    """A quantity in SOLVED_QUANTITIES from the fixed point and the pair (or
-    None) at one activity, by classify's arithmetic."""
-    # the pair, where it exists, is the last law classify reports
-    value = _certificates(k, lam, pair or (z_fix,))[_CERT_INDEX[quantity]]
-    return value.value if quantity == "verdict" else value
+def _sweep_values(args, grid: list[float]) -> list:
+    """The column of args.quantity at each activity of the grid."""
+    k, quantity = args.k, args.quantity
+    if quantity in SOLVED_QUANTITIES:
+        # the pair, where it exists, is the last law classify reports
+        index = _CERT_INDEX[quantity]
+        column = [_certificates(k, lam, pair or (z_fix,))[index]
+                  for lam, (z_fix, pair) in zip(grid, _solve_two_periodic_grid(k, grid, args.tol))]
+        return [v.value for v in column] if quantity == "verdict" else column
+    if quantity == "solutions":
+        # counted, not solved: the pair exists at every activity _has_pair admits
+        lam_cr = critical_lambda(k)
+        return [3 if _has_pair(_check_positive("lam", lam), lam_cr) else 1 for lam in grid]
+    if quantity == "weakperiodic_count":
+        from .weakperiodic import WeakPeriodicParams, solve_weak_periodic
+
+        return [solve_weak_periodic(WeakPeriodicParams(k, args.i, lam), args.invariant_set,
+                                    args.tol).count for lam in grid]
+    if k != 3:
+        raise DomainError(f"quantity {quantity} is defined for k=3 only")
+    value = {"D": discriminant_k3, "h": h_function, "g": g_function}[quantity]
+    return [value(lam) for lam in grid]
 
 
 def _cmd_sweep(args):
@@ -393,18 +396,7 @@ def _cmd_sweep(args):
     if args.quantity is None:
         raise DomainError("missing required flag --quantity")
     grid = _grid(lmin, lmax, args.points, args.scale)
-    if args.quantity in ("D", "h", "g") and args.k != 3:
-        raise DomainError(f"quantity {args.quantity} is defined for k=3 only")
-    if args.quantity == "solutions":
-        # counted, not solved: the pair exists at every activity _has_pair admits
-        lam_cr = critical_lambda(args.k)
-        values = [3 if _has_pair(_check_positive("lam", lam), lam_cr) else 1 for lam in grid]
-    elif args.quantity in SOLVED_QUANTITIES:
-        solved = _solve_two_periodic_grid(args.k, grid, args.tol)
-        values = [_solved_value(args.quantity, args.k, lam, z_fix, pair)
-                  for lam, (z_fix, pair) in zip(grid, solved)]
-    else:
-        values = [_sweep_value(args, lam) for lam in grid]
+    values = _sweep_values(args, grid)
 
     def doc():
         return {
@@ -510,8 +502,6 @@ def _cmd_critical(args):
     eps = args.epsilon
     asym = asymptotic_bound(k, eps) if k >= 3 else None
     if k >= 6:
-        from .weakperiodic import lambda_pm, s_pm
-
         s_minus, s_plus = s_pm(k)
         lam_minus, lam_plus = lambda_pm(k)
     else:

@@ -27,15 +27,17 @@ __all__ = [
     "critical_values",
     "discriminant_k3",
     "k3_cubic_root",
+    "lambda_pm",
     "lambda_star",
     "nonextremal_bound",
+    "s_pm",
     "solve_translation_invariant",
     "solve_two_periodic",
     "solve_two_periodic_k2_closed",
     "solve_two_periodic_k3_closed",
 ]
 
-# halving [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074
+# halving any bracket in [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074
 _BISECT_MAX_ITER = 1100
 _DEFAULT_TOL = 1e-12
 _NARROW_REL = 2.0 ** -50  # relative sign margins of _narrow, derived there
@@ -60,14 +62,14 @@ def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) 
 
 
 def _fixed_point(k: int, lam: float, tol: float,
-                 start: tuple[float, float, int] | None = None) -> float:
-    """solve_translation_invariant on floats. `start` is a bracket
-    (lo, hi, steps) that this bisection reaches after `steps` steps."""
+                 start: tuple[float, float] | None = None) -> float:
+    """solve_translation_invariant on floats. `start` is a bracket (lo, hi)
+    that this bisection reaches from (0, 1)."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     # sign(f - id) is + at lo, - at hi; endpoints never evaluated
-    lo, hi, used = start or (0.0, 1.0, 0)
-    for _ in range(_BISECT_MAX_ITER - used):
+    lo, hi = start or (0.0, 1.0)
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -160,18 +162,9 @@ def _check_pair_found(z1: float, lam: float, **diagnostics) -> None:
                                lam=lam, **diagnostics)
 
 
-def _pair_residual(k: int, lam: float, z1: float, z2: float) -> float:
-    # recursion_map inlined: both values are positive floats
-    return max(
-        abs(z1 - (1.0 + lam * z2) ** (-k)),
-        abs(z2 - (1.0 + lam * z1) ** (-k)),
-    )
-
-
-def _solve_pair_generic(
-    k: int, lam: float, z_fix: float, tol: float, start: tuple[float, float, int] | None = None
-) -> tuple[float, float, float]:
-    """Two-cycle (z1, z2) and its residual, gated at tol, by bisection of
+def _solve_pair_generic(k: int, lam: float, z_fix: float,
+                        start: tuple[float, float] | None = None) -> tuple[float, float]:
+    """Two-cycle (z1, z2) by bisection of
     G(u) = lam*u*v*sum(u**j * v**(k-1-j), j < k) - 1, v = 1/(1 + lam*u**k):
     1/u = 1 + lam*v**k minus 1/v = 1 + lam*u**k over v - u, in u = z1**(1/k)
     and v = z2**(1/k). G(0+) = -1 and G(u_fix) = |f'(z_fix)| - 1 > 0 above
@@ -182,8 +175,8 @@ def _solve_pair_generic(
     """
     log1p, expm1 = math.log1p, math.expm1
     # G inlined as p = G + 1: below 1 at lo, above at hi; ends never evaluated
-    lo, hi, used = start or (0.0, z_fix ** (1.0 / k), 0)
-    for _ in range(_BISECT_MAX_ITER - used):
+    lo, hi = start or (0.0, z_fix ** (1.0 / k))
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -206,31 +199,23 @@ def _solve_pair_generic(
         z1 = (1.0 + lam * (1.0 + lam * z1) ** (-k)) ** (-k)
     # z1 is 0 where u**k (or the pass) underflows: the pair is below every float
     _check_pair_found(z1, lam, bracket=(lo, hi))
-    z2 = (1.0 + lam * z1) ** (-k)
-    residual = _pair_residual(k, lam, z1, z2)
-    if residual > tol:
-        raise ConvergenceError(
-            "two-cycle bisection stalled",
-            pair=(z1, z2),
-            residual=residual,
-            tol=tol,
-        )
-    return z1, z2, residual
+    return z1, (1.0 + lam * z1) ** (-k)
 
 
 def _solve_pair(k: int, lam: float, z_fix: float, tol: float,
-                start: tuple[float, float, int] | None = None) -> tuple[float, float, float]:
+                start: tuple[float, float] | None = None) -> tuple[float, float, float]:
     """The alternating pair (z1, z2), ascending, and its residual, gated at
     tol: the closed form for k=2 and 3, _solve_pair_generic from `start`
     otherwise. Call it only where _has_pair holds."""
     if k >= 4:
-        z1, z2, residual = _solve_pair_generic(k, lam, z_fix, tol, start)
+        z1, z2 = _solve_pair_generic(k, lam, z_fix, start)
     else:
         z1, z2 = (solve_two_periodic_k2_closed if k == 2 else solve_two_periodic_k3_closed)(lam)
-        residual = _pair_residual(k, lam, z1, z2)
-        if residual > tol:
-            raise ConvergenceError("alternating pair residual above tolerance",
-                                   pair=(z1, z2), residual=residual, tol=tol)
+    # recursion_map inlined: both values are positive floats
+    residual = max(abs(z1 - (1.0 + lam * z2) ** (-k)), abs(z2 - (1.0 + lam * z1) ** (-k)))
+    if residual > tol:
+        raise ConvergenceError("alternating pair residual above tolerance",
+                               pair=(z1, z2), residual=residual, tol=tol)
     return (z1, z2, residual) if z1 <= z2 else (z2, z1, residual)
 
 
@@ -267,10 +252,10 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
 
 
 def _narrow(k: int, lams: list[float], his: list[float],
-            pair: bool) -> list[tuple[float, float, int]]:
+            pair: bool) -> list[tuple[float, float]]:
     """Bisect f(z) - z (G(u) of _solve_pair_generic if pair) on (0, hi) for
     every activity at once, as far as numpy cannot change a step's sign;
-    returns the `start` (lo, hi, steps) for each activity's scalar loop.
+    returns the `start` (lo, hi) for each activity's scalar loop.
 
     A step is taken only where |g| exceeds the margin, every value is normal
     and mid is not an end; an activity stops for good at its first other step.
@@ -294,7 +279,6 @@ def _narrow(k: int, lams: list[float], his: list[float],
     lam = np.array(lams, dtype=float)
     lo = np.zeros_like(lam)
     hi = np.array(his, dtype=float)
-    steps = np.zeros(lam.shape, dtype=np.int64)
     live = np.ones(lam.shape, dtype=bool)
     rel = _PAIR_NARROW_REL * (k + 1) if pair else _NARROW_REL
     with np.errstate(all="ignore"):
@@ -320,49 +304,39 @@ def _narrow(k: int, lams: list[float], his: list[float],
             up = g > 0.0
             np.copyto(lo, mid, where=live & up)
             np.copyto(hi, mid, where=live & ~up)
-            steps += live
-    return list(zip(lo.tolist(), hi.tolist(), steps.tolist()))
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
     """Yields (z_fix, pair) for each lam in turn: the fixed point and the
     ascending pair (None at and below the critical activity) that
-    solve_two_periodic(ModelParams(k, lam), tol) reports, bit for bit, and
-    raises what it raises at the first lam it raises at. No record is built:
-    the values come from the same float helpers and gates, and each
-    residual is computed once.
+    solve_two_periodic(ModelParams(k, lam), tol) reports, bit for bit. No
+    record is built: the values come from the same float helpers and gates,
+    and each residual is computed once.
 
-    The bisections start from brackets narrowed for all lams at once. The
-    fixed points are all solved before the first yield, so their errors wait
-    for their turn; the pair brackets (k >= 4) need every fixed point.
+    A lam that is not positive and finite is refused before any is solved;
+    otherwise the first error that solve_two_periodic raises is raised in its
+    turn. The bisections start from brackets narrowed for all lams at once:
+    the fixed points up to the first that fails are solved before the first
+    yield, because the pair brackets (k >= 4) need them.
     """
-    lams = list(lams)
-    if not lams:
-        return
     lam_cr = critical_lambda(k)
-    valid, bad = [], None
-    for lam in lams:
-        try:
-            valid.append(_check_positive("lam", lam))
-        except DomainError as exc:
-            bad = exc  # raised below, in its turn
-            break
-    fixed = []
-    for lam, start in zip(valid, _narrow(k, valid, [1.0] * len(valid), pair=False)):
+    lams = [_check_positive("lam", lam) for lam in lams]
+    fixed, error = [], None
+    for lam, start in zip(lams, _narrow(k, lams, [1.0] * len(lams), pair=False)):
         try:
             fixed.append(_fixed_point(k, lam, tol, start))
         except (ConvergenceError, DomainError) as exc:
-            fixed.append(exc)
-    paired = [isinstance(z, float) and _has_pair(lam, lam_cr) for lam, z in zip(valid, fixed)]
-    starts = iter(_narrow(k, [lam for lam, p in zip(valid, paired) if p],
+            error = exc  # raised below, in its turn
+            break
+    paired = [_has_pair(lam, lam_cr) for lam in lams[:len(fixed)]]
+    starts = iter(_narrow(k, [lam for lam, p in zip(lams, paired) if p],
                           [z ** (1.0 / k) for z, p in zip(fixed, paired) if p],
                           pair=True) if k >= 4 else ())
-    for lam, z, p in zip(valid, fixed, paired):
-        if not isinstance(z, float):
-            raise z
+    for lam, z, p in zip(lams, fixed, paired):
         yield z, (_solve_pair(k, lam, z, tol, next(starts, None))[:2] if p else None)
-    if bad is not None:
-        raise bad
+    if error is not None:
+        raise error
 
 
 def _t_root(k: int) -> float:
@@ -413,6 +387,31 @@ def asymptotic_bound(k: int, eps: float) -> float:
     return math.exp(1.0 + eps) * lk * (lk + math.log(lk) + 1.0 + eps)
 
 
+def s_pm(k: int) -> tuple[float, float]:
+    """The two roots (k - 3 -+ sqrt(k**2 - 6k + 1)) / 4; real from k = 6 up.
+
+    s_minus is 1/(2 s_plus) by Vieta (s_minus * s_plus = 1/2). The difference
+    k - 3 - sqrt(...) cancels: it reads 1.1e-8 for 1.0e-8 at k = 10**8 and 0
+    from k = 3 * 10**8 on.
+    """
+    _check_int("k", k, 6)
+    s_plus = (k - 3.0 + math.sqrt(k * k - 6.0 * k + 1.0)) / 4.0
+    return (0.5 / s_plus, s_plus)
+
+
+def lambda_pm(k: int) -> tuple[float, float]:
+    """Activity window ((s+1)**k * s at each root) on which the I4 plane is
+    guaranteed to carry at least three fixed points for i = 1. The upper end
+    passes the float range from k = 161 on and is then math.inf."""
+    sm, sp = s_pm(k)
+    try:
+        lam_plus = (sp + 1.0) ** k * sp
+    except OverflowError:  # the power alone overflows from k = 162 on
+        lam_plus = math.inf
+    # exp(k log1p(s)) keeps the low bits of a small s_minus that s + 1 drops
+    return (math.exp(k * math.log1p(sm)) * sm, lam_plus)
+
+
 @dataclass(frozen=True)
 class CriticalValues:
     """The activity thresholds for one branching number.
@@ -433,11 +432,11 @@ class CriticalValues:
 
 
 def critical_values(k: int) -> CriticalValues:
-    _check_int("k", k, 2)
+    lam_cr = critical_lambda(k)  # checks k
     t = _t_root(k)
     return CriticalValues(
         k=k,
-        lambda_cr=critical_lambda(k),
+        lambda_cr=lam_cr,
         t_star=t,
         lambda_star=(1.0 - t) / t ** (k + 1),
         lambda_nonextremal=nonextremal_bound(k),

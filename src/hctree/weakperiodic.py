@@ -48,8 +48,6 @@ from .solvers import solve_translation_invariant, solve_two_periodic
 __all__ = [
     "WeakPeriodicParams",
     "WeakSolveReport",
-    "lambda_pm",
-    "s_pm",
     "solve_weak_periodic",
     "weak_system_map",
 ]
@@ -325,28 +323,3 @@ def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
     values, residuals, flags = zip(*found)
     laws = tuple(weak_periodic_law(v, invariant_set) for v in values)
     return WeakSolveReport(wp, invariant_set, laws, residuals, flags)
-
-
-def s_pm(k: int) -> tuple[float, float]:
-    """The two roots (k - 3 -+ sqrt(k**2 - 6k + 1)) / 4; real from k = 6 up.
-
-    s_minus is 1/(2 s_plus) by Vieta (s_minus * s_plus = 1/2). The difference
-    k - 3 - sqrt(...) cancels: it reads 1.1e-8 for 1.0e-8 at k = 10**8 and 0
-    from k = 3 * 10**8 on.
-    """
-    _check_int("k", k, 6)
-    s_plus = (k - 3.0 + math.sqrt(k * k - 6.0 * k + 1.0)) / 4.0
-    return (0.5 / s_plus, s_plus)
-
-
-def lambda_pm(k: int) -> tuple[float, float]:
-    """Activity window ((s+1)**k * s at each root) on which the I4 plane is
-    guaranteed to carry at least three fixed points for i = 1. The upper end
-    passes the float range from k = 161 on and is then math.inf."""
-    sm, sp = s_pm(k)
-    try:
-        lam_plus = (sp + 1.0) ** k * sp
-    except OverflowError:  # the power alone overflows from k = 162 on
-        lam_plus = math.inf
-    # exp(k log1p(s)) keeps the low bits of a small s_minus that s + 1 drops
-    return (math.exp(k * math.log1p(sm)) * sm, lam_plus)

@@ -39,8 +39,10 @@ from hctree.solvers import (
     critical_lambda,
     discriminant_k3,
     k3_cubic_root,
+    lambda_pm,
     lambda_star,
     nonextremal_bound,
+    s_pm,
     solve_translation_invariant,
     solve_two_periodic,
     solve_two_periodic_k2_closed,
@@ -48,8 +50,6 @@ from hctree.solvers import (
 )
 from hctree.weakperiodic import (
     WeakPeriodicParams,
-    lambda_pm,
-    s_pm,
     solve_weak_periodic,
 )
 

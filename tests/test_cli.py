@@ -626,11 +626,23 @@ class TestConfigFile:
         assert code == 0
         assert out.splitlines()[0] == first_line
 
-    def test_bad_choice_in_file_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,text,message", [
+        ("sweep", "k = 2\nscale = cubic\n", "2: scale must be one of ('linear', 'log')"),
+        ("solve", "k = 2\njson = maybe\n", "2: expected a boolean, got 'maybe'"),
+        ("solve", "k = 2\n# no sign\nlambda 5\n", "3: expected key=value"),
+        ("solve", "k = two\nlambda = 5\n", "1: bad value for k: 'two'"),
+    ])
+    def test_bad_line_in_file_exits_2(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("k = 2\nscale = cubic\n")
-        code, _, _ = run(capsys, "sweep", "--config", str(cfg))
-        assert code == 2
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {cfg}:{message}\n")
+
+    def test_false_boolean_keeps_text(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2\nlambda = 5\njson = false\n")
+        assert run(capsys, "solve", "--config", str(cfg)) == run(capsys, "solve", "-k", "2",
+                                                                  "-l", "5")
 
     def test_applies_to_its_own_call_only(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -706,6 +718,15 @@ class TestEntryPoints:
                   "sys.exit(3 if 'numpy' in sys.modules else 0)")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_weak_periodic_window_does_not_import_numpy(self):
+        # s_pm and lambda_pm are printed by critical from k = 6 on
+        script = ("import sys\nimport hctree\nfrom hctree.cli import main\n"
+                  "assert hctree.s_pm(7)[1] > 0\ncode = main(['critical', '-k', '7'])\n"
+                  "sys.exit(3 if 'numpy' in sys.modules else code)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "lambda_plus" in proc.stdout
 
     @pytest.mark.parametrize("command", [("solve", "-l", "1"), ("critical",)])
     def test_k_past_the_float_range_is_an_error_line(self, command):

@@ -110,6 +110,11 @@ COMMANDS = [
     "sweep -k 3 --quantity h -lmin 1 -lmax 2 -n 3",
     "sweep -k 3 --quantity D -lmin 0 -lmax 2 -n 3",
     "sweep -k 2 --quantity ks -lmin 1 -lmax 2 --out {tmp}/missing/out.csv",
+    # a solved sweep checks k, then every activity, before it solves any
+    "sweep -k 4 --quantity verdict -lmin -1 -lmax 2 -n 3",
+    "sweep -k 1 --quantity s2 -lmin -1 -lmax 3 -n 3",
+    # the linear grid overflows to inf from its third point
+    "sweep -k 2 --quantity s2 -lmin 1 -lmax 1e308 -n 5",
     "oracle -k 2 -l 5",
     "oracle -k 2 -l 2 -n 3 --mode periodic",
     "oracle -k 2 -l 5 -n 5",

@@ -480,10 +480,30 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError, match="must be positive and finite"):
             self.CALLS[call](ball, 1.0, [0.5] * (ball.n_vertices - 1) + [bad])
 
-    def test_mapping_boundary_refused(self):
+    @pytest.mark.parametrize("call,match", [
+        (partition_function, "boundary weight at vertex 2"),
+        (consistency_check, "assignment at vertex 2"),
+    ])
+    def test_mapping_boundary_refused(self, call, match):
         ball = FiniteBall(2, 1)
-        with pytest.raises(DomainError, match="boundary weight at vertex 2"):
-            partition_function(ball, 1.0, {1: 0.5, 2: math.nan})
+        with pytest.raises(DomainError, match=match):
+            call(ball, 1.0, {0: 0.5, 1: 0.5, 2: math.nan})
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_per_vertex_assignment_covers_every_vertex(self, call):
+        ball = FiniteBall(2, 2)
+        with pytest.raises(DomainError, match="must cover all 7 vertices, got 6"):
+            self.CALLS[call](ball, 1.0, [0.5] * 6)
+
+    @pytest.mark.parametrize("call", [
+        lambda b: count_admissible(b, "magic"),
+        lambda b: partition_function(b, 1.0, 1.0, "magic"),
+        lambda b: root_marginal(b, 1.0, 1.0, "magic"),
+    ], ids=["count_admissible", "partition_function", "root_marginal"])
+    def test_unknown_method_refused(self, call):
+        with pytest.raises(DomainError, match=r"^unknown (counting|partition|marginal) "
+                                              r"method 'magic'$"):
+            call(FiniteBall(2, 2))
 
     @pytest.mark.parametrize("call", CALLS)
     def test_exact_types_still_accepted(self, call):

@@ -1,6 +1,5 @@
 """Homogeneous and alternating boundary-law solvers plus threshold activities."""
 
-import itertools
 import math
 import sys
 
@@ -196,7 +195,7 @@ class TestPairClosedForms:
     def test_k3_generic_solver_matches_closed_form(self, lam):
         p = ModelParams(3, lam)
         z_fix = solve_translation_invariant(p)
-        got = _solve_pair_generic(3, lam, z_fix, 1e-13)
+        got = _solve_pair_generic(3, lam, z_fix)
         want = solve_two_periodic_k3_closed(lam)
         assert got[0] == pytest.approx(want[0], rel=1e-9)
         assert got[1] == pytest.approx(want[1], rel=1e-9)
@@ -215,12 +214,17 @@ class TestSolvePair:
             assert residual == max(abs(z1 - (1.0 + lam * z2) ** -k),
                                    abs(z2 - (1.0 + lam * z1) ** -k))
 
-    @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0)])
-    def test_closed_form_gated_at_tol(self, k, lam):
-        # no 1e-9 floor: a tol below the closed form's residual refuses it
+    # k >= 4: the closing pass of the map leaves most bisected pairs with
+    # residual 0, but not these
+    @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0), (4, 1.1), (7, 0.714)])
+    def test_pair_gated_at_tol(self, k, lam):
+        # no 1e-9 floor: a tol below the pair's residual refuses it, with one
+        # message for the closed forms and the bisection
         z_fix = solve_translation_invariant(ModelParams(k, lam))
         with pytest.raises(ConvergenceError) as err:
             _solve_pair(k, lam, z_fix, 1e-300)
+        assert err.value.args == ("alternating pair residual above tolerance",)
+        assert sorted(err.value.diagnostics) == ["pair", "residual", "tol"]
         assert err.value.diagnostics["tol"] == 1e-300
         assert err.value.diagnostics["residual"] > 1e-300
 
@@ -398,7 +402,7 @@ def reference_translation_invariant(params, tol=1e-12):
     return z
 
 
-def reference_pair_generic(k, lam, z_fix, tol, start=None):
+def reference_pair_generic(k, lam, z_fix, start=None):
     assert start is None  # solve_two_periodic bisects from the full bracket
     params = ModelParams(k, lam)
 
@@ -428,12 +432,7 @@ def reference_pair_generic(k, lam, z_fix, tol, start=None):
     if not z1 > 0.0:
         raise ConvergenceError("two-cycle below the smallest positive float; pair not found",
                                lam=lam, bracket=(lo, hi))
-    z2 = recursion_map(params, z1)
-    residual = max(abs(z1 - recursion_map(params, z2)), abs(z2 - recursion_map(params, z1)))
-    if residual > tol:
-        raise ConvergenceError("two-cycle bisection stalled", pair=(z1, z2),
-                               residual=residual, tol=tol)
-    return z1, z2, residual
+    return z1, recursion_map(params, z1)
 
 
 def outcome(fn, *args):
@@ -505,6 +504,10 @@ def want_outcomes(k, lams, tol=1e-12):
     return want
 
 
+def _raises(*_):
+    raise AssertionError("solved before every activity was checked")
+
+
 class TestGridSolver:
     """The sweep's batched solve yields solve_two_periodic's floats at each activity."""
 
@@ -530,9 +533,10 @@ class TestGridSolver:
                            {"bracket": (u, math.nextafter(u, 1.0)), "lam": lam})
         assert grid_outcomes(100, lams, 1e-12) == want
 
-    def test_invalid_activity_raises_in_its_turn(self):
-        solved = _solve_two_periodic_grid(4, [2.0, 3.0, -1.0, 5.0])
-        assert [pair is not None for _, pair in itertools.islice(solved, 2)] == [True, True]
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_invalid_activity_refused_before_any_solve(self, bad, monkeypatch):
+        monkeypatch.setattr(solvers, "_narrow", _raises)
+        solved = _solve_two_periodic_grid(4, [2.0, 3.0, bad, 5.0])
         with pytest.raises(DomainError, match="lam must be a positive finite number"):
             next(solved)
 

@@ -11,6 +11,8 @@ from hctree import weakperiodic
 from hctree.core import SOLVE_SETS, ConvergenceError, DomainError, ModelParams
 from hctree.solvers import (
     critical_lambda,
+    lambda_pm,
+    s_pm,
     solve_translation_invariant,
     solve_two_periodic,
     solve_two_periodic_k2_closed,
@@ -18,8 +20,6 @@ from hctree.solvers import (
 )
 from hctree.weakperiodic import (
     WeakPeriodicParams,
-    lambda_pm,
-    s_pm,
     solve_weak_periodic,
     weak_system_map,
 )
@@ -61,10 +61,14 @@ class TestParams:
 
 
 class TestSystemMap:
-    def test_rejects_nonpositive(self):
+    @pytest.mark.parametrize("z,match", [
+        ((1.0, 0.0, 1.0, 1.0), "must be positive"),
+        ((1.0, 1.0, 1.0), "must have 4 components"),
+    ])
+    def test_rejects_nonpositive(self, z, match):
         wp = WeakPeriodicParams(2, 1, 1.0)
-        with pytest.raises(DomainError):
-            weak_system_map(wp, (1.0, 0.0, 1.0, 1.0))
+        with pytest.raises(DomainError, match=match):
+            weak_system_map(wp, z)
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, -1.0, math.nan])
     def test_scalar_call_rejects_bad_component(self, bad):
