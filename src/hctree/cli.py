@@ -356,7 +356,8 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
         a, b = math.log(lmin), math.log(lmax)
         vals = [math.exp(a + (b - a) * j / (points - 1)) for j in range(points)]
     else:
-        vals = [lmin + (lmax - lmin) * j / (points - 1) for j in range(points)]
+        # half the span times j stays finite where (lmax - lmin) * j overflows; halving is exact
+        vals = [lmin + 2.0 * ((0.5 * lmax - 0.5 * lmin) * j / (points - 1)) for j in range(points)]
     vals[0], vals[-1] = lmin, lmax
     return vals
 

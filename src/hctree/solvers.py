@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     ConvergenceError,
@@ -48,8 +49,7 @@ _K3_CRITICAL = 27.0 / 16.0
 
 def critical_lambda(k: int) -> float:
     """Activity above which the alternating pair appears: (k/(k-1))**k / (k-1)."""
-    _check_int("k", k, 2)
-    return (k / (k - 1.0)) ** k / (k - 1.0)
+    return _thresholds(_check_int("k", k, 2))[0].lambda_cr
 
 
 def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) -> float:
@@ -339,43 +339,16 @@ def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
         raise error
 
 
-def _t_root(k: int) -> float:
-    """Root in (0,1) of t**(k+1) - k*t**2 + (2k-1)*t - (k-1); negative at 0, +1 at 1."""
-
-    def poly(t: float) -> float:
-        return t ** (k + 1) - k * t * t + (2.0 * k - 1.0) * t - (k - 1.0)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        p = poly(mid)
-        if p == 0.0:
-            return mid
-        if p < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def lambda_star(k: int) -> float:
     """Threshold below which the translation-invariant measure is provably
-    extremal: (1/t**k)*(1/t - 1) at the polynomial root t above."""
+    extremal: (1/t**k)*(1/t - 1) at the polynomial root t = t_star."""
     return critical_values(k).lambda_star
 
 
 def nonextremal_bound(k: int) -> float:
-    """Threshold above which the translation-invariant measure is provably
-    not extremal: (sqrt(k)/(sqrt(k)-1))**k / (sqrt(k)-1). It passes the
-    float range from k = 503,082 on and is then math.inf."""
-    _check_int("k", k, 2)
-    r = math.sqrt(k)
-    try:
-        return (r / (r - 1.0)) ** k / (r - 1.0)
-    except OverflowError:  # the power alone overflows
-        return math.inf
+    """Threshold above which the translation-invariant measure is provably not extremal:
+    (sqrt(k)/(sqrt(k)-1))**k / (sqrt(k)-1), past the float range (math.inf) from k = 512,448."""
+    return critical_values(k).lambda_nonextremal
 
 
 def asymptotic_bound(k: int, eps: float) -> float:
@@ -389,27 +362,15 @@ def asymptotic_bound(k: int, eps: float) -> float:
 
 def s_pm(k: int) -> tuple[float, float]:
     """The two roots (k - 3 -+ sqrt(k**2 - 6k + 1)) / 4; real from k = 6 up.
-
-    s_minus is 1/(2 s_plus) by Vieta (s_minus * s_plus = 1/2). The difference
-    k - 3 - sqrt(...) cancels: it reads 1.1e-8 for 1.0e-8 at k = 10**8 and 0
-    from k = 3 * 10**8 on.
-    """
-    _check_int("k", k, 6)
-    s_plus = (k - 3.0 + math.sqrt(k * k - 6.0 * k + 1.0)) / 4.0
-    return (0.5 / s_plus, s_plus)
+    s_minus is 1/(2 s_plus) by Vieta (s_minus * s_plus = 1/2)."""
+    return _thresholds(_check_int("k", k, 6))[1]
 
 
 def lambda_pm(k: int) -> tuple[float, float]:
     """Activity window ((s+1)**k * s at each root) on which the I4 plane is
     guaranteed to carry at least three fixed points for i = 1. The upper end
     passes the float range from k = 161 on and is then math.inf."""
-    sm, sp = s_pm(k)
-    try:
-        lam_plus = (sp + 1.0) ** k * sp
-    except OverflowError:  # the power alone overflows from k = 162 on
-        lam_plus = math.inf
-    # exp(k log1p(s)) keeps the low bits of a small s_minus that s + 1 drops
-    return (math.exp(k * math.log1p(sm)) * sm, lam_plus)
+    return _thresholds(_check_int("k", k, 6))[2]
 
 
 @dataclass(frozen=True)
@@ -432,12 +393,38 @@ class CriticalValues:
 
 
 def critical_values(k: int) -> CriticalValues:
-    lam_cr = critical_lambda(k)  # checks k
-    t = _t_root(k)
-    return CriticalValues(
-        k=k,
-        lambda_cr=lam_cr,
-        t_star=t,
-        lambda_star=(1.0 - t) / t ** (k + 1),
-        lambda_nonextremal=nonextremal_bound(k),
-    )
+    return _thresholds(_check_int("k", k, 2))[0]
+
+
+@lru_cache
+def _thresholds(k: int) -> tuple[CriticalValues, tuple | None, tuple | None]:
+    """critical_values(k), s_pm(k) and lambda_pm(k) (None below k = 6), each
+    value rounded once to a float from 40 + (digits of k) decimal digits.
+
+    Every threshold is the activity at which the invariant law's chain has
+    second eigenvalue s2 = s, lam(s) = s/(1-s)**(k+1) (lam*z = s/(1-s) there):
+    lambda_cr = lam(1/k), the Kesten-Stigum bound lam(1/sqrt(k)), lambda_star
+    = lam(s*) = 1/(k*s* - 1) at the root s* of s*(k*s - 1) = (1-s)**(k+1)
+    with t_star = 1 - s*, and lambda_pm = lam(s/(1+s)) at each root of s_pm.
+    The power carries k times its base's rounding, hence the digits of k.
+    Nothing traps: a value past the float range is inf."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
+    float(k)  # refuses a k past the float range before str(k) can
+    with localcontext(Context(prec=40 + len(str(k)), Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+        def lam(s):
+            return s / (1 - s) ** (k + 1)
+
+        # s*(k*s - 1) - (1-s)**(k+1) increases on (1/k, 1), from below 0 to k - 1
+        lo, hi = 1 / Decimal(k), Decimal(1)
+        while hi - lo > lo / 10 ** 40:
+            s = (lo + hi) / 2
+            lo, hi = (s, hi) if s * (k * s - 1) < (1 - s) ** (k + 1) else (lo, s)
+        s = (lo + hi) / 2
+        cv = CriticalValues(k, float(lam(1 / Decimal(k))), float(1 - s), float(1 / (k * s - 1)),
+                            float(lam(1 / Decimal(k).sqrt())))
+        if k < 6:
+            return cv, None, None
+        s_plus = (k - 3 + Decimal(k * k - 6 * k + 1).sqrt()) / 4
+        roots = (1 / (2 * s_plus), s_plus)  # Vieta: k - 3 - sqrt(...) cancels
+        return cv, tuple(map(float, roots)), tuple(float(lam(r / (1 + r))) for r in roots)

@@ -37,6 +37,7 @@ from hctree.oracle import (
 )
 from hctree.solvers import (
     critical_lambda,
+    critical_values,
     discriminant_k3,
     k3_cubic_root,
     lambda_pm,
@@ -136,10 +137,8 @@ def test_criterion_05_k3_diagnostics_negative_decreasing():
 
 def test_criterion_06_threshold_activities():
     def body():
-        from hctree.solvers import _t_root
-
         for k in range(2, 11):
-            t = _t_root(k)
+            t = critical_values(k).t_star
             assert 0.0 < t < 1.0
             assert abs(t ** (k + 1) - k * t ** 2 + (2 * k - 1) * t - (k - 1)) <= 1e-12
             assert lambda_star(k) < nonextremal_bound(k)

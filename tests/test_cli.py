@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,23 @@ class TestSweepCommand:
     def test_points_at_the_cap_are_a_grid(self):
         assert len(cli._grid(1.0, 2.0, cli._SWEEP_POINT_CAP, "linear")) == 262_144
 
+    def test_linear_grid_up_to_the_float_range_is_finite(self):
+        grid = cli._grid(1.0, 1e308, 5, "linear")
+        assert all(math.isfinite(lam) for lam in grid)
+        assert grid[0] == 1.0 and grid[-1] == 1e308
+        assert grid == sorted(grid)
+
+    def test_linear_grid_equals_the_unhalved_form_where_that_is_finite(self):
+        rng = random.Random(25)
+        for _ in range(2_000):
+            lmin, lmax = sorted(10.0 ** rng.uniform(-5, 300) for _ in range(2))
+            points = rng.randint(2, 2_000)
+            if lmin == lmax:
+                continue
+            want = [lmin + (lmax - lmin) * j / (points - 1) for j in range(points)]
+            want[0], want[-1] = lmin, lmax
+            assert cli._grid(lmin, lmax, points, "linear") == want
+
     def test_h_and_g_rows_equal_their_functions(self, capsys):
         grids = [("-lmin", repr(27.0 / 16.0), "-lmax", "1e3", "-n", "60", "--scale", "log"),
                  ("-lmin", repr(27.0 / 16.0), "-lmax", repr(math.nextafter(1.6875, 2.0)),
@@ -459,19 +477,30 @@ class TestCriticalCommand:
         assert code == 0
         assert "lambda_plus (weak-periodic branch activity): inf" in out
 
-    @pytest.mark.parametrize("k,finite", [(503_081, True), (503_082, False),
+    @pytest.mark.parametrize("k,finite", [(512_447, True), (512_448, False),
                                           (10**6, False)])
     def test_kesten_stigum_bound_past_the_float_range_is_null(self, capsys, k, finite):
         doc = run_json(capsys, "critical", "-k", str(k), "--json")
         assert (doc["kesten_stigum_bound"] is not None) == finite
         assert doc["asymptotic_bound"] is not None
-        shown = "2.5375678480324e+305" if finite else "inf"
+        shown = "1.79717235533655e+308" if finite else "inf"
         code, out, _ = run(capsys, "critical", "-k", str(k))
         assert code == 0
         assert f"kesten_stigum_bound (invariant law non-extremal above): {shown}\n" in out
         code, out, _ = run(capsys, "critical", "-k", str(k), "--csv")
         assert code == 0
         assert f"\nkesten_stigum_bound,{shown}\n" in out
+
+    @pytest.mark.parametrize("k", [10**12, 10**18])
+    def test_large_k_lambda_star_within_half_an_ulp(self, capsys, k):
+        from test_solvers import _threshold_reference
+
+        mpmath = pytest.importorskip("mpmath")
+        doc = run_json(capsys, "critical", "-k", str(k), "--json")
+        with mpmath.workdps(50 + len(str(k))):
+            want = _threshold_reference(k, mpmath)[2]
+            got = doc["lambda_star"]
+            assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2
 
     def test_csv_layout(self, capsys):
         code, out, _ = run(capsys, "critical", "-k", "3", "--csv")

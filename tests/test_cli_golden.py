@@ -71,8 +71,9 @@ COMMANDS = [
           "-k 3 -l 1 -n 2 --mode sample --samples 500 --seed 7 --root full",
       )
       for fmt in ("", " --json")),
-    # at k = 503082 the spectral bound passes the float range: inf, JSON null
-    *(f"critical -k {k}{fmt}" for k in (2, 3, 5, 6, 10, 503082) for fmt in FORMATS),
+    # the spectral bound is finite at k = 503082 and passes the float range from
+    # k = 512448 on: inf, JSON null
+    *(f"critical -k {k}{fmt}" for k in (2, 3, 5, 6, 10, 503082, 512448) for fmt in FORMATS),
     "critical -k 4 --epsilon 0.5",
     *(f"weak {rest}{fmt}"
       for rest in (
@@ -113,8 +114,10 @@ COMMANDS = [
     # a solved sweep checks k, then every activity, before it solves any
     "sweep -k 4 --quantity verdict -lmin -1 -lmax 2 -n 3",
     "sweep -k 1 --quantity s2 -lmin -1 -lmax 3 -n 3",
-    # the linear grid overflows to inf from its third point
+    # a linear grid up to 1e308 stays finite: the solved sweep stops where the
+    # pair underflows, the counted one reports every row
     "sweep -k 2 --quantity s2 -lmin 1 -lmax 1e308 -n 5",
+    "sweep -k 2 --quantity solutions -lmin 1 -lmax 1e308 -n 5",
     "oracle -k 2 -l 5",
     "oracle -k 2 -l 2 -n 3 --mode periodic",
     "oracle -k 2 -l 5 -n 5",

@@ -283,9 +283,7 @@ CRITICAL_TABLE = {
 class TestThresholdActivities:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_t_root_defines_lambda_star(self, k):
-        from hctree.solvers import _t_root
-
-        t = _t_root(k)
+        t = critical_values(k).t_star
         assert 0.0 < t < 1.0
         residual = t ** (k + 1) - k * t ** 2 + (2 * k - 1) * t - (k - 1)
         assert residual == pytest.approx(0.0, abs=1e-12)
@@ -294,9 +292,7 @@ class TestThresholdActivities:
     @pytest.mark.parametrize("k,row", sorted(CRITICAL_TABLE.items()))
     def test_frozen_values(self, k, row):
         t_star, lam_star, bound = row
-        from hctree.solvers import _t_root
-
-        assert _t_root(k) == pytest.approx(t_star, rel=1e-12)
+        assert critical_values(k).t_star == pytest.approx(t_star, rel=1e-12)
         assert lambda_star(k) == pytest.approx(lam_star, rel=1e-12)
         assert nonextremal_bound(k) == pytest.approx(bound, rel=1e-12)
 
@@ -305,9 +301,9 @@ class TestThresholdActivities:
         assert nonextremal_bound(4) == pytest.approx(16.0, rel=1e-14)
 
     def test_nonextremal_bound_past_the_float_range_is_inf(self):
-        # the power overflows from k = 503,082 on
-        assert math.isfinite(nonextremal_bound(503_081))
-        assert nonextremal_bound(503_082) == nonextremal_bound(10**6) == math.inf
+        # 50-digit values: 1.79717e308 at k = 512,447 and 1.79843e308 at 512,448
+        assert math.isfinite(nonextremal_bound(512_447))
+        assert nonextremal_bound(512_448) == nonextremal_bound(10**6) == math.inf
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_ordering(self, k):
@@ -339,6 +335,65 @@ class TestThresholdActivities:
         k = 5
         expected = math.exp(1 + eps) * math.log(k) * (math.log(k) + math.log(math.log(k)) + 1 + eps)
         assert asymptotic_bound(k, eps) == pytest.approx(expected, rel=1e-14)
+
+
+def _threshold_reference(k: int, mpmath) -> tuple:
+    """Every value of critical_values(k), s_pm(k) and lambda_pm(k) from the
+    paper's closed forms at the working precision, not from the map lam(s)."""
+    def poly(t):
+        return t ** (k + 1) - k * t * t + (2 * k - 1) * t - (k - 1)
+
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    for _ in range(mpmath.mp.prec):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if poly(mid) < 0 else (lo, mid)
+    t, r = (lo + hi) / 2, mpmath.sqrt(k)
+    values = [(mpmath.mpf(k) / (k - 1)) ** k / (k - 1), t, (1 - t) / t ** (k + 1),
+              (r / (r - 1)) ** k / (r - 1)]
+    if k >= 6:
+        d = mpmath.sqrt(mpmath.mpf(k) ** 2 - 6 * k + 1)
+        roots = ((k - 3 - d) / 4, (k - 3 + d) / 4)
+        values += [*roots, *((1 + s) ** k * s for s in roots)]
+    return tuple(values)
+
+
+class TestThresholdsCorrectlyRounded:
+    @pytest.mark.parametrize("k", [*range(2, 11), 30, 100, 1000, 10**6, 10**12])
+    def test_within_half_an_ulp_of_50_digits(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        cv = critical_values(k)
+        got = [cv.lambda_cr, cv.t_star, cv.lambda_star, cv.lambda_nonextremal]
+        if k >= 6:
+            got += [*solvers.s_pm(k), *solvers.lambda_pm(k)]
+        with mpmath.workdps(50):
+            want = _threshold_reference(k, mpmath)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if w > sys.float_info.max:
+                    assert g == math.inf
+                else:
+                    assert abs(mpmath.mpf(g) - w) <= mpmath.mpf(math.ulp(g)) / 2
+
+    def test_k_is_checked_before_the_cache(self):
+        assert critical_lambda(2) == 4.0
+        for k in (True, 2.0):
+            for threshold in (critical_lambda, critical_values, lambda_star, nonextremal_bound):
+                with pytest.raises(DomainError):
+                    threshold(k)
+        with pytest.raises(DomainError):
+            solvers.s_pm(6.0)
+
+    def test_computed_once_per_k(self):
+        k = 4_321  # no other test asks for this k
+        misses = solvers._thresholds.cache_info().misses
+        for threshold in (critical_lambda, critical_values, lambda_star, nonextremal_bound,
+                          solvers.s_pm, solvers.lambda_pm) * 3:
+            threshold(k)
+        assert solvers._thresholds.cache_info().misses == misses + 1
+
+    def test_k_past_the_float_range_raises_overflow(self):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            critical_lambda(10**400)
 
 
 class TestTinyRoots:
