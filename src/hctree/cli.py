@@ -28,7 +28,7 @@ from .core import (
     SizeCapError,
     _check_positive,
 )
-from .extremality import _certificates, classify, g_function, h_function
+from .extremality import Verdict, _certificates, _verdict, classify, g_function, h_function
 from .solvers import (
     _has_pair,
     _solve_two_periodic_grid,
@@ -48,8 +48,6 @@ __all__ = ["main"]
 PASS_THRESHOLD = 1e-8
 
 QUANTITIES = ("solutions", "D", "h", "g", "s2", "ks", "msw", "verdict", "weakperiodic_count")
-# from the fixed point and pair that _solve_two_periodic_grid solves in one batch
-SOLVED_QUANTITIES = ("s2", "ks", "msw", "verdict")
 # a sweep keeps about 1 KB a point: 2**18 points is about 256 MB, like the ball and sampler caps
 _SWEEP_POINT_CAP = 1 << 18
 
@@ -362,23 +360,29 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
     return vals
 
 
-# each solved quantity's place in _certificates' tuple (ExtremalityReport's fields after law)
-_CERT_INDEX = {"s2": 1, "ks": 4, "msw": 5, "verdict": 10}
+# each quantity solved at every activity of a sweep (by _solve_two_periodic_grid), and its
+# place in _certificates' tuple (ExtremalityReport's fields after law)
+_CERT_INDEX = {"s2": 1, "ks": 4, "msw": 5}
 
 
 def _sweep_values(args, grid: list[float]) -> list:
     """The column of args.quantity at each activity of the grid."""
     k, quantity = args.k, args.quantity
-    if quantity in SOLVED_QUANTITIES:
+    if quantity in _CERT_INDEX:
         # the pair, where it exists, is the last law classify reports
         index = _CERT_INDEX[quantity]
-        column = [_certificates(k, lam, pair or (z_fix,))[index]
-                  for lam, (z_fix, pair) in zip(grid, _solve_two_periodic_grid(k, grid, args.tol))]
-        return [v.value for v in column] if quantity == "verdict" else column
-    if quantity == "solutions":
-        # counted, not solved: the pair exists at every activity _has_pair admits
+        return [_certificates(k, lam, pair or (z_fix,))[index]
+                for lam, (z_fix, pair) in zip(grid, _solve_two_periodic_grid(k, grid, args.tol))]
+    if quantity in ("solutions", "verdict"):
+        # not solved: the pair exists at every activity _has_pair admits, and
+        # it is extremal there (its s2 is at most 1/k**2, so msw < 1); the
+        # invariant law's verdict needs only lam
         lam_cr = critical_lambda(k)
-        return [3 if _has_pair(_check_positive("lam", lam), lam_cr) else 1 for lam in grid]
+        pairs = [_has_pair(_check_positive("lam", lam), lam_cr) for lam in grid]
+        if quantity == "solutions":
+            return [3 if p else 1 for p in pairs]
+        return [(Verdict.PROVEN_EXTREMAL if p else _verdict(k, lam)).value
+                for lam, p in zip(grid, pairs)]
     if quantity == "weakperiodic_count":
         from .weakperiodic import WeakPeriodicParams, solve_weak_periodic
 

@@ -18,12 +18,11 @@ from enum import Enum
 from .core import (
     BoundaryLaw,
     DomainError,
-    InternalCheckError,
     LawKind,
     ModelParams,
     recursion_map,
 )
-from .solvers import solve_two_periodic, solve_two_periodic_k3_closed
+from .solvers import _thresholds, solve_two_periodic, solve_two_periodic_k3_closed
 
 __all__ = [
     "ExtremalityReport",
@@ -62,8 +61,6 @@ def _chain_values(k: int, lam: float, values) -> tuple[int, float, float, float]
     v = lam * values[1]
     b, b_bar, k_eff = v / (1.0 + v), 1.0 / (1.0 + v), k * k
     s2, p00 = a * b, a + a_bar * b_bar
-    if s2 == 0.0:  # b is 0 where lam*z2 underflows; every value tends to 0
-        return k_eff, 0.0, 0.0, 0.0
     mart = k_eff * s2 * s2 / (math.sqrt(p00 * b) + math.sqrt(a_bar * b * b_bar)) ** 2
     return k_eff, s2, mart, k_eff * s2 * s2 / min(p00 + b_bar, b * (1.0 + a_bar))
 
@@ -116,17 +113,25 @@ class ExtremalityReport:
     verdict: Verdict
 
 
-def _verdict(ks_value, msw_value, mart_ok, mossel_ok) -> Verdict:
-    proven_nonextremal = ks_value > 1.0
-    proven_extremal = (msw_value < 1.0) or mart_ok or mossel_ok
-    if proven_extremal and proven_nonextremal:
-        raise InternalCheckError(
-            "extremality and non-extremality certificates fired together "
-            f"(ks={ks_value}, msw={msw_value})"
-        )
-    if proven_nonextremal:
+def _verdict(k: int, lam: float, pair: tuple | None = None) -> Verdict:
+    """The invariant law's verdict (pair None) is exact: its msw is 1 at
+    lambda_star and its ks 1 at the Kesten-Stigum bound, both rising with lam
+    (its reconstruction values k*s2 reach 1 at lambda_cr < lambda_star), so
+    lam is compared with those two thresholds. A two-periodic law is decided
+    by its certificates pair = (ks, msw, mart_ok, mossel_ok). No solution
+    proves both: s2 < gamma, so ks > 1 forces msw > 1, and both
+    reconstruction values are at least ks."""
+    if pair is None:
+        cv, _, _, (star_side, bound_side) = _thresholds(k)
+        extremal = (lam, 0) < (cv.lambda_star, star_side)
+        nonextremal = (lam, 0) > (cv.lambda_nonextremal, bound_side)
+    else:
+        ks_value, msw_value, mart_ok, mossel_ok = pair
+        extremal = msw_value < 1.0 or mart_ok or mossel_ok
+        nonextremal = ks_value > 1.0
+    if nonextremal:
         return Verdict.PROVEN_NONEXTREMAL
-    if proven_extremal:
+    if extremal:
         return Verdict.PROVEN_EXTREMAL
     return Verdict.UNDETERMINED
 
@@ -140,28 +145,20 @@ def _certificates(k: int, lam: float, values) -> tuple:
     ks, msw = k_eff * s2 * s2, k_eff * s2 * gam
     mart_ok, mossel_ok = mart <= 1.0, mossel <= 1.0
     return (k_eff, s2, s2, gam, ks, msw, mart, mart_ok, mossel, mossel_ok,
-            _verdict(ks, msw, mart_ok, mossel_ok))
+            _verdict(k, lam, None if len(values) == 1 else (ks, msw, mart_ok, mossel_ok)))
 
 
 def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
-    """The full diagnostic record for an invariant or alternating law that solves the
-    recursion; a non-solution gets DomainError where its certificates contradict."""
+    """The full diagnostic record for an invariant or alternating law that
+    solves the recursion; any other law gets DomainError."""
     if law.kind is LawKind.WEAK_PERIODIC:
         raise DomainError("weak-periodic laws have no single chain matrix here")
-    try:
-        certs = _certificates(params.k, params.lam, law.values)
-    except InternalCheckError:
-        # checked only here: each value must be the recursion's image of the
-        # other (of itself for the invariant law)
-        if not all(math.isclose(z, recursion_map(params, w), rel_tol=1e-6)
-                   for z, w in zip(law.values, law.values[::-1])):
-            raise DomainError(f"{law.kind.value} law {law.values} does not solve the recursion")
-        raise
-    # s2 is NaN where lam*z overflowed, which no solution's z < 1 can do; NaN
-    # fires no certificate, so _verdict passed it
-    if math.isnan(certs[1]):
+    # each value must be the recursion's image of the other (of itself for
+    # the invariant law)
+    if not all(math.isclose(z, recursion_map(params, w), rel_tol=1e-6)
+               for z, w in zip(law.values, law.values[::-1])):
         raise DomainError(f"{law.kind.value} law {law.values} does not solve the recursion")
-    return ExtremalityReport(law, *certs)
+    return ExtremalityReport(law, *_certificates(params.k, params.lam, law.values))
 
 
 def classify(params: ModelParams, tol: float = 1e-12) -> tuple[ExtremalityReport, ...]:

@@ -5,13 +5,13 @@ provable non-extremality)."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
     ConvergenceError,
     DomainError,
+    InternalCheckError,
     ModelParams,
     SolveReport,
     _check_int,
@@ -41,8 +41,6 @@ __all__ = [
 # halving any bracket in [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074
 _BISECT_MAX_ITER = 1100
 _DEFAULT_TOL = 1e-12
-_NARROW_REL = 2.0 ** -50  # relative sign margins of _narrow, derived there
-_PAIR_NARROW_REL = 2.0 ** -48
 
 _K3_CRITICAL = 27.0 / 16.0
 
@@ -61,14 +59,12 @@ def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) 
     return _fixed_point(params.k, params.lam, tol)
 
 
-def _fixed_point(k: int, lam: float, tol: float,
-                 start: tuple[float, float] | None = None) -> float:
-    """solve_translation_invariant on floats. `start` is a bracket (lo, hi)
-    that this bisection reaches from (0, 1)."""
+def _fixed_point(k: int, lam: float, tol: float) -> float:
+    """solve_translation_invariant on floats."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     # sign(f - id) is + at lo, - at hi; endpoints never evaluated
-    lo, hi = start or (0.0, 1.0)
+    lo, hi = 0.0, 1.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -162,20 +158,18 @@ def _check_pair_found(z1: float, lam: float, **diagnostics) -> None:
                                lam=lam, **diagnostics)
 
 
-def _solve_pair_generic(k: int, lam: float, z_fix: float,
-                        start: tuple[float, float] | None = None) -> tuple[float, float]:
+def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]:
     """Two-cycle (z1, z2) by bisection of
     G(u) = lam*u*v*sum(u**j * v**(k-1-j), j < k) - 1, v = 1/(1 + lam*u**k):
     1/u = 1 + lam*v**k minus 1/v = 1 + lam*u**k over v - u, in u = z1**(1/k)
     and v = z2**(1/k). G(0+) = -1 and G(u_fix) = |f'(z_fix)| - 1 > 0 above
     lam_cr: (0, u_fix) brackets the pair with no margin. The sum is
     v**(k-1)*(1 - r**k)/d, r = u/v = 1 - d: -expm1(k*log1p(-d)) where v**k -
-    u**k cancels, and v**k - u**k for d >= 0.5 (u**k <= v**k/2**k). `start`
-    is as in _fixed_point, in u.
+    u**k cancels, and v**k - u**k for d >= 0.5 (u**k <= v**k/2**k).
     """
     log1p, expm1 = math.log1p, math.expm1
     # G inlined as p = G + 1: below 1 at lo, above at hi; ends never evaluated
-    lo, hi = start or (0.0, z_fix ** (1.0 / k))
+    lo, hi = 0.0, z_fix ** (1.0 / k)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -202,13 +196,12 @@ def _solve_pair_generic(k: int, lam: float, z_fix: float,
     return z1, (1.0 + lam * z1) ** (-k)
 
 
-def _solve_pair(k: int, lam: float, z_fix: float, tol: float,
-                start: tuple[float, float] | None = None) -> tuple[float, float, float]:
+def _solve_pair(k: int, lam: float, z_fix: float, tol: float) -> tuple[float, float, float]:
     """The alternating pair (z1, z2), ascending, and its residual, gated at
-    tol: the closed form for k=2 and 3, _solve_pair_generic from `start`
-    otherwise. Call it only where _has_pair holds."""
+    tol: the closed form for k=2 and 3, _solve_pair_generic otherwise. Call
+    it only where _has_pair holds."""
     if k >= 4:
-        z1, z2 = _solve_pair_generic(k, lam, z_fix, start)
+        z1, z2 = _solve_pair_generic(k, lam, z_fix)
     else:
         z1, z2 = (solve_two_periodic_k2_closed if k == 2 else solve_two_periodic_k3_closed)(lam)
     # recursion_map inlined: both values are positive floats
@@ -251,62 +244,6 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
                        degenerate_double_root=_degenerate(lam, lam_cr))
 
 
-def _narrow(k: int, lams: list[float], his: list[float],
-            pair: bool) -> list[tuple[float, float]]:
-    """Bisect f(z) - z (G(u) of _solve_pair_generic if pair) on (0, hi) for
-    every activity at once, as far as numpy cannot change a step's sign;
-    returns the `start` (lo, hi) for each activity's scalar loop.
-
-    A step is taken only where |g| exceeds the margin, every value is normal
-    and mid is not an end; an activity stops for good at its first other step.
-    Fixed point: g = f - mid, margin _NARROW_REL * max(f, mid) = 8e * max(f, mid)
-    for e = 2**-53. Both loops round base = 1 + lam*mid the same way, so their
-    f = base**-k differ only by pow: numpy's is within an ulp of libm's
-    (tested), 2e * f for a normal f. A rounded difference keeps the sign of
-    the exact one, and |g| > 8e * f puts f - mid more than 7e * f from 0:
-    both loops see the same sign, and neither a zero.
-    Pair: g = 1 - p, margin _PAIR_NARROW_REL * (k+1) * p = (32k + 32)e * p.
-    libm's pow, log1p and expm1 are within an ulp of exact, and numpy's within
-    an ulp of libm's (tested): 4e; + - * / e. So a = u**k is within
-    4e, v 7e, w = v**k (7k + 4)e, d 9e absolute. d < 0.5: q = sum(r**j, j < k)
-    moves by (k-1)*9e (q'(r) <= (k-1)*q), and log1p, times k, expm1 (condition
-    <= 1 below 0) and the division add 10e: p = lam*u*w*q is within (16k + 8)e.
-    d >= 0.5: a <= w/16 (k >= 4), d is within 9e relative, p = lam*u*(w - a)/d
-    within (7.5k + 18)e. Two loops' p differ by at most (32k + 16)e < margin.
-    """
-    import numpy as np
-
-    lam = np.array(lams, dtype=float)
-    lo = np.zeros_like(lam)
-    hi = np.array(his, dtype=float)
-    live = np.ones(lam.shape, dtype=bool)
-    rel = _PAIR_NARROW_REL * (k + 1) if pair else _NARROW_REL
-    with np.errstate(all="ignore"):
-        while True:
-            mid = 0.5 * (lo + hi)
-            if pair:
-                a = mid ** k
-                v = 1.0 / (1.0 + lam * a)
-                d = (v - mid) / v
-                w = v ** k
-                scale = np.where(d >= 0.5, lam * mid * (w - a) / d,
-                                 lam * mid * w * (-np.expm1(k * np.log1p(-d)) / d))
-                g = 1.0 - scale
-                live &= np.minimum(np.minimum(a, w), d) >= sys.float_info.min
-            else:
-                f = (1.0 + lam * mid) ** -k
-                g = f - mid
-                scale = np.maximum(f, mid)
-                live &= f >= sys.float_info.min
-            live &= (mid != lo) & (mid != hi) & (np.abs(g) > rel * scale)
-            if not live.any():
-                break
-            up = g > 0.0
-            np.copyto(lo, mid, where=live & up)
-            np.copyto(hi, mid, where=live & ~up)
-    return list(zip(lo.tolist(), hi.tolist()))
-
-
 def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
     """Yields (z_fix, pair) for each lam in turn: the fixed point and the
     ascending pair (None at and below the critical activity) that
@@ -316,27 +253,13 @@ def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
 
     A lam that is not positive and finite is refused before any is solved;
     otherwise the first error that solve_two_periodic raises is raised in its
-    turn. The bisections start from brackets narrowed for all lams at once:
-    the fixed points up to the first that fails are solved before the first
-    yield, because the pair brackets (k >= 4) need them.
+    turn.
     """
     lam_cr = critical_lambda(k)
     lams = [_check_positive("lam", lam) for lam in lams]
-    fixed, error = [], None
-    for lam, start in zip(lams, _narrow(k, lams, [1.0] * len(lams), pair=False)):
-        try:
-            fixed.append(_fixed_point(k, lam, tol, start))
-        except (ConvergenceError, DomainError) as exc:
-            error = exc  # raised below, in its turn
-            break
-    paired = [_has_pair(lam, lam_cr) for lam in lams[:len(fixed)]]
-    starts = iter(_narrow(k, [lam for lam, p in zip(lams, paired) if p],
-                          [z ** (1.0 / k) for z, p in zip(fixed, paired) if p],
-                          pair=True) if k >= 4 else ())
-    for lam, z, p in zip(lams, fixed, paired):
-        yield z, (_solve_pair(k, lam, z, tol, next(starts, None))[:2] if p else None)
-    if error is not None:
-        raise error
+    for lam in lams:
+        z = _fixed_point(k, lam, tol)
+        yield z, (_solve_pair(k, lam, z, tol)[:2] if _has_pair(lam, lam_cr) else None)
 
 
 def lambda_star(k: int) -> float:
@@ -397,23 +320,40 @@ def critical_values(k: int) -> CriticalValues:
 
 
 @lru_cache
-def _thresholds(k: int) -> tuple[CriticalValues, tuple | None, tuple | None]:
+def _thresholds(k: int) -> tuple[CriticalValues, tuple | None, tuple | None, tuple[int, int]]:
     """critical_values(k), s_pm(k) and lambda_pm(k) (None below k = 6), each
-    value rounded once to a float from 40 + (digits of k) decimal digits.
+    value rounded once to a float from 40 + (digits of k) decimal digits, and
+    the sides of lambda_star and of the Kesten-Stigum bound.
 
     Every threshold is the activity at which the invariant law's chain has
     second eigenvalue s2 = s, lam(s) = s/(1-s)**(k+1) (lam*z = s/(1-s) there):
-    lambda_cr = lam(1/k), the Kesten-Stigum bound lam(1/sqrt(k)), lambda_star
-    = lam(s*) = 1/(k*s* - 1) at the root s* of s*(k*s - 1) = (1-s)**(k+1)
-    with t_star = 1 - s*, and lambda_pm = lam(s/(1+s)) at each root of s_pm.
+    lambda_cr = lam(1/k), the Kesten-Stigum bound lam(1/sqrt(k)) =
+    (r/(r-1))**k/(r-1) with r = sqrt(k), lambda_star = lam(s*) = 1/(k*s* - 1)
+    at the root s* of s*(k*s - 1) = (1-s)**(k+1) with t_star = 1 - s*, and
+    lambda_pm = lam(s/(1+s)) at each root of s_pm.
     The power carries k times its base's rounding, hence the digits of k.
-    Nothing traps: a value past the float range is inf."""
-    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+    Nothing traps: a value past the float range is inf.
+
+    A side is the sign of (exact - float). As the float is correctly rounded,
+    a float lam lies below the exact threshold exactly when
+    (lam, 0) < (float, side). It is 0 only where the threshold is a float:
+    the Kesten-Stigum bound at k = 4 (16) and 9 (19683/1024), which decimal
+    computes with no rounding; lambda_star is irrational."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, localcontext
 
     float(k)  # refuses a k past the float range before str(k) can
-    with localcontext(Context(prec=40 + len(str(k)), Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+    with localcontext(Context(prec=40 + len(str(k)), Emax=MAX_EMAX, Emin=MIN_EMIN,
+                              traps=[])) as ctx:
         def lam(s):
             return s / (1 - s) ** (k + 1)
+
+        def side(value, inexact):
+            # an inexact value is good to about 1e-38 relative: closer to its
+            # float than 1e-30, its side would be a guess
+            diff = value - Decimal(float(value))
+            if inexact and abs(diff) <= abs(value) / 10 ** 30:
+                raise InternalCheckError(f"threshold {value} too close to a float at k={k}")
+            return (diff > 0) - (diff < 0)
 
         # s*(k*s - 1) - (1-s)**(k+1) increases on (1/k, 1), from below 0 to k - 1
         lo, hi = 1 / Decimal(k), Decimal(1)
@@ -421,10 +361,16 @@ def _thresholds(k: int) -> tuple[CriticalValues, tuple | None, tuple | None]:
             s = (lo + hi) / 2
             lo, hi = (s, hi) if s * (k * s - 1) < (1 - s) ** (k + 1) else (lo, s)
         s = (lo + hi) / 2
-        cv = CriticalValues(k, float(lam(1 / Decimal(k))), float(1 - s), float(1 / (k * s - 1)),
-                            float(lam(1 / Decimal(k).sqrt())))
+        star = 1 / (k * s - 1)
+        ctx.clear_flags()
+        r = Decimal(k).sqrt()
+        bound = (r / (r - 1)) ** k / (r - 1)
+        sides = side(star, True), side(bound, ctx.flags[Inexact])
+        cv = CriticalValues(k, float(lam(1 / Decimal(k))), float(1 - s), float(star),
+                            float(bound))
         if k < 6:
-            return cv, None, None
+            return cv, None, None, sides
         s_plus = (k - 3 + Decimal(k * k - 6 * k + 1).sqrt()) / 4
         roots = (1 / (2 * s_plus), s_plus)  # Vieta: k - 3 - sqrt(...) cancels
-        return cv, tuple(map(float, roots)), tuple(float(lam(r / (1 + r))) for r in roots)
+        return (cv, tuple(map(float, roots)), tuple(float(lam(r / (1 + r))) for r in roots),
+                sides)

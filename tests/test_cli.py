@@ -210,7 +210,7 @@ class TestSweepCommand:
         (4, "verdict", ("-lmin", "0.5", "-lmax", "40.0", "-n", "1000")),
         (7, "msw", ("-lmin", "0.1", "-lmax", "100.0", "-n", "1000", "--scale", "log")),
     ])
-    def test_batched_values_equal_classify_at_each_point(self, capsys, k, quantity, grid):
+    def test_sweep_values_equal_classify_at_each_point(self, capsys, k, quantity, grid):
         doc = run_json(capsys, "sweep", "-k", str(k), "--quantity", quantity, *grid, "--json")
         for row in doc["rows"]:
             report = classify(ModelParams(k, row["lambda"]))[-1]
@@ -227,7 +227,7 @@ class TestSweepCommand:
         grids += [("-lmin", repr(math.nextafter(lam, 0.0)),
                    "-lmax", repr(math.nextafter(lam, math.inf)), "-n", "3")
                   for lam in thresholds]
-        for quantity in ("solutions", *cli.SOLVED_QUANTITIES):
+        for quantity in ("solutions", "s2", "ks", "msw", "verdict"):
             lams = []
             for grid in grids:
                 doc = run_json(capsys, "sweep", "-k", str(k), "--quantity", quantity, *grid,
@@ -258,6 +258,20 @@ class TestSweepCommand:
         lam_cr = critical_values(k).lambda_cr
         assert all(row["value"] == (3 if row["lambda"] > lam_cr else 1) for row in doc["rows"])
         assert doc["rows"][-1]["value"] == 3
+
+    def test_verdict_decided_where_the_pair_underflows(self, capsys):
+        # classify raises past the pair's underflow, but the pair's verdict
+        # there is ProvenExtremal, as everywhere it exists
+        doc = run_json(capsys, "sweep", "-k", "100", "--quantity", "verdict", "-lmin", "0.01",
+                       "-lmax", "1e12", "-n", "400", "--scale", "log", "--json")
+        assert len(doc["rows"]) == 400
+        lam_cr = critical_values(100).lambda_cr
+        for row in doc["rows"]:
+            if row["lambda"] <= lam_cr:
+                want = classify(ModelParams(100, row["lambda"]))[-1].verdict.value
+            else:
+                want = "ProvenExtremal"
+            assert row["value"] == want, row["lambda"]
 
     @pytest.mark.parametrize("points", [262_145, 10**12])
     def test_points_above_the_cap_exit_1_before_the_grid(self, capsys, points):
@@ -734,6 +748,8 @@ class TestEntryPoints:
         ("solve", "-k", "2", "-l", "5"),
         ("classify", "-k", "3", "-l", "2"),
         ("critical", "-k", "3"),
+        *(("sweep", "-k", "7", "--quantity", quantity, "-lmin", "0.1", "-lmax", "100",
+           "-n", "50", "--scale", "log") for quantity in ("s2", "msw", "verdict", "solutions")),
     ])
     def test_closed_form_commands_do_not_import_numpy(self, command):
         script = ("import sys\nfrom hctree.cli import main\ncode = main(sys.argv[1:])\n"

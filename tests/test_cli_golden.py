@@ -51,7 +51,8 @@ COMMANDS = [
           "-k 2 --quantity ks -lmin 1 -lmax 40 -n 8 --scale log",
           "-k 5 --quantity msw -lmin 0.5 -lmax 30 -n 6 --scale log",
           "-k 2 --quantity verdict -lmin 1 -lmax 40 -n 12 --scale log",
-          # the generic pair bisection (k >= 4) across every verdict regime
+          # every verdict regime at k >= 4: msw from the generic pair
+          # bisection, the verdict decided without solving
           "-k 7 --quantity msw -lmin 0.1 -lmax 100 -n 40 --scale log",
           "-k 4 --quantity verdict -lmin 0.5 -lmax 40 -n 40",
           "-k 2 --quantity weakperiodic_count -lmin 3 -lmax 6 -n 4",
@@ -111,13 +112,15 @@ COMMANDS = [
     "sweep -k 3 --quantity h -lmin 1 -lmax 2 -n 3",
     "sweep -k 3 --quantity D -lmin 0 -lmax 2 -n 3",
     "sweep -k 2 --quantity ks -lmin 1 -lmax 2 --out {tmp}/missing/out.csv",
-    # a solved sweep checks k, then every activity, before it solves any
+    # a sweep checks k, then every activity, before it solves any
     "sweep -k 4 --quantity verdict -lmin -1 -lmax 2 -n 3",
     "sweep -k 1 --quantity s2 -lmin -1 -lmax 3 -n 3",
     # a linear grid up to 1e308 stays finite: the solved sweep stops where the
     # pair underflows, the counted one reports every row
     "sweep -k 2 --quantity s2 -lmin 1 -lmax 1e308 -n 5",
     "sweep -k 2 --quantity solutions -lmin 1 -lmax 1e308 -n 5",
+    # the verdict sweep decides past the pair's underflow without solving
+    "sweep -k 100 --quantity verdict -lmin 0.01 -lmax 1e12 -n 400 --scale log",
     "oracle -k 2 -l 5",
     "oracle -k 2 -l 2 -n 3 --mode periodic",
     "oracle -k 2 -l 5 -n 5",

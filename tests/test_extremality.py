@@ -1,13 +1,16 @@
 """Reconstruction and contraction certificates for solved boundary laws."""
 
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from chain_reference import single_step_matrix, two_step_matrix
-from hctree import extremality
 from hctree.core import (
+    ConvergenceError,
     DomainError,
-    InternalCheckError,
     LawKind,
     ModelParams,
     two_periodic_law,
@@ -26,6 +29,7 @@ from hctree.solvers import (
     lambda_star,
     nonextremal_bound,
     solve_translation_invariant,
+    solve_two_periodic,
     solve_two_periodic_k2_closed,
 )
 
@@ -91,20 +95,34 @@ class TestInvariantLawVerdicts:
 
 
 class TestVerdictLogic:
-    def test_conflict_raises(self):
-        with pytest.raises(InternalCheckError):
-            _verdict(1.5, 0.5, False, False)
+    def test_invariant_law_compares_lam_with_the_exact_thresholds(self):
+        # lambda_star(3) rounds up and the bound at k = 4 is 16 exactly: the
+        # float itself lies above lambda_star and on the bound
+        star = lambda_star(3)
+        assert _verdict(3, math.nextafter(star, 0.0)) is Verdict.PROVEN_EXTREMAL
+        assert _verdict(3, star) is Verdict.UNDETERMINED
+        assert _verdict(4, 16.0) is Verdict.UNDETERMINED
+        assert _verdict(4, math.nextafter(16.0, math.inf)) is Verdict.PROVEN_NONEXTREMAL
 
-    def test_nonextremal(self):
-        assert _verdict(1.2, 2.0, False, False) is Verdict.PROVEN_NONEXTREMAL
+    def test_pair_nonextremal(self):
+        assert _verdict(2, 5.0, (1.2, 2.0, False, False)) is Verdict.PROVEN_NONEXTREMAL
 
-    def test_extremal_by_any_certificate(self):
-        assert _verdict(0.5, 0.5, False, False) is Verdict.PROVEN_EXTREMAL
-        assert _verdict(0.5, 2.0, True, False) is Verdict.PROVEN_EXTREMAL
-        assert _verdict(0.5, 2.0, False, True) is Verdict.PROVEN_EXTREMAL
+    def test_pair_extremal_by_any_certificate(self):
+        assert _verdict(2, 5.0, (0.5, 0.5, False, False)) is Verdict.PROVEN_EXTREMAL
+        assert _verdict(2, 5.0, (0.5, 2.0, True, False)) is Verdict.PROVEN_EXTREMAL
+        assert _verdict(2, 5.0, (0.5, 2.0, False, True)) is Verdict.PROVEN_EXTREMAL
 
-    def test_undetermined(self):
-        assert _verdict(0.9, 1.5, False, False) is Verdict.UNDETERMINED
+    def test_pair_undetermined(self):
+        assert _verdict(2, 5.0, (0.9, 1.5, False, False)) is Verdict.UNDETERMINED
+
+    def test_fixed_point_as_a_two_periodic_law_keeps_the_pair_rule(self):
+        # two_periodic_law(z, z) solves the recursion; its two-step chain
+        # has ks = 1.03 and msw = 1.97 at k = 2, lam = 30
+        params = ModelParams(2, 30.0)
+        z = solve_translation_invariant(params)
+        rep = report_for_law(params, two_periodic_law(z, z))
+        assert rep.ks_value > 1.0 and rep.msw_value > 1.0
+        assert rep.verdict is Verdict.PROVEN_NONEXTREMAL
 
     def test_weak_law_rejected(self):
         from hctree.core import weak_periodic_law
@@ -113,45 +131,110 @@ class TestVerdictLogic:
             report_for_law(ModelParams(2, 1.0), weak_periodic_law((1, 2, 3, 4), "I2"))
 
 
+def _exact_invariant_verdict(mpmath, k, lam):
+    """The invariant law's verdict from its certificates at 50 digits: the
+    fixed point z of z = (1 + lam*z)**-k, s2 = lam*z/(1 + lam*z), ks = k*s2**2,
+    msw = k*s2*lam/(1 + lam), both reconstruction values k*s2. On the
+    Kesten-Stigum bound at k = 4 (16) and 9 (19683/1024) ks is exactly 1."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam)
+        z = mpmath.findroot(lambda z: (1 + x * z) ** -k - z, (mpmath.mpf(0), mpmath.mpf(1)),
+                            solver="anderson")
+        s2 = x * z / (1 + x * z)
+        ks, msw = k * s2 * s2, k * s2 * x / (1 + x)
+        if (k, Fraction(lam)) in ((4, Fraction(16)), (9, Fraction(19683, 1024))):
+            ks = mpmath.mpf(1)
+        if ks > 1:
+            return Verdict.PROVEN_NONEXTREMAL
+        if msw < 1 or k * s2 <= 1:
+            return Verdict.PROVEN_EXTREMAL
+        return Verdict.UNDETERMINED
+
+
+class TestThresholdVerdicts:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_verdicts_at_the_threshold_floats_match_50_digits(self, k):
+        # lambda_star and the Kesten-Stigum bound, each between its float
+        # neighbours: the exact certificate is within an ulp of 1 there
+        mpmath = pytest.importorskip("mpmath")
+        for lam in (lambda_star(k), nonextremal_bound(k)):
+            for x in (math.nextafter(lam, 0.0), lam, math.nextafter(lam, math.inf)):
+                got = classify(ModelParams(k, x))[0]
+                assert got.law.kind is LawKind.TRANSLATION_INVARIANT
+                assert got.verdict is _exact_invariant_verdict(mpmath, k, x), (k, x)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_pair_solves_the_recursion_exactly_with_s2_at_most_1_over_k_squared(self, k):
+        # with q = sum(r**j, j < k-1) and Q = sum(r**j, j < k) = 1 + r*q:
+        # lam*z2 = 1/(r*q), so (1 + lam*z2)**-k = (r*q/Q)**k = z1, and the
+        # other way round. s2 = r**(k-1)/Q**2 <= 1/k**2 by AM-GM, so the
+        # pair's msw is below lam/(1 + lam) < 1: the sweep's verdict
+        for r in (Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                  Fraction(9, 10), Fraction(999, 1000)):
+            q = sum(r ** j for j in range(k - 1))
+            big_q = sum(r ** j for j in range(k))
+            z2 = (q / big_q) ** k
+            z1 = r ** k * z2
+            lam = big_q ** k / (r * q ** (k + 1))
+            assert (1 + lam * z2) ** -k == z1
+            assert (1 + lam * z1) ** -k == z2
+            a, b = lam * z1 / (1 + lam * z1), lam * z2 / (1 + lam * z2)
+            assert a * b == r ** (k - 1) / big_q ** 2
+            assert a * b < Fraction(1, k * k)
+            assert k * k * a * b * lam / (1 + lam) < 1
+
+
 class TestNonSolutions:
-    def test_contradicting_certificates_of_a_non_solution_raise_domain_error(self):
-        # the random draw of test_acceptance criterion 10: 251 of these pairs
-        # solve nothing and carry contradicting certificates
+    def test_random_non_solutions_raise_domain_error(self):
+        # the random draw of test_acceptance criterion 10: none of these
+        # pairs solves the recursion
         rng = np.random.default_rng(987654321)
         ks = rng.integers(2, 11, size=10_000)
         lams = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=10_000))
         z1s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=10_000))
         z2s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=10_000))
-        refused = 0
         for k, lam, z1, z2 in zip(ks, lams, z1s, z2s):
             law = two_periodic_law(*sorted((float(z1), float(z2))))
-            try:
+            with pytest.raises(DomainError, match="does not solve the recursion"):
                 report_for_law(ModelParams(int(k), float(lam)), law)
-            except DomainError as exc:
-                assert "does not solve the recursion" in str(exc)
-                refused += 1
-        assert refused == 251
 
-    @pytest.mark.parametrize("lam, z", [(1e-200, 1e-200), (1.0, 1e-320)])
-    def test_underflowing_pair_has_zero_certificates(self, lam, z):
-        rep = report_for_law(ModelParams(2, lam), two_periodic_law(z, z))
-        assert (rep.s2, rep.kappa, rep.martinelli_value, rep.mossel_value) == (0.0,) * 4
-        assert rep.verdict is Verdict.PROVEN_EXTREMAL
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 10, 30, 100])
+    def test_every_solved_law_is_accepted(self, k):
+        # next to the critical activity, and a ladder from 0.01 up to the
+        # pair's underflow edge, where z1 is subnormal
+        lam_cr = critical_lambda(k)
+        lams = [lam_cr * (1.0 + 10.0 ** -j) for j in range(1, 12)]
+        lam = last = 0.01
+        while True:
+            try:
+                solve_two_periodic(ModelParams(k, lam))
+            except ConvergenceError:
+                break
+            lams.append(lam)
+            last, lam = lam, lam * 10.0 ** 0.05
+        for _ in range(60):
+            mid = last * math.sqrt(lam / last)
+            try:
+                solve_two_periodic(ModelParams(k, mid))
+            except ConvergenceError:
+                lam = mid
+            else:
+                lams.append(mid)
+                last = mid
+        subnormal = 0
+        for lam in lams:
+            reports = classify(ModelParams(k, lam))
+            assert reports[0].verdict is _verdict(k, lam)
+            if len(reports) == 2:
+                assert reports[1].verdict is Verdict.PROVEN_EXTREMAL
+                subnormal += reports[1].law.values[0] < sys.float_info.min
+        assert subnormal > 0
 
     @pytest.mark.parametrize("values", [(1e300,), (1e300, 1e300), (0.5, 1e300), (1e-300, 1e300)])
     def test_overflowing_non_solution_raises_domain_error(self, values):
         law = (translation_invariant_law if len(values) == 1 else two_periodic_law)(*values)
         with pytest.raises(DomainError, match="does not solve the recursion"):
             report_for_law(ModelParams(2, 1e10), law)
-
-    def test_contradicting_certificates_of_a_solution_stay_internal(self, monkeypatch):
-        def conflict(*args):
-            raise InternalCheckError("certificates fired together")
-
-        monkeypatch.setattr(extremality, "_verdict", conflict)
-        z1, z2 = solve_two_periodic_k2_closed(5.0)
-        with pytest.raises(InternalCheckError):
-            report_for_law(ModelParams(2, 5.0), two_periodic_law(z1, z2))
 
 
 class TestClassify:
