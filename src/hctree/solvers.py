@@ -38,8 +38,9 @@ __all__ = [
     "solve_two_periodic_k3_closed",
 ]
 
-# halving any bracket in [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074
-_BISECT_MAX_ITER = 1100
+# halving any bracket in [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074;
+# at most three probes in a row keep more than half of it, then a midpoint probe halves it
+_MAX_PROBES = 4 * 1075 + 3
 _DEFAULT_TOL = 1e-12
 
 _K3_CRITICAL = 27.0 / 16.0
@@ -51,10 +52,10 @@ def critical_lambda(k: int) -> float:
 
 
 def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) -> float:
-    """The unique fixed point of the recursion in (0, 1), found by bisection.
+    """The unique fixed point of the recursion in (0, 1), by Illinois probes.
 
-    The map is strictly decreasing with f(0+)=1 and f(1) < 1, so
-    f(z) - z changes sign exactly once on (0, 1).
+    The map is strictly decreasing with f(0+)=1 and f(1) < 1, so f(z) - z
+    changes sign once on (0, 1): the probes end on the floats bisection ends on.
     """
     return _fixed_point(params.k, params.lam, tol)
 
@@ -63,21 +64,31 @@ def _fixed_point(k: int, lam: float, tol: float) -> float:
     """solve_translation_invariant on floats."""
     if not tol > 0:
         raise DomainError("tol must be positive")
-    # sign(f - id) is + at lo, - at hi; endpoints never evaluated
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    # g = f - id is + at lo, - at hi, and known at both. An end kept twice has its
+    # stored g halved (moved: +1 where lo moved last, -1 where hi did); slow counts
+    # the probes in a row that kept more than half of the bracket
+    lo, hi, glo, ghi, moved, slow = 0.0, 1.0, 1.0, (1.0 + lam) ** (-k) - 1.0, 0, 0
+    for _ in range(_MAX_PROBES):
+        m = 0.5 * (lo + hi)
+        if m == lo or m == hi:
             break
+        c = hi - ghi * (hi - lo) / (ghi - glo)
+        mid = c if slow < 3 and lo < c < hi else m
         # recursion_map inlined: mid is a float strictly inside (0, 1), so its
         # argument check could never fire
         g = (1.0 + lam * mid) ** (-k) - mid
         if g == 0.0:
             return mid
         if g > 0.0:
-            lo = mid
+            if moved > 0:
+                ghi *= 0.5
+            lo, glo, moved = mid, g, 1
+            slow = slow + 1 if mid < m else 0
         else:
-            hi = mid
+            if moved < 0:
+                glo *= 0.5
+            hi, ghi, moved = mid, g, -1
+            slow = slow + 1 if mid > m else 0
     z = 0.5 * (lo + hi)
     # recursion_map's check: z is 0 where the fixed point is below every float
     residual = abs((1.0 + lam * _check_positive("z", z)) ** (-k) - z)
@@ -159,7 +170,7 @@ def _check_pair_found(z1: float, lam: float, **diagnostics) -> None:
 
 
 def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]:
-    """Two-cycle (z1, z2) by bisection of
+    """Two-cycle (z1, z2) by the fixed point's Illinois probes on
     G(u) = lam*u*v*sum(u**j * v**(k-1-j), j < k) - 1, v = 1/(1 + lam*u**k):
     1/u = 1 + lam*v**k minus 1/v = 1 + lam*u**k over v - u, in u = z1**(1/k)
     and v = z2**(1/k). G(0+) = -1 and G(u_fix) = |f'(z_fix)| - 1 > 0 above
@@ -168,12 +179,15 @@ def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]
     u**k cancels, and v**k - u**k for d >= 0.5 (u**k <= v**k/2**k).
     """
     log1p, expm1 = math.log1p, math.expm1
-    # G inlined as p = G + 1: below 1 at lo, above at hi; ends never evaluated
+    # G inlined as p = G + 1: below 1 at lo, above at hi; the ends' G is known
     lo, hi = 0.0, z_fix ** (1.0 / k)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    glo, ghi, moved, slow = -1.0, k * (lam * z_fix / (1.0 + lam * z_fix)) - 1.0, 0, 0
+    for _ in range(_MAX_PROBES):
+        m = 0.5 * (lo + hi)
+        if m == lo or m == hi:
             break
+        c = hi - ghi * (hi - lo) / (ghi - glo)
+        mid = c if slow < 3 and lo < c < hi else m
         a = mid ** k
         v = 1.0 / (1.0 + lam * a)
         d = (v - mid) / v
@@ -184,9 +198,15 @@ def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]
             # d is 0 only where v rounds to mid, next to u_fix: q's limit is k
             p = lam * mid * w * (-expm1(k * log1p(-d)) / d if d else k)
         if p > 1.0:
-            hi = mid
+            if moved < 0:
+                glo *= 0.5
+            hi, ghi, moved = mid, p - 1.0, -1
+            slow = slow + 1 if mid > m else 0
         else:
-            lo = mid
+            if moved > 0:
+                ghi *= 0.5
+            lo, glo, moved = mid, p - 1.0, 1
+            slow = slow + 1 if mid < m else 0
     z1 = (0.5 * (lo + hi)) ** k
     if z1 > 0.0:
         # one pass of the map applied twice takes back the ulps of u**k

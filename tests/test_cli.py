@@ -609,7 +609,7 @@ def test_infinite_tol_is_null_in_json(command, capsys):
 # pair is close to the fixed point
 @pytest.mark.parametrize("command,shows", [
     ("solve -k 4 -l 1.0534979529218105", "ordered system solutions: 3\n"),
-    ("classify -k 6 -l 0.5971968059719678", "  two-periodic  z=(0.33482203231041, "),
+    ("classify -k 6 -l 0.5971968059719678", "  two-periodic  z=(0.334822032310612, "),
     ("weak -k 4 -l 1.0534979529218105 --set I2", "fixed points: 3  (non-constant: 2)\n"),
     ("sweep -k 4 --quantity solutions -lmin 1.05349794 -lmax 1.0534980 -n 5",
      "1.053497955,3\n1.05349797,3\n1.053497985,3\n1.053498,3\n"),

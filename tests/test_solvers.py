@@ -1,13 +1,15 @@
 """Homogeneous and alternating boundary-law solvers plus threshold activities."""
 
 import math
+import random
+import statistics
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hctree import solvers
+from hctree import cli, solvers
 from hctree.core import (
     ConvergenceError,
     DomainError,
@@ -202,7 +204,7 @@ class TestPairClosedForms:
 
 
 class TestSolvePair:
-    """The one entry point to the pair: closed forms for k=2, 3, bisection above."""
+    """The one entry point to the pair: closed forms for k=2, 3, the probe loop above."""
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_ascending_and_a_two_cycle(self, k):
@@ -214,12 +216,12 @@ class TestSolvePair:
             assert residual == max(abs(z1 - (1.0 + lam * z2) ** -k),
                                    abs(z2 - (1.0 + lam * z1) ** -k))
 
-    # k >= 4: the closing pass of the map leaves most bisected pairs with
+    # k >= 4: the closing pass of the map leaves most probed pairs with
     # residual 0, but not these
-    @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0), (4, 1.1), (7, 0.714)])
+    @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0), (4, 1.1), (7, 0.7753115914618872)])
     def test_pair_gated_at_tol(self, k, lam):
         # no 1e-9 floor: a tol below the pair's residual refuses it, with one
-        # message for the closed forms and the bisection
+        # message for the closed forms and the probe loop
         z_fix = solve_translation_invariant(ModelParams(k, lam))
         with pytest.raises(ConvergenceError) as err:
             _solve_pair(k, lam, z_fix, 1e-300)
@@ -397,8 +399,8 @@ class TestThresholdsCorrectlyRounded:
 
 
 class TestTinyRoots:
-    """Roots far below 2**-200 of the bisection bracket (0, 1), checked
-    against fixed-point iterations that use no bisection."""
+    """Roots far below 2**-200 of the bracket (0, 1), checked against
+    fixed-point iterations that use no bracket."""
 
     def test_invariant_root_near_1e_minus_67(self):
         # z = (1 + lam*z)**-k read as log z = log(expm1(-log(z)/k)) - log(lam),
@@ -430,15 +432,17 @@ class TestTinyRoots:
         assert z2 == pytest.approx(1.0, rel=1e-12)
 
 
-# Reference bisections: the solvers' loops with every step through the checked
-# recursion_map. The solvers evaluate the map inline; the bits must not move.
+# Checked-step references. The fixed point must keep the bits of a plain
+# bisection through the checked recursion_map; the probe loop below is the
+# solvers' loop with every step through the checked map. The solvers evaluate
+# the map inline; the bits must not move.
 
 
 def reference_translation_invariant(params, tol=1e-12):
     if tol <= 0:
         raise DomainError("tol must be positive")
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -457,7 +461,60 @@ def reference_translation_invariant(params, tol=1e-12):
     return z
 
 
-def reference_pair_generic(k, lam, z_fix):
+def reference_probes(h, hi, h_hi, zero_is_root, probes):
+    """The solvers' probe loop on (0, hi), with h(0+) = -1 and h(hi) = h_hi
+    known and h > 0 toward hi: Illinois (regula falsi that halves the stored
+    value of an end kept twice), and a midpoint probe after three probes in a
+    row that kept more than half of the bracket. Returns the adjacent floats
+    (lo, hi) it stops at, or (mid, mid) where h(mid) is 0 and zero_is_root.
+    Appends its probe count to probes.
+
+    The fixed point's g = f - id is -h here: the secant point, the halved
+    values and the sign rules are the same bits under negation."""
+    lo, h_lo, moved, slow, count = 0.0, -1.0, 0, 0, 0
+    for _ in range(solvers._MAX_PROBES):
+        m = 0.5 * (lo + hi)
+        if m == lo or m == hi:
+            break
+        count += 1
+        c = hi - h_hi * (hi - lo) / (h_hi - h_lo)
+        mid = c if slow < 3 and lo < c < hi else m
+        value = h(mid)
+        if value == 0.0 and zero_is_root:
+            lo = hi = mid
+            break
+        if value > 0.0:
+            if moved < 0:
+                h_lo *= 0.5
+            hi, h_hi, moved = mid, value, -1
+            slow = slow + 1 if mid > m else 0
+        else:
+            if moved > 0:
+                h_hi *= 0.5
+            lo, h_lo, moved = mid, value, 1
+            slow = slow + 1 if mid < m else 0
+    probes.append(count)
+    return lo, hi
+
+
+def reference_fixed_point(params, tol=1e-12, probes=None):
+    """_fixed_point's probes, each through the checked recursion_map."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    lo, hi = reference_probes(lambda z: z - recursion_map(params, z), 1.0,
+                              1.0 - (1.0 + params.lam) ** -params.k, True,
+                              [] if probes is None else probes)
+    if lo == hi:
+        return lo
+    z = 0.5 * (lo + hi)
+    residual = abs(recursion_map(params, z) - z)
+    if residual > tol:
+        raise ConvergenceError("translation-invariant bisection stalled",
+                               bracket=(lo, hi), residual=residual, tol=tol)
+    return z
+
+
+def reference_pair_generic(k, lam, z_fix, probes=None):
     params = ModelParams(k, lam)
 
     def deflated(u):
@@ -471,15 +528,10 @@ def reference_pair_generic(k, lam, z_fix):
         q = -math.expm1(k * math.log1p(-d)) / d if d != 0.0 else k
         return lam * u * v ** k * q - 1.0
 
-    lo, hi = 0.0, z_fix ** (1.0 / k)
-    for _ in range(1100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if deflated(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    # G(u_fix) = |f'(z_fix)| - 1
+    lo, hi = reference_probes(deflated, z_fix ** (1.0 / k),
+                              k * (lam * z_fix / (1.0 + lam * z_fix)) - 1.0, False,
+                              [] if probes is None else probes)
     z1 = (0.5 * (lo + hi)) ** k
     if z1 > 0.0:
         z1 = recursion_map(params, recursion_map(params, z1))
@@ -529,6 +581,81 @@ class TestInlinedBisection:
                 assert report_bits(got) == report_bits(expected), lam
 
 
+# The bisection's outcome at each extreme activity, frozen: the fixed point
+# (1.0 below lam = 1) and, above the critical activity, the diagnostics of the
+# pair's error; every pair there is below the smallest positive float.
+EXTREME_LAMS = [5e-324, 1e-320, 1e-300, 1e300, 1.7e308]
+EXTREME_OUTCOMES = {
+    (2, 1e300): (1e-200, {"lam": 1e300}),
+    (4, 1e300): (1e-240, {"lam": 1e300, "bracket": (1e-300, 1.0000000000000002e-300)}),
+    (100, 1e300): (9.329027117311518e-298,
+                   {"lam": 1e300, "bracket": (1e-300, 1.0000000000000002e-300)}),
+    (10**5, 1e300): (6.981658900452658e-303,
+                     {"lam": 1e300, "bracket": (1e-300, 1.0000000000000002e-300)}),
+    (2, 1.7e308): (3.2586225039732143e-206, {"lam": 1.7e308}),
+    (4, 1.7e308): (2.603999298483454e-247,
+                   {"lam": 1.7e308, "bracket": (5.882352941176467e-309, 5.88235294117647e-309)}),
+    (100, 1.7e308): (6.621492260682252e-306,
+                     {"lam": 1.7e308, "bracket": (5.882352941176467e-309, 5.88235294117647e-309)}),
+    (10**5, 1.7e308): (4.2189658478064e-311,
+                       {"lam": 1.7e308, "bracket": (5.882352941176467e-309, 5.88235294117647e-309)}),
+}
+
+
+class TestIllinoisProbes:
+    """The probe loops keep the fixed point's bits, stay under their cap, and
+    take a few probes where the bisection took about 55-60."""
+
+    def test_fixed_point_bits_equal_the_bisection(self):
+        rng = random.Random(27)
+        acts = [(round(10.0 ** rng.uniform(math.log10(2.0), 5.0)), 10.0 ** rng.uniform(-300, 300))
+                for _ in range(20_000)]
+        for k in (2, 3, 4, 5, 7, 10, 30, 100, 1000, 10**5):
+            lam_cr = critical_lambda(k)
+            acts += [(k, lam_cr * (1.0 + 10.0 ** -rng.uniform(0, 16))) for _ in range(100)]
+        for k, lam in acts:
+            assert (outcome(solvers._fixed_point, k, lam, 1e-12)
+                    == outcome(reference_translation_invariant, ModelParams(k, lam))), (k, lam)
+
+    @pytest.mark.parametrize("lam", EXTREME_LAMS)
+    @pytest.mark.parametrize("k", [2, 4, 100, 10**5])
+    def test_extreme_activities_below_the_cap_and_as_bisected(self, k, lam):
+        probes = []
+        z_fix, diagnostics = EXTREME_OUTCOMES.get((k, lam), (1.0, None))
+        assert reference_fixed_point(ModelParams(k, lam), probes=probes) == z_fix
+        assert solvers._fixed_point(k, lam, 1e-12) == z_fix
+        if diagnostics is None:
+            report = solve_two_periodic(ModelParams(k, lam))
+            assert report_bits(report) == ([(LawKind.TRANSLATION_INVARIANT, (1.0,))], (0.0,), 1,
+                                           False)
+        else:
+            if k >= 4:
+                assert (outcome(reference_pair_generic, k, lam, z_fix, probes)
+                        == outcome(_solve_pair_generic, k, lam, z_fix))
+            with pytest.raises(ConvergenceError) as err:
+                solve_two_periodic(ModelParams(k, lam))
+            assert err.value.args == ("two-cycle below the smallest positive float; pair not found",)
+            assert err.value.diagnostics == diagnostics
+        assert len(probes) == (2 if diagnostics and k >= 4 else 1)
+        assert max(probes) < solvers._MAX_PROBES
+
+    def test_few_probes_on_the_msw_sweep_grid(self):
+        # the closed_form benchmark's 1000-point msw sweep at k = 7; the
+        # bisection took 55 probes for the fixed point and about 60 a pair
+        k = 7
+        lam_cr = critical_lambda(k)
+        fixed, pair = [], []
+        for lam in cli._grid(0.1, 100.0, 1000, "log"):
+            z_fix = reference_fixed_point(ModelParams(k, lam), probes=fixed)
+            assert z_fix == solvers._fixed_point(k, lam, 1e-12)
+            if solvers._has_pair(lam, lam_cr):
+                assert (reference_pair_generic(k, lam, z_fix, pair)
+                        == _solve_pair_generic(k, lam, z_fix))
+        assert len(fixed) == 1000 and len(pair) > 700
+        assert statistics.median(fixed) <= 16
+        assert statistics.median(pair) <= 16
+
+
 def law_floats(report):
     """solve_two_periodic's law values as the grid yields them: the fixed
     point and the ascending pair, or None where only the fixed point exists."""
@@ -565,7 +692,7 @@ def _raises(*_):
 class TestGridSolver:
     """The sweep's solve yields solve_two_periodic's floats at each activity."""
 
-    # tol=1e-300 makes most bisections fail, some not: every eighth activity
+    # tol=1e-300 makes most solves fail, some not: every eighth activity
     # keeps the restarts after each error cheap
     @pytest.mark.parametrize("tol,stride", [(1e-12, 1), (1e-300, 8)])
     @pytest.mark.parametrize("k", [*range(2, 11), 15, 30, 100])
@@ -575,7 +702,7 @@ class TestGridSolver:
         assert grid_outcomes(k, lams, tol) == want_outcomes(k, lams, tol)
 
     def test_pair_below_the_float_range_raises_in_its_turn(self):
-        # at k=100, lam=2000 and 1e12 the bisection finds u = z1**(1/k) next
+        # at k=100, lam=2000 and 1e12 the probe loop finds u = z1**(1/k) next
         # to 1/(1 + lam), but u**100 underflows to 0: it must stop with
         # ConvergenceError, not pass z1 = 0 on to recursion_map
         lams = [5.0, 2000.0, 1e12, 30.0]
