@@ -41,6 +41,9 @@ __all__ = [
 # halving any bracket in [0, 1] reaches adjacent floats within 1,075 steps, even at 2**-1074;
 # at most three probes in a row keep more than half of it, then a midpoint probe halves it
 _MAX_PROBES = 4 * 1075 + 3
+# while rho <= 1/2 the pair's Newton leaves y within step**2/2 of log z1 (|Phi''| <= rho,
+# Phi' >= 1/2), so a step below 2**-26 ends it; the most steps seen was 5 (TestPairNewton)
+_NEWTON_STEPS, _NEWTON_STOP = 16, 2.0 ** -26
 _DEFAULT_TOL = 1e-12
 
 _K3_CRITICAL = 27.0 / 16.0
@@ -170,15 +173,37 @@ def _check_pair_found(z1: float, lam: float, **diagnostics) -> None:
 
 
 def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]:
-    """Two-cycle (z1, z2) by the fixed point's Illinois probes on
-    G(u) = lam*u*v*sum(u**j * v**(k-1-j), j < k) - 1, v = 1/(1 + lam*u**k):
-    1/u = 1 + lam*v**k minus 1/v = 1 + lam*u**k over v - u, in u = z1**(1/k)
-    and v = z2**(1/k). G(0+) = -1 and G(u_fix) = |f'(z_fix)| - 1 > 0 above
-    lam_cr: (0, u_fix) brackets the pair with no margin. The sum is
-    v**(k-1)*(1 - r**k)/d, r = u/v = 1 - d: -expm1(k*log1p(-d)) where v**k -
-    u**k cancels, and v**k - u**k for d >= 0.5 (u**k <= v**k/2**k).
+    """Two-cycle (z1, z2), z1 < z_fix < z2, of f(z) = (1 + lam*z)**-k.
+
+    Newton on Phi(y) = y + k*log1p(lam*f(e**y)) = log(z/f(f(z))) in y = log z1, from
+    log f(1) <= log z1, with f in the log form exp(-k*log1p(lam*z)), z2 = f(z1) too: 1 + lam*z1
+    drops the bits of lam*z1 below eps, and z1 = f(z2) scales them by k. Phi' = 1 - rho,
+    rho = k**2*a*b with a = lam*z/(1 + lam*z), b = lam*f(z)/(1 + lam*f(z)): at z1, k_eff*s2 of
+    the pair's chain. An iterate with rho > 1/2, the step cap or an underflow of z1 hands over to
+    the fixed point's Illinois probes on G(u) = lam*u*v*sum(u**j * v**(k-1-j), j < k) - 1,
+    v = 1/(1 + lam*u**k): 1/u = 1 + lam*v**k minus 1/v = 1 + lam*u**k over v - u, in
+    u = z1**(1/k), v = z2**(1/k). Next to lam_cr Phi has three close roots (z1, z_fix, z2) and
+    loses eps/(lam/lam_cr - 1); G keeps k*eps/sqrt(lam/lam_cr - 1). G(0+) = -1 and G(u_fix) =
+    |f'(z_fix)| - 1 > 0 above lam_cr: (0, u_fix) brackets the pair with no margin. The sum is
+    v**(k-1)*(1 - r**k)/d, r = u/v = 1 - d: -expm1(k*log1p(-d)) where v**k - u**k cancels, and
+    v**k - u**k for d >= 0.5.
     """
-    log1p, expm1 = math.log1p, math.expm1
+    log1p, expm1, exp = math.log1p, math.expm1, math.exp
+    y = -k * log1p(lam)
+    for _ in range(_NEWTON_STEPS):
+        t = lam * exp(y)
+        s = lam * exp(-k * log1p(t))
+        rho = k * k * t / (1.0 + t) * s / (1.0 + s)
+        if not (t > 0.0 and rho <= 0.5):
+            break
+        step = (y + k * log1p(s)) / (1.0 - rho)
+        y -= step
+        if abs(step) <= _NEWTON_STOP:
+            # the pass of f(f(.)) shrinks y's error by rho; an underflow hands over
+            z1 = (1.0 + lam * exp(-k * log1p(lam * exp(y)))) ** (-k)
+            if z1 > 0.0:
+                return z1, exp(-k * log1p(lam * z1))
+            break
     # G inlined as p = G + 1: below 1 at lo, above at hi; the ends' G is known
     lo, hi = 0.0, z_fix ** (1.0 / k)
     glo, ghi, moved, slow = -1.0, k * (lam * z_fix / (1.0 + lam * z_fix)) - 1.0, 0, 0
@@ -209,7 +234,8 @@ def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]
             slow = slow + 1 if mid < m else 0
     z1 = (0.5 * (lo + hi)) ** k
     if z1 > 0.0:
-        # one pass of the map applied twice takes back the ulps of u**k
+        # one pass of the map applied twice, in the pow form, takes back the ulps of u**k; in the
+        # log form about 6 times as many probed pairs at k >= 10**4 fail the residual gate
         z1 = (1.0 + lam * (1.0 + lam * z1) ** (-k)) ** (-k)
     # z1 is 0 where u**k (or the pass) underflows: the pair is below every float
     _check_pair_found(z1, lam, bracket=(lo, hi))
@@ -217,15 +243,16 @@ def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]
 
 
 def _solve_pair(k: int, lam: float, z_fix: float, tol: float) -> tuple[float, float, float]:
-    """The alternating pair (z1, z2), ascending, and its residual, gated at
-    tol: the closed form for k=2 and 3, _solve_pair_generic otherwise. Call
-    it only where _has_pair holds."""
+    """The alternating pair (z1, z2), ascending, and its residual, gated at tol: the closed
+    form for k=2 and 3, _solve_pair_generic otherwise. Call it only where _has_pair holds."""
     if k >= 4:
         z1, z2 = _solve_pair_generic(k, lam, z_fix)
     else:
         z1, z2 = (solve_two_periodic_k2_closed if k == 2 else solve_two_periodic_k3_closed)(lam)
-    # recursion_map inlined: both values are positive floats
-    residual = max(abs(z1 - (1.0 + lam * z2) ** (-k)), abs(z2 - (1.0 + lam * z1) ** (-k)))
+    # recursion_map inlined on positive floats; z2 = f(z1) in the Newton pair's log form, or else
+    # in the pow form, which the rounding of 1 + lam*z1 moves by k*eps/2
+    r1, r2 = abs(z1 - (1.0 + lam * z2) ** (-k)), abs(z2 - math.exp(-k * math.log1p(lam * z1)))
+    residual = max(r1, min(r2, abs(z2 - (1.0 + lam * z1) ** (-k))) if r2 else 0.0)
     if residual > tol:
         raise ConvergenceError("alternating pair residual above tolerance",
                                pair=(z1, z2), residual=residual, tol=tol)
@@ -265,15 +292,13 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
 
 
 def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
-    """Yields (z_fix, pair) for each lam in turn: the fixed point and the
-    ascending pair (None at and below the critical activity) that
-    solve_two_periodic(ModelParams(k, lam), tol) reports, bit for bit. No
-    record is built: the values come from the same float helpers and gates,
-    and each residual is computed once.
+    """Yields (z_fix, pair) for each lam in turn: the fixed point and the ascending pair (None
+    at and below the critical activity) that solve_two_periodic(ModelParams(k, lam), tol)
+    reports, bit for bit. No record is built: the values come from the same float helpers and
+    gates, and each residual is computed once.
 
-    A lam that is not positive and finite is refused before any is solved;
-    otherwise the first error that solve_two_periodic raises is raised in its
-    turn.
+    A lam that is not positive and finite is refused before any is solved; otherwise the first
+    error that solve_two_periodic raises is raised in its turn.
     """
     lam_cr = critical_lambda(k)
     lams = [_check_positive("lam", lam) for lam in lams]

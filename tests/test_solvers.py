@@ -213,12 +213,13 @@ class TestSolvePair:
             z1, z2, residual = _solve_pair(k, lam, z_fix, 1e-12)
             assert 0.0 < z1 < z_fix < z2 < 1.0
             assert residual <= 1e-12
+            # z2 = f(z1) in the pow form, or in the log form of the Newton pair
+            f_z1 = ((1.0 + lam * z1) ** -k, math.exp(-k * math.log1p(lam * z1)))
             assert residual == max(abs(z1 - (1.0 + lam * z2) ** -k),
-                                   abs(z2 - (1.0 + lam * z1) ** -k))
+                                   min(abs(z2 - f) for f in f_z1))
 
-    # k >= 4: the closing pass of the map leaves most probed pairs with
-    # residual 0, but not these
-    @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0), (4, 1.1), (7, 0.7753115914618872)])
+    # k >= 4: the closing pass leaves most pairs with residual 0, but not these
+    @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0), (4, 1.1), (7, 0.8)])
     def test_pair_gated_at_tol(self, k, lam):
         # no 1e-9 floor: a tol below the pair's residual refuses it, with one
         # message for the closed forms and the probe loop
@@ -433,9 +434,9 @@ class TestTinyRoots:
 
 
 # Checked-step references. The fixed point must keep the bits of a plain
-# bisection through the checked recursion_map; the probe loop below is the
-# solvers' loop with every step through the checked map. The solvers evaluate
-# the map inline; the bits must not move.
+# bisection through the checked recursion_map; the probe loop and the pair's
+# Newton below are the solvers' loops with every map evaluation through a
+# checked step. The solvers evaluate the map inline; the bits must not move.
 
 
 def reference_translation_invariant(params, tol=1e-12):
@@ -514,8 +515,43 @@ def reference_fixed_point(params, tol=1e-12, probes=None):
     return z
 
 
-def reference_pair_generic(k, lam, z_fix, probes=None):
+def checked_log_map(k, lam):
+    """f(z) = exp(-k*log1p(lam*z)), the pair's log form of the map, with
+    recursion_map's argument check."""
+    return lambda z: math.exp(-k * math.log1p(lam * _check_positive("z", z)))
+
+
+def reference_newton(k, lam, steps):
+    """The pair's Newton branch, each f through checked_log_map: (z1, z2), or
+    None where it hands over. Appends its evaluations of f(f(.)) to steps."""
+    f, params = checked_log_map(k, lam), ModelParams(k, lam)
+    y, count, pair = -k * math.log1p(lam), 0, None
+    for _ in range(solvers._NEWTON_STEPS):
+        z = math.exp(y)
+        t = lam * z
+        if not t > 0.0:
+            break
+        count += 1
+        s = lam * f(z)
+        rho = k * k * t / (1.0 + t) * s / (1.0 + s)
+        if not rho <= 0.5:
+            break
+        step = (y + k * math.log1p(s)) / (1.0 - rho)
+        y -= step
+        if abs(step) <= solvers._NEWTON_STOP:
+            z1 = recursion_map(params, f(math.exp(y)))
+            if z1 > 0.0:
+                pair = z1, f(z1)
+            break
+    steps.append(count)
+    return pair
+
+
+def reference_deflated(k, lam, z_fix, probes, f=None):
+    """The pair's probe loop on the deflated G, each step checked. Its closing
+    pass and z2 take f, recursion_map as in the solvers unless given."""
     params = ModelParams(k, lam)
+    f = f or (lambda z: recursion_map(params, z))
 
     def deflated(u):
         # G(u) = lam*u*v*sum(u**j * v**(k-1-j) for j < k) - 1, the sum as
@@ -530,15 +566,25 @@ def reference_pair_generic(k, lam, z_fix, probes=None):
 
     # G(u_fix) = |f'(z_fix)| - 1
     lo, hi = reference_probes(deflated, z_fix ** (1.0 / k),
-                              k * (lam * z_fix / (1.0 + lam * z_fix)) - 1.0, False,
-                              [] if probes is None else probes)
+                              k * (lam * z_fix / (1.0 + lam * z_fix)) - 1.0, False, probes)
     z1 = (0.5 * (lo + hi)) ** k
     if z1 > 0.0:
-        z1 = recursion_map(params, recursion_map(params, z1))
+        z1 = recursion_map(params, f(z1))
     if not z1 > 0.0:
         raise ConvergenceError("two-cycle below the smallest positive float; pair not found",
                                lam=lam, bracket=(lo, hi))
-    return z1, recursion_map(params, z1)
+    return z1, f(z1)
+
+
+def reference_pair_generic(k, lam, z_fix, evaluations=None):
+    """_solve_pair_generic step by step: Newton, else the probe loop. Appends
+    its evaluations, Newton steps plus any probes, to evaluations."""
+    counts = []
+    try:
+        return reference_newton(k, lam, counts) or reference_deflated(k, lam, z_fix, counts)
+    finally:
+        if evaluations is not None:
+            evaluations.append(sum(counts))
 
 
 def outcome(fn, *args):
@@ -603,8 +649,9 @@ EXTREME_OUTCOMES = {
 
 
 class TestIllinoisProbes:
-    """The probe loops keep the fixed point's bits, stay under their cap, and
-    take a few probes where the bisection took about 55-60."""
+    """The probe loops keep the fixed point's bits and stay under their cap.
+    The fixed point takes a few probes where the bisection took about 55, and
+    the pair a few Newton steps where it took about 60."""
 
     def test_fixed_point_bits_equal_the_bisection(self):
         rng = random.Random(27)
@@ -641,19 +688,131 @@ class TestIllinoisProbes:
 
     def test_few_probes_on_the_msw_sweep_grid(self):
         # the closed_form benchmark's 1000-point msw sweep at k = 7; the
-        # bisection took 55 probes for the fixed point and about 60 a pair
+        # bisection took 55 probes for the fixed point and about 60 a pair,
+        # and the pair's probe loop alone 13 evaluations of the map
         k = 7
         lam_cr = critical_lambda(k)
-        fixed, pair = [], []
+        fixed, pair, newton, probes = [], [], [], []
         for lam in cli._grid(0.1, 100.0, 1000, "log"):
             z_fix = reference_fixed_point(ModelParams(k, lam), probes=fixed)
             assert z_fix == solvers._fixed_point(k, lam, 1e-12)
             if solvers._has_pair(lam, lam_cr):
                 assert (reference_pair_generic(k, lam, z_fix, pair)
                         == _solve_pair_generic(k, lam, z_fix))
+                newton.append(reference_newton(k, lam, []) is not None)
+                reference_deflated(k, lam, z_fix, probes)
         assert len(fixed) == 1000 and len(pair) > 700
         assert statistics.median(fixed) <= 16
-        assert statistics.median(pair) <= 16
+        # the probe loop alone, which still solves every pair next to lam_cr
+        assert statistics.median(probes) <= 16
+        # Newton steps plus any probes after a hand-over
+        assert statistics.median(pair) <= 4
+        assert sum(newton) >= 0.9 * len(newton)
+
+
+# Outcomes of solve_two_periodic from the probe loop alone (before the pair's
+# Newton branch), frozen at seeded activities with k in 10**3..10**5 (lam next
+# to lam_cr, up to 2*lam_cr, and up to where z1 underflows), at k = 50,000 and
+# 3*lam_cr, and at two pairs that its residual gate refused. Each is the error it
+# raised, message and diagnostics, or, where it found the pair, the 60-digit
+# two-cycle rounded to floats.
+GATED_OUTCOMES = {
+    (5131, 0.0005356571724252399): (0.2790496545163176, 0.4644512637516923),
+    (1137, 0.003261213031791318): (0.042101342107197064, 0.8554727598411302),
+    (84114, 0.00171781570891108): (2.0026553798325145e-63, 1.0),
+    (2374, 0.0011457458677705365): (0.3674636242627254, 0.3681403728335358),
+    (5143, 0.0005289881722195376): (0.34681860574844015, 0.38927729076829887),
+    (65626, 0.0017668547907134387): (4.8673107622644235e-51, 1.0),
+    (84481, 3.262373659392009e-05): (0.26805852300907973, 0.47769201086108265),
+    (3998, 0.026374937903009613): (6.287190619939429e-46, 1.0),
+    (2870, 0.001341647116354358): (0.03432803737312778, 0.8761850214292718),
+    (10054, 0.0513424403902343): (2.420196116593131e-219, 1.0),
+    (8620, 0.0003472876277090283): (0.13813754508995463, 0.6613174421404009),
+    (32235, 0.00011903140292137756): (0.03485945552737361, 0.8748046618780293),
+    (4768, 0.0291240953927585): (3.579182707563974e-60, 1.0),
+    (12896, 0.00028924074289496334): (0.04048353070695566, 0.859843697135458),
+    (3573, 0.0016601892556309238): (0.0029557264390335566, 0.9826199057434412),
+    (27686, 9.818786351541183e-05): (0.3677181591357047, 0.36802745711681334),
+    (11464, 0.0003065722726726514): (0.055501086022805915, 0.8227858003778936),
+    (5089, 0.06299158281806612): (9.76601530050754e-136, 1.0),
+    (2335, 0.001164894659565723): (0.3677613794410243, 0.36783992609855704),
+    (10895, 0.0004136893991190291): (0.014751543801405293, 0.9356749309513902),
+    (27950, 0.0002625607202609394): (0.0006746089683405804, 0.995061568213736),
+    (27926, 9.734437305485114e-05): (0.36605202243756013, 0.36969669556422874),
+    (72356, 4.54106687170319e-05): (0.07988900960213796, 0.7691312971345728),
+    (71442, 0.0002760557620434518): (2.729211740971867e-09, 0.9999999461745537),
+    (35488, 0.0001277018798354321): (0.014304818391911577, 0.9372289126067231),
+    (32871, 0.002363892554058336): (1.9661511778450927e-34, 1.0),
+    (14089, 0.00019907084612539068): ("translation-invariant bisection stalled",
+        {"bracket": (0.36215143396162686, 0.3621514339616269),
+         "residual": 1.1231571228620396e-12, "tol": 1e-12}),
+    (1000, 2.0): ("two-cycle below the smallest positive float; pair not found",
+        {"lam": 2.0, "bracket": (0.3333333333333333, 0.33333333333333337)}),
+    (50000, 0.00016310180274259632): (0.0002931113190912818, 0.9976125054393555),
+    (75671, 3.620161440560515e-05): ("alternating pair residual above tolerance",
+        {"pair": (0.29192815942367656, 0.4494604644304468),
+         "residual": 4.905020833945173e-12, "tol": 1e-12}),
+    (16699, 0.0001645048764944113): ("alternating pair residual above tolerance",
+        {"pair": (0.28025174993732166, 0.46308133581522093),
+         "residual": 1.0391132398979153e-12, "tol": 1e-12}),
+}
+
+
+class TestPairNewton:
+    """The pair's Newton branch, where it is taken, lands within the
+    conditioning bound of the deflated probe loop, and hands over every
+    other activity to that loop."""
+
+    @pytest.mark.parametrize("k,lam", list(GATED_OUTCOMES))
+    def test_gated_outcomes_kept(self, k, lam):
+        want = GATED_OUTCOMES[k, lam]
+        if isinstance(want[0], str):
+            with pytest.raises(ConvergenceError) as err:
+                solve_two_periodic(ModelParams(k, lam))
+            assert (err.value.args[0], err.value.diagnostics) == want
+            return
+        got = solve_two_periodic(ModelParams(k, lam)).solutions[1].values
+        b = max(1.1 * k * sys.float_info.epsilon / math.sqrt(lam / critical_lambda(k) - 1.0),
+                8 * sys.float_info.epsilon)
+        for z, w in zip(got, want):
+            assert abs(z - w) <= 4 * b * w, (got, want)
+
+    def test_newton_within_the_probe_loops_bound(self):
+        rng = random.Random(28)
+        # 100 draws of k, within _thresholds' cache: each new k costs a decimal computation
+        ks = [round(10.0 ** rng.uniform(math.log10(4.0), 5.0)) for _ in range(100)]
+        newton = 0
+        for j in range(24_000):
+            k = rng.choice(ks)
+            lam_cr = critical_lambda(k)
+            if j % 4 == 0:
+                lam = lam_cr * (1.0 + 10.0 ** -rng.uniform(0, 12))
+            else:
+                # up to where z1 ~ (1 + lam)**-k leaves the float range, or to the last float
+                top = 1.7e308 if j % 8 == 7 else max(lam_cr, math.expm1(760.0 / k))
+                lam = math.exp(rng.uniform(math.log(lam_cr), math.log(top)))
+            if not solvers._has_pair(lam, lam_cr):
+                continue
+            z_fix = outcome(solvers._fixed_point, k, lam, 1e-12)
+            if isinstance(z_fix, tuple):
+                continue  # the fixed point's residual is above tol at large k
+            steps = []
+            got = outcome(_solve_pair_generic, k, lam, z_fix)
+            pair = reference_newton(k, lam, steps)
+            assert steps[0] < solvers._NEWTON_STEPS
+            if pair is None:
+                # a hand-over: the probe loop, each step checked
+                assert got == outcome(reference_deflated, k, lam, z_fix, []), (k, lam)
+                continue
+            newton += 1
+            assert got == pair, (k, lam)
+            # the probe loop closed in the log form too, which keeps its bound
+            want = reference_deflated(k, lam, z_fix, [], checked_log_map(k, lam))
+            b = max(1.1 * k * sys.float_info.epsilon / math.sqrt(lam / lam_cr - 1.0),
+                    8 * sys.float_info.epsilon)
+            for z, w in zip(got, want):
+                assert abs(z - w) <= 4 * b * w, (k, lam, got, want)
+        assert newton > 10_000
 
 
 def law_floats(report):
