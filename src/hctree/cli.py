@@ -23,7 +23,6 @@ from .core import (
     ConvergenceError,
     DomainError,
     InternalCheckError,
-    LawKind,
     ModelParams,
     SizeCapError,
     _check_positive,
@@ -31,7 +30,7 @@ from .core import (
 from .extremality import Verdict, _certificates, _verdict, classify, g_function, h_function
 from .solvers import (
     _has_pair,
-    _solve_two_periodic_grid,
+    _solve,
     asymptotic_bound,
     critical_lambda,
     critical_values,
@@ -230,12 +229,6 @@ def _params(args) -> ModelParams:
     return ModelParams(_need(args, "-k/--k", "k"), _need(args, "-l/--lambda", "lam"))
 
 
-def _pair(report):
-    """The alternating pair's values, or None where only the fixed point exists."""
-    law = report.solutions[-1]
-    return law.values if law.kind is LawKind.TWO_PERIODIC else None
-
-
 # Each _cmd_* returns its output in every form as a function that renders it:
 # the JSON document, the CSV lines and the text lines (None where the command
 # has no such form). main() calls only the one it prints.
@@ -360,25 +353,31 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
     return vals
 
 
-# each quantity solved at every activity of a sweep (by _solve_two_periodic_grid), and its
-# place in _certificates' tuple (ExtremalityReport's fields after law)
+# each quantity solved at every activity of a sweep, and its place in _certificates' tuple
+# (ExtremalityReport's fields after law)
 _CERT_INDEX = {"s2": 1, "ks": 4, "msw": 5}
 
 
 def _sweep_values(args, grid: list[float]) -> list:
     """The column of args.quantity at each activity of the grid."""
     k, quantity = args.k, args.quantity
-    if quantity in _CERT_INDEX:
-        # the pair, where it exists, is the last law classify reports
-        index = _CERT_INDEX[quantity]
-        return [_certificates(k, lam, pair or (z_fix,))[index]
-                for lam, (z_fix, pair) in zip(grid, _solve_two_periodic_grid(k, grid, args.tol))]
-    if quantity in ("solutions", "verdict"):
+    if quantity in _CERT_INDEX or quantity in ("solutions", "verdict"):
+        # a row depends on (k, lam) alone: k and then every lam are checked before any is solved
+        lam_cr = critical_lambda(k)
+        for lam in grid:
+            _check_positive("lam", lam)
+        if quantity in _CERT_INDEX:
+            # the pair, where it exists, is the last law classify reports
+            index = _CERT_INDEX[quantity]
+            rows = []
+            for lam in grid:
+                z_fix, _, pair = _solve(k, lam, lam_cr, args.tol)
+                rows.append(_certificates(k, lam, pair[:2] if pair else (z_fix,))[index])
+            return rows
         # not solved: the pair exists at every activity _has_pair admits, and
         # it is extremal there (its s2 is at most 1/k**2, so msw < 1); the
         # invariant law's verdict needs only lam
-        lam_cr = critical_lambda(k)
-        pairs = [_has_pair(_check_positive("lam", lam), lam_cr) for lam in grid]
+        pairs = [_has_pair(lam, lam_cr) for lam in grid]
         if quantity == "solutions":
             return [3 if p else 1 for p in pairs]
         return [(Verdict.PROVEN_EXTREMAL if p else _verdict(k, lam)).value
@@ -448,8 +447,8 @@ def _cmd_oracle(args):
             "mode": args.mode, "root": root.value}
 
     if args.mode == "sample":
-        report = solve_two_periodic(params, args.tol)
-        z1, z2 = _pair(report) or report.solutions[0].values * 2
+        z_fix, _, pair = _solve(params.k, params.lam, critical_lambda(params.k), args.tol)
+        z1, z2 = pair[:2] if pair else (z_fix, z_fix)
         # counted block by block: the spins are never all held
         _, _, violations, metadata = _draw(params, z1, z2, depth, args.samples, args.seed, root,
                                            False)
@@ -469,14 +468,13 @@ def _cmd_oracle(args):
     _require_ball_enumerable(params.k, depth, root)
     ball = FiniteBall(params.k, depth, root)
     if args.mode == "periodic":
-        report = solve_two_periodic(params, args.tol)
-        values = _pair(report)
-        if values is None:
+        lam_cr = critical_lambda(params.k)
+        pair = _solve(params.k, params.lam, lam_cr, args.tol)[2]
+        if pair is None:
             raise DomainError(
-                "periodic mode needs an activity above the critical one "
-                f"({_fmt(report.lambda_critical)})"
+                f"periodic mode needs an activity above the critical one ({_fmt(lam_cr)})"
             )
-        z1, z2 = values
+        z1, z2 = values = pair[:2]
         assignment = [z1 if ball.level[v] % 2 == 1 else z2 for v in range(ball.n_vertices)]
     else:
         z = solve_translation_invariant(params, args.tol)

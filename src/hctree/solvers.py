@@ -16,7 +16,6 @@ from .core import (
     SolveReport,
     _check_int,
     _check_positive,
-    recursion_map,
     translation_invariant_law,
     two_periodic_law,
 )
@@ -60,11 +59,11 @@ def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) 
     The map is strictly decreasing with f(0+)=1 and f(1) < 1, so f(z) - z
     changes sign once on (0, 1): the probes end on the floats bisection ends on.
     """
-    return _fixed_point(params.k, params.lam, tol)
+    return _fixed_point(params.k, params.lam, tol)[0]
 
 
-def _fixed_point(k: int, lam: float, tol: float) -> float:
-    """solve_translation_invariant on floats."""
+def _fixed_point(k: int, lam: float, tol: float) -> tuple[float, float]:
+    """solve_translation_invariant on floats, and the residual |f(z) - z| its gate checks."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     # g = f - id is + at lo, - at hi, and known at both. An end kept twice has its
@@ -81,7 +80,7 @@ def _fixed_point(k: int, lam: float, tol: float) -> float:
         # argument check could never fire
         g = (1.0 + lam * mid) ** (-k) - mid
         if g == 0.0:
-            return mid
+            return mid, 0.0
         if g > 0.0:
             if moved > 0:
                 ghi *= 0.5
@@ -102,7 +101,7 @@ def _fixed_point(k: int, lam: float, tol: float) -> float:
             residual=residual,
             tol=tol,
         )
-    return z
+    return z, residual
 
 
 def solve_two_periodic_k2_closed(lam: float) -> tuple[float, float]:
@@ -269,42 +268,31 @@ def _has_pair(lam: float, lam_cr: float) -> bool:
     return lam > lam_cr and not _degenerate(lam, lam_cr)
 
 
+def _solve(k: int, lam: float, lam_cr: float, tol: float):
+    """The laws at one activity on floats: (z_fix, its residual, pair), the pair (z1, z2, its
+    residual) from _solve_pair where _has_pair holds, else None. Every command that solves an
+    activity reads this; only solve_two_periodic builds records from it."""
+    z_fix, residual = _fixed_point(k, lam, tol)
+    return z_fix, residual, (_solve_pair(k, lam, z_fix, tol) if _has_pair(lam, lam_cr) else None)
+
+
 def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveReport:
     """All solutions of the alternating two-equation system at this activity.
 
     Below the critical activity only the fixed point exists; above it the
     report carries the fixed point plus the canonical pair from _solve_pair,
-    and the ordered solution count is 3. The values come from the float
-    helpers that _solve_two_periodic_grid calls, and only here become records.
+    and the ordered solution count is 3.
     """
     k, lam = params.k, params.lam
     lam_cr = critical_lambda(k)
-    z_fix = solve_translation_invariant(params, tol)
-    solutions = [translation_invariant_law(z_fix)]
-    residuals = [abs(recursion_map(params, z_fix) - z_fix)]
-    if _has_pair(lam, lam_cr):
-        z1, z2, pair_res = _solve_pair(k, lam, z_fix, tol)
-        solutions.append(two_periodic_law(z1, z2))
-        residuals.append(pair_res)
+    z_fix, residual, pair = _solve(k, lam, lam_cr, tol)
+    solutions, residuals = [translation_invariant_law(z_fix)], [residual]
+    if pair is not None:
+        solutions.append(two_periodic_law(*pair[:2]))
+        residuals.append(pair[2])
     return SolveReport(params=params, lambda_critical=lam_cr, solutions=tuple(solutions),
                        residuals=tuple(residuals), system_solution_count=2 * len(solutions) - 1,
                        degenerate_double_root=_degenerate(lam, lam_cr))
-
-
-def _solve_two_periodic_grid(k: int, lams, tol: float = _DEFAULT_TOL):
-    """Yields (z_fix, pair) for each lam in turn: the fixed point and the ascending pair (None
-    at and below the critical activity) that solve_two_periodic(ModelParams(k, lam), tol)
-    reports, bit for bit. No record is built: the values come from the same float helpers and
-    gates, and each residual is computed once.
-
-    A lam that is not positive and finite is refused before any is solved; otherwise the first
-    error that solve_two_periodic raises is raised in its turn.
-    """
-    lam_cr = critical_lambda(k)
-    lams = [_check_positive("lam", lam) for lam in lams]
-    for lam in lams:
-        z = _fixed_point(k, lam, tol)
-        yield z, (_solve_pair(k, lam, z, tol)[:2] if _has_pair(lam, lam_cr) else None)
 
 
 def lambda_star(k: int) -> float:
@@ -364,7 +352,7 @@ def critical_values(k: int) -> CriticalValues:
     return _thresholds(_check_int("k", k, 2))[0]
 
 
-@lru_cache
+@lru_cache(maxsize=1 << 12)  # an entry is well under 1 KB; the default 128 thrashes on k = 2..301
 def _thresholds(k: int) -> tuple[CriticalValues, tuple | None, tuple | None, tuple[int, int]]:
     """critical_values(k), s_pm(k) and lambda_pm(k) (None below k = 6), each
     value rounded once to a float from 40 + (digits of k) decimal digits, and

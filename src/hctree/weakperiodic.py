@@ -43,7 +43,7 @@ from .core import (
     _check_int,
     weak_periodic_law,
 )
-from .solvers import solve_translation_invariant, solve_two_periodic
+from .solvers import _solve, critical_lambda, solve_translation_invariant
 
 __all__ = [
     "WeakPeriodicParams",
@@ -293,8 +293,8 @@ def _reduced_pairs(wp, invariant_set, z):
 def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
                         tol: float = 1e-12) -> WeakSolveReport:
     """All fixed points of W on one plane: solve_two_periodic's on I2 (see the
-    module docstring), the reduction's on I3 and I4; the constant point is
-    exactly diagonal. Every point must meet the relative residual
+    module docstring), the reduction's on I3 and I4, each solved at tol; the
+    constant point is exactly diagonal. Every point must meet the relative residual
     max |W(z) - z| / z <= tol, or ConvergenceError reports it, with its
     bracket on I3 and I4. Results are sorted by coordinates."""
     if invariant_set not in SOLVE_SETS:
@@ -302,12 +302,11 @@ def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
     if not tol > 0:
         raise DomainError("tol must be positive")
     if invariant_set == "I2":
-        solutions = solve_two_periodic(wp.model()).solutions
-        z = solutions[0].values[0]
-        pairs = np.array([law.values for law in solutions[1:]]).reshape(-1, 2)
+        z, _, pair = _solve(wp.k, wp.lam, critical_lambda(wp.k), tol)
+        pairs = np.array(pair[:2] if pair else ()).reshape(-1, 2)
         brackets = [None] * len(pairs)
     else:
-        z = solve_translation_invariant(wp.model())
+        z = solve_translation_invariant(wp.model(), tol)
         pairs, brackets = _reduced_pairs(wp, invariant_set, z)
     # the constant point, then each pair and its mirror image
     embedded = np.concatenate(([(z, z)], pairs, pairs[:, ::-1]))[:, _EMBED[invariant_set]]

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hctree import cli, oracle
+from hctree import cli, oracle, solvers
 from hctree.cli import main
 from hctree.core import ModelParams
 from hctree.extremality import classify, g_function, h_function
@@ -272,6 +272,20 @@ class TestSweepCommand:
             else:
                 want = "ProvenExtremal"
             assert row["value"] == want, row["lambda"]
+
+    @pytest.mark.parametrize("quantity", ["s2", "ks", "msw"])
+    @pytest.mark.parametrize("lmin,lmax,bad", [("1", "inf", "inf"), ("-1", "1", "-1.0"),
+                                               ("0", "1", "0.0")])
+    def test_invalid_activity_refused_before_any_solve(self, capsys, monkeypatch, quantity,
+                                                       lmin, lmax, bad):
+        def solved(*_):
+            raise AssertionError("solved before every activity was checked")
+
+        monkeypatch.setattr(solvers, "_fixed_point", solved)
+        code, out, err = run(capsys, "sweep", "-k", "4", "--quantity", quantity,
+                             "-lmin", lmin, "-lmax", lmax, "-n", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: lam must be a positive finite number, got {bad}\n"
 
     @pytest.mark.parametrize("points", [262_145, 10**12])
     def test_points_above_the_cap_exit_1_before_the_grid(self, capsys, points):
@@ -554,6 +568,17 @@ class TestWeakCommand:
     def test_rejects_bad_i(self, capsys):
         code, _, _ = run(capsys, "weak", "-k", "2", "-l", "6", "-i", "9")
         assert code == 2
+
+    def test_tol_reaches_the_fixed_point(self, capsys):
+        # the fixed point's residual here is about 1.1e-12: above the default
+        # tol, below this one, and solve and weak on I2 take the same solve
+        command = ("-k", "14089", "-l", "0.00019907084612539068")
+        for sub in ("solve", "weak"):
+            code, _, err = run(capsys, sub, *command)
+            assert (code, err) == (1, "error: translation-invariant bisection stalled\n")
+            code, out, err = run(capsys, sub, *command, "--tol", "1e-11")
+            assert (code, err) == (0, ""), sub
+        assert "fixed points: 3  (non-constant: 2)" in out
 
     @pytest.mark.parametrize("tol", ["1e-2", "1", "inf"])
     def test_coarse_tol_only_loosens_the_residual_gate(self, capsys, tol):
