@@ -341,16 +341,17 @@ def _grid(lmin: float, lmax: float, points: int, scale: str) -> list[float]:
         raise SizeCapError(f"a sweep may have at most {_SWEEP_POINT_CAP} points, got {points}")
     if not lmin < lmax:
         raise DomainError(f"need lambda_min < lambda_max, got {lmin} >= {lmax}")
+    n = points - 1
     if scale == "log":
         if lmin <= 0:
             raise DomainError("log scale needs lambda_min > 0")
+        # inside the ends only: the last exponent can round above log(lmax), where exp overflows
         a, b = math.log(lmin), math.log(lmax)
-        vals = [math.exp(a + (b - a) * j / (points - 1)) for j in range(points)]
+        inner = [math.exp(a + (b - a) * j / n) for j in range(1, n)]
     else:
         # half the span times j stays finite where (lmax - lmin) * j overflows; halving is exact
-        vals = [lmin + 2.0 * ((0.5 * lmax - 0.5 * lmin) * j / (points - 1)) for j in range(points)]
-    vals[0], vals[-1] = lmin, lmax
-    return vals
+        inner = [lmin + 2.0 * ((0.5 * lmax - 0.5 * lmin) * j / n) for j in range(1, n)]
+    return [lmin, *inner, lmax]
 
 
 # each quantity solved at every activity of a sweep, and its place in _certificates' tuple
@@ -501,8 +502,8 @@ def _cmd_oracle(args):
 
 def _cmd_critical(args):
     k = _need(args, "-k/--k", "k")
+    eps = _check_positive("eps", args.epsilon)
     cv = critical_values(k)
-    eps = args.epsilon
     asym = asymptotic_bound(k, eps) if k >= 3 else None
     if k >= 6:
         s_minus, s_plus = s_pm(k)
@@ -616,6 +617,8 @@ def main(argv=None) -> int:
         return 2
     except (ConvergenceError, SizeCapError, InternalCheckError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for key, value in getattr(exc, "diagnostics", {}).items():  # where a solve stopped
+            print(f"  {key}={value!r}", file=sys.stderr)
         return 1
 
 

@@ -43,6 +43,7 @@ _MAX_PROBES = 4 * 1075 + 3
 # while rho <= 1/2 the pair's Newton leaves y within step**2/2 of log z1 (|Phi''| <= rho,
 # Phi' >= 1/2), so a step below 2**-26 ends it; the most steps seen was 5 (TestPairNewton)
 _NEWTON_STEPS, _NEWTON_STOP = 16, 2.0 ** -26
+_EPS, _LOG2 = math.ulp(1.0), math.log(2.0)
 _DEFAULT_TOL = 1e-12
 
 _K3_CRITICAL = 27.0 / 16.0
@@ -54,10 +55,10 @@ def critical_lambda(k: int) -> float:
 
 
 def solve_translation_invariant(params: ModelParams, tol: float = _DEFAULT_TOL) -> float:
-    """The unique fixed point of the recursion in (0, 1), by Illinois probes.
+    """The unique fixed point of the recursion in (0, 1), by Newton and Illinois probes.
 
-    The map is strictly decreasing with f(0+)=1 and f(1) < 1, so f(z) - z
-    changes sign once on (0, 1): the probes end on the floats bisection ends on.
+    The map is strictly decreasing with f(0+)=1 and f(1) < 1, so f(z) - z changes sign
+    once on (0, 1): the probes end on the floats bisection ends on, from any bracket.
     """
     return _fixed_point(params.k, params.lam, tol)[0]
 
@@ -66,10 +67,34 @@ def _fixed_point(k: int, lam: float, tol: float) -> tuple[float, float]:
     """solve_translation_invariant on floats, and the residual |f(z) - z| its gate checks."""
     if not tol > 0:
         raise DomainError("tol must be positive")
-    # g = f - id is + at lo, - at hi, and known at both. An end kept twice has its
-    # stored g halved (moved: +1 where lo moved last, -1 where hi did); slow counts
-    # the probes in a row that kept more than half of the bracket
-    lo, hi, glo, ghi, moved, slow = 0.0, 1.0, 1.0, (1.0 + lam) ** (-k) - 1.0, 0, 0
+    # Newton on psi(w) = w + k*log1p(lam*e**w) = log(z/f(z)), w = log z, comes down on the root
+    # (psi is increasing and convex) from 0 or the root of psi's tangent at lam*z = 1, right of
+    # it; a step below 2**-26 leaves w within step**2 of log z, as psi''/psi' < 1
+    w = min(0.0, -k * (_LOG2 + 0.5 * math.log(lam)) / (1.0 + 0.5 * k))
+    for _ in range(_NEWTON_STEPS):
+        t = lam * math.exp(w)
+        step = (w + k * math.log1p(t)) / (1.0 + k * t / (1.0 + t))
+        w -= step
+        if step <= _NEWTON_STOP:
+            break
+    # g = f - id is non-increasing on floats (lam*z, 1 + ., pow and -z round monotonically): from
+    # any bracket the probes end on the adjacent floats where it changes sign. The bracket is z
+    # and z -+ d on g's side (d past exp's eps*|w| and the pow form's k*eps/2) where g's signs
+    # hold, else (0, 1)
+    z = math.exp(w)
+    g = (1.0 + lam * z) ** (-k) - z
+    if g == 0.0:
+        return z, 0.0
+    d = (k + 8 - w) * _EPS * z
+    e = z + d if g > 0.0 else z - d
+    ge = (1.0 + lam * e) ** (-k) - e if 0.0 < e < 1.0 else g
+    lo, hi, glo, ghi = (z, e, g, ge) if g > 0.0 else (e, z, ge, g)
+    if not (0.0 < lo and hi < 1.0 and glo > 0.0 > ghi):
+        lo, hi, glo, ghi = 0.0, 1.0, 1.0, (1.0 + lam) ** (-k) - 1.0
+    # g is + at lo, - at hi, and known at both. An end kept twice has its stored g
+    # halved (moved: +1 where lo moved last, -1 where hi did); slow counts the
+    # probes in a row that kept more than half of the bracket
+    moved = slow = 0
     for _ in range(_MAX_PROBES):
         m = 0.5 * (lo + hi)
         if m == lo or m == hi:

@@ -27,6 +27,12 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def error_lines(message, **diagnostics):
+    """stderr of a failed solve: the error line, then one line per diagnostic."""
+    return f"error: {message}\n" + "".join(f"  {key}={value!r}\n"
+                                             for key, value in diagnostics.items())
+
+
 def run_json(capsys, *args):
     code, out, err = run(capsys, *args)
     assert code == 0, err
@@ -82,12 +88,15 @@ class TestSolveCommand:
         doc = run_json(capsys, "solve", "-k", "2", "-l", "1e160", "--json")
         assert doc["solutions"][1]["values"] == pytest.approx([1e-320, 1.0], rel=1e-3)
 
-    @pytest.mark.parametrize("argv", ["solve -k 2 -l 1e300", "solve -k 3 -l 1e150",
-                                      "solve -k 3 -l 1.7e308", "classify -k 2 -l 1e300"])
-    def test_closed_form_pair_below_the_float_range_exits_1(self, capsys, argv):
+    @pytest.mark.parametrize("argv,lam", [
+        pytest.param(argv, float(argv.split()[-1]), id=argv)
+        for argv in ("solve -k 2 -l 1e300", "solve -k 3 -l 1e150", "solve -k 3 -l 1.7e308",
+                     "classify -k 2 -l 1e300")])
+    def test_closed_form_pair_below_the_float_range_exits_1(self, capsys, argv, lam):
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (1, "")
-        assert err == "error: two-cycle below the smallest positive float; pair not found\n"
+        assert err == error_lines("two-cycle below the smallest positive float; pair not found",
+                                  lam=lam)
 
     def test_bad_lambda_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "-k", "2", "-l", "-3")
@@ -302,6 +311,31 @@ class TestSweepCommand:
         assert all(math.isfinite(lam) for lam in grid)
         assert grid[0] == 1.0 and grid[-1] == 1e308
         assert grid == sorted(grid)
+
+    def test_log_grid_up_to_the_largest_float(self, capsys):
+        # the last exponent can round above log(lmax), past what exp can return
+        lmax = sys.float_info.max
+        for points in range(2, 301):
+            grid = cli._grid(1e-300, lmax, points, "log")
+            assert len(grid) == points and grid[0] == 1e-300 and grid[-1] == lmax, points
+            assert grid == sorted(grid) and all(math.isfinite(lam) for lam in grid), points
+        for points in ("7", "13"):
+            code, out, err = run(capsys, "sweep", "-k", "3", "--quantity", "solutions",
+                                 "-lmin", "1e-300", "-lmax", repr(lmax), "-n", points,
+                                 "--scale", "log")
+            assert (code, err) == (0, "")
+            assert out.endswith("\n1.79769313486232e+308,3\n")
+
+    def test_log_grid_interior_is_the_exponential_formula(self):
+        rng = random.Random(30)
+        for _ in range(2_000):
+            lmin, lmax = sorted(10.0 ** rng.uniform(-300, 300) for _ in range(2))
+            points = rng.randint(2, 2_000)
+            if lmin == lmax:
+                continue
+            a, b = math.log(lmin), math.log(lmax)
+            want = [math.exp(a + (b - a) * j / (points - 1)) for j in range(1, points - 1)]
+            assert cli._grid(lmin, lmax, points, "log") == [lmin, *want, lmax]
 
     def test_linear_grid_equals_the_unhalved_form_where_that_is_finite(self):
         rng = random.Random(25)
@@ -530,6 +564,14 @@ class TestCriticalCommand:
             got = doc["lambda_star"]
             assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("fmt", ["", "--csv", "--json"])
+    @pytest.mark.parametrize("k", ["2", "3", "6", "1"])
+    def test_epsilon_checked_at_every_k_first(self, capsys, k, fmt, eps):
+        code, out, err = run(capsys, "critical", "-k", k, "--epsilon", eps, *fmt.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: eps must be a positive finite number, got {float(eps)!r}\n"
+
     def test_csv_layout(self, capsys):
         code, out, _ = run(capsys, "critical", "-k", "3", "--csv")
         assert code == 0
@@ -575,7 +617,10 @@ class TestWeakCommand:
         command = ("-k", "14089", "-l", "0.00019907084612539068")
         for sub in ("solve", "weak"):
             code, _, err = run(capsys, sub, *command)
-            assert (code, err) == (1, "error: translation-invariant bisection stalled\n")
+            assert (code, err) == (1, error_lines(
+                "translation-invariant bisection stalled",
+                bracket=(0.36215143396162686, 0.3621514339616269),
+                residual=1.1231571228620396e-12, tol=1e-12))
             code, out, err = run(capsys, sub, *command, "--tol", "1e-11")
             assert (code, err) == (0, ""), sub
         assert "fixed points: 3  (non-constant: 2)" in out
@@ -590,21 +635,25 @@ class TestWeakCommand:
                "0.523606797749979)  residual=" in out
         assert out.count("[non-constant]") == 2 and out.count("[constant]") == 1
 
-    @pytest.mark.parametrize("command,message", [
-        pytest.param(command, message, id=command) for command, message in (
+    @pytest.mark.parametrize("command,message,diagnostics", [
+        pytest.param(command, message, diagnostics, id=command)
+        for command, message, diagnostics in (
             # (1+lambda)**-k, the lower end of the I4 search grid, is 0 in floats
             ("weak -k 6 --set I4 -l 1e60",
-             "the lower end of the plane's search grid underflows at this activity"),
+             "the lower end of the plane's search grid underflows at this activity",
+             {"lower_end": 0.0}),
             # I2 is solved as the two-periodic system, whose pair's small value
             # underflows to 0 here
-            ("weak -k 2 -l 1e300", "two-cycle below the smallest positive float; pair not found"),
+            ("weak -k 2 -l 1e300", "two-cycle below the smallest positive float; pair not found",
+             {"lam": 1e300}),
             ("sweep -k 10 --quantity weakperiodic_count -lmin 1 -lmax 1e40 -n 3",
-             "two-cycle below the smallest positive float; pair not found"),
+             "two-cycle below the smallest positive float; pair not found",
+             {"lam": 5e39, "bracket": (2e-40, 2.0000000000000003e-40)}),
         )
     ])
-    def test_underflowing_grid_end_exits_1(self, capsys, command, message):
+    def test_underflowing_grid_end_exits_1(self, capsys, command, message, diagnostics):
         code, out, err = run(capsys, *command.split())
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out, err) == (1, "", error_lines(message, **diagnostics))
 
 
 @pytest.mark.parametrize("command", [

@@ -130,6 +130,9 @@ COMMANDS = [
     "critical",
     "critical -k 1",
     "critical -k 3 --epsilon -1",
+    # eps is checked at every k, before anything is computed
+    "critical -k 2 --epsilon -1",
+    "critical -k 2 --epsilon nan --json",
     "weak -k 2 -l 5 -i 7",
     "weak -k 2 -l 5 --set I1",
     "weak -k 2 -l 5 --tol 0",

@@ -484,17 +484,17 @@ def reference_translation_invariant(params, tol=1e-12):
     return z
 
 
-def reference_probes(h, hi, h_hi, zero_is_root, probes):
-    """The solvers' probe loop on (0, hi), with h(0+) = -1 and h(hi) = h_hi
-    known and h > 0 toward hi: Illinois (regula falsi that halves the stored
-    value of an end kept twice), and a midpoint probe after three probes in a
-    row that kept more than half of the bracket. Returns the adjacent floats
-    (lo, hi) it stops at, or (mid, mid) where h(mid) is 0 and zero_is_root.
-    Appends its probe count to probes.
+def reference_probes(h, lo, hi, h_lo, h_hi, zero_is_root, probes):
+    """The solvers' probe loop on (lo, hi), with h(lo) = h_lo < 0 and h(hi) =
+    h_hi > 0 known: Illinois (regula falsi that halves the stored value of an
+    end kept twice), and a midpoint probe after three probes in a row that kept
+    more than half of the bracket. Returns the adjacent floats (lo, hi) it
+    stops at, or (mid, mid) where h(mid) is 0 and zero_is_root. Appends its
+    probe count to probes.
 
     The fixed point's g = f - id is -h here: the secant point, the halved
     values and the sign rules are the same bits under negation."""
-    lo, h_lo, moved, slow, count = 0.0, -1.0, 0, 0, 0
+    moved, slow, count = 0, 0, 0
     for _ in range(solvers._MAX_PROBES):
         m = 0.5 * (lo + hi)
         if m == lo or m == hi:
@@ -527,13 +527,85 @@ def reference_fixed_point_floats(k, lam, tol):
     return z, abs(recursion_map(params, z) - z)
 
 
-def reference_fixed_point(params, tol=1e-12, probes=None):
-    """_fixed_point's probes, each through the checked recursion_map."""
+class CountingFloat(float):
+    """A float that counts the products it takes part in and the sums it is
+    added to, for the work of _fixed_point on lam: each Newton step and each
+    evaluation of the map multiplies by lam, and only the start from (0, 1)
+    adds 1.0 to it."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.products = self.sums = 0
+        return self
+
+    def __mul__(self, other):
+        self.products += 1
+        return float(self) * other
+
+    __rmul__ = __mul__
+
+    def __radd__(self, other):
+        self.sums += 1
+        return other + float(self)
+
+
+def reference_newton_start(k, lam, evaluations):
+    """_fixed_point's Newton steps on psi(w) = w + k*log1p(lam*e**w) and the
+    bracket it checks, g = f - id through the checked recursion_map (g(0) = 1):
+    ("zero", z) where g(z) is 0, ("bracket", lo, hi, g(lo), g(hi)) where the
+    bracket holds, else ("fallback",). Appends its map evaluations, Newton
+    steps and bracket ends, to evaluations."""
+    params = ModelParams(k, lam)
+
+    def g(z):
+        return (recursion_map(params, z) if z > 0.0 else 1.0) - z
+
+    w = min(0.0, -k * (math.log(2.0) + 0.5 * math.log(lam)) / (1.0 + 0.5 * k))
+    count = 0
+    for _ in range(solvers._NEWTON_STEPS):
+        count += 1
+        t = lam * math.exp(w)
+        step = (w + k * math.log1p(t)) / (1.0 + k * t / (1.0 + t))
+        w -= step
+        if step <= solvers._NEWTON_STOP:
+            break
+    z = math.exp(w)
+    gz = g(z)
+    count += 1
+    if gz == 0.0:
+        evaluations.append(count)
+        return "zero", z
+    d = (k + 8 - w) * sys.float_info.epsilon * z
+    e = z + d if gz > 0.0 else z - d
+    ge = gz
+    if 0.0 < e < 1.0:
+        ge = g(e)
+        count += 1
+    evaluations.append(count)
+    lo, hi, g_lo, g_hi = (z, e, gz, ge) if gz > 0.0 else (e, z, ge, gz)
+    if 0.0 < lo and hi < 1.0 and g_lo > 0.0 > g_hi:
+        return "bracket", lo, hi, g_lo, g_hi
+    return ("fallback",)
+
+
+def reference_fixed_point(params, tol=1e-12, probes=None, newton=True):
+    """_fixed_point's steps, each g through the checked recursion_map: the
+    probes from Newton's bracket, or from (0, 1) where it does not hold or
+    newton is False. Appends its map evaluations (Newton steps, bracket ends
+    and probes) to probes."""
     if tol <= 0:
         raise DomainError("tol must be positive")
-    lo, hi = reference_probes(lambda z: z - recursion_map(params, z), 1.0,
-                              1.0 - (1.0 + params.lam) ** -params.k, True,
-                              [] if probes is None else probes)
+    k, lam, counts = params.k, params.lam, []
+    start = reference_newton_start(k, lam, counts) if newton else ("fallback",)
+    if start[0] == "zero":
+        lo = hi = start[1]
+    else:
+        lo, hi, g_lo, g_hi = (start[1:] if start[0] == "bracket"
+                              else (0.0, 1.0, 1.0, (1.0 + lam) ** -k - 1.0))
+        lo, hi = reference_probes(lambda z: z - recursion_map(params, z), lo, hi, -g_lo, -g_hi,
+                                  True, counts)
+    if probes is not None:
+        probes.append(sum(counts))
     if lo == hi:
         return lo
     z = 0.5 * (lo + hi)
@@ -594,7 +666,7 @@ def reference_deflated(k, lam, z_fix, probes, f=None):
         return lam * u * v ** k * q - 1.0
 
     # G(u_fix) = |f'(z_fix)| - 1
-    lo, hi = reference_probes(deflated, z_fix ** (1.0 / k),
+    lo, hi = reference_probes(deflated, 0.0, z_fix ** (1.0 / k), -1.0,
                               k * (lam * z_fix / (1.0 + lam * z_fix)) - 1.0, False, probes)
     z1 = (0.5 * (lo + hi)) ** k
     if z1 > 0.0:
@@ -678,8 +750,9 @@ EXTREME_OUTCOMES = {
 
 class TestIllinoisProbes:
     """The probe loops keep the fixed point's bits and stay under their cap.
-    The fixed point takes a few probes where the bisection took about 55, and
-    the pair a few Newton steps where it took about 60."""
+    The fixed point takes a few Newton steps and probes where the bisection
+    took about 55 probes, and the pair a few Newton steps where it took about
+    60."""
 
     def test_fixed_point_bits_equal_the_bisection(self):
         rng = random.Random(27)
@@ -688,6 +761,14 @@ class TestIllinoisProbes:
         for k in (2, 3, 4, 5, 7, 10, 30, 100, 1000, 10**5):
             lam_cr = critical_lambda(k)
             acts += [(k, lam_cr * (1.0 + 10.0 ** -rng.uniform(0, 16))) for _ in range(100)]
+        # the closed_form benchmark's activities, and each threshold's float neighbours
+        for k in range(2, 11):
+            cv = critical_values(k)
+            thresholds = (cv.lambda_cr, cv.lambda_star, cv.lambda_nonextremal)
+            acts += [(k, lam) for lam in (0.5, 1.0, 1.01 * cv.lambda_cr,
+                                          2.0 * cv.lambda_nonextremal, 40.0)]
+            acts += [(k, lam) for t in thresholds
+                     for lam in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))]
         for k, lam in acts:
             assert (outcome(solvers._fixed_point, k, lam, 1e-12)
                     == outcome(reference_fixed_point_floats, k, lam, 1e-12)), (k, lam)
@@ -695,9 +776,10 @@ class TestIllinoisProbes:
     @pytest.mark.parametrize("lam", EXTREME_LAMS)
     @pytest.mark.parametrize("k", [2, 4, 100, 10**5])
     def test_extreme_activities_below_the_cap_and_as_bisected(self, k, lam):
+        # the probes from (0, 1), where the fixed point falls back to
         probes = []
         z_fix, diagnostics = EXTREME_OUTCOMES.get((k, lam), (1.0, None))
-        assert reference_fixed_point(ModelParams(k, lam), probes=probes) == z_fix
+        assert reference_fixed_point(ModelParams(k, lam), probes=probes, newton=False) == z_fix
         assert solvers._fixed_point(k, lam, 1e-12)[0] == z_fix
         if diagnostics is None:
             report = solve_two_periodic(ModelParams(k, lam))
@@ -717,25 +799,53 @@ class TestIllinoisProbes:
     def test_few_probes_on_the_msw_sweep_grid(self):
         # the closed_form benchmark's 1000-point msw sweep at k = 7; the
         # bisection took 55 probes for the fixed point and about 60 a pair,
-        # and the pair's probe loop alone 13 evaluations of the map
+        # the fixed point's probes from (0, 1) a median of 14, and the pair's
+        # probe loop alone 13 evaluations of the map
         k = 7
         lam_cr = critical_lambda(k)
-        fixed, pair, newton, probes = [], [], [], []
+        fixed, pair, newton, probes, fallbacks = [], [], [], [], 0
         for lam in cli._grid(0.1, 100.0, 1000, "log"):
             z_fix = reference_fixed_point(ModelParams(k, lam), probes=fixed)
-            assert z_fix == solvers._fixed_point(k, lam, 1e-12)[0]
+            counted = CountingFloat(lam)
+            got, residual = solvers._fixed_point(k, counted, 1e-12)
+            # the solver's own work: one product with lam per Newton step and
+            # per map evaluation, the residual's after the probes
+            assert (got, counted.products - (residual > 0.0)) == (z_fix, fixed[-1]), lam
+            fallbacks += counted.sums
             if solvers._has_pair(lam, lam_cr):
                 assert (reference_pair_generic(k, lam, z_fix, pair)
                         == _solve_pair_generic(k, lam, z_fix))
                 newton.append(reference_newton(k, lam, []) is not None)
                 reference_deflated(k, lam, z_fix, probes)
         assert len(fixed) == 1000 and len(pair) > 700
-        assert statistics.median(fixed) <= 16
+        # Newton steps, the bracket's two ends and the probes
+        assert statistics.median(fixed) <= 8
+        assert fallbacks < 10
         # the probe loop alone, which still solves every pair next to lam_cr
         assert statistics.median(probes) <= 16
         # Newton steps plus any probes after a hand-over
         assert statistics.median(pair) <= 4
         assert sum(newton) >= 0.9 * len(newton)
+
+
+class TestFixedPointNewton:
+    """Where Newton's bracket does not hold, the probes start from (0, 1), and
+    either way the fixed point ends where the bisection ends."""
+
+    # below lam ~ eps/k the map rounds to 1 at z = 1, an exact zero of g that
+    # Newton starts on; next to it z + d passes 1; from k = 10**12 the Newton
+    # steps reach their cap far from the root; at k = 10**19 the bisection
+    # stalls, and at 1.7e308 its z is below every float
+    @pytest.mark.parametrize("k,lam,start", [
+        (2, 5e-324, "zero"), (10**5, 5e-324, "zero"), (2, 1e-16, "fallback"),
+        (100, 1e-17, "fallback"), (10**12, 1e300, "fallback"), (10**12, 1.7e308, "fallback"),
+        (10**19, 1e300, "fallback"), (10**19, 1.7e308, "fallback")])
+    def test_start_as_bisected(self, k, lam, start):
+        assert reference_newton_start(k, lam, [])[0] == start
+        want = outcome(reference_fixed_point_floats, k, lam, 1e-12)
+        counted = CountingFloat(lam)
+        assert outcome(solvers._fixed_point, k, counted, 1e-12) == want
+        assert counted.sums == (start == "fallback")
 
 
 # Outcomes of solve_two_periodic from the probe loop alone (before the pair's
