@@ -29,6 +29,7 @@ from .core import (
 )
 from .extremality import Verdict, _certificates, _verdict, classify, g_function, h_function
 from .solvers import (
+    _DEFAULT_TOL,
     _has_pair,
     _solve,
     asymptotic_bound,
@@ -97,9 +98,9 @@ def _build_parser():
         p.add_argument("-l", "--lambda", dest="lam", type=float, default=None,
                        help="activity (occupation weight)")
 
-    def add_tol(p, default=1e-12):
-        p.add_argument("--tol", type=float, default=default,
-                       help=f"solver tolerance (default {default:g})")
+    def add_tol(p):
+        p.add_argument("--tol", type=float, default=_DEFAULT_TOL,
+                       help=f"solver tolerance (default {_DEFAULT_TOL:g})")
 
     def add_formats(p, csv_too=True):
         group = p.add_mutually_exclusive_group()
@@ -372,7 +373,7 @@ def _sweep_values(args, grid: list[float]) -> list:
             index = _CERT_INDEX[quantity]
             rows = []
             for lam in grid:
-                z_fix, _, pair = _solve(k, lam, lam_cr, args.tol)
+                z_fix, _, pair = _solve(k, lam, args.tol)
                 rows.append(_certificates(k, lam, pair[:2] if pair else (z_fix,))[index])
             return rows
         # not solved: the pair exists at every activity _has_pair admits, and
@@ -448,7 +449,7 @@ def _cmd_oracle(args):
             "mode": args.mode, "root": root.value}
 
     if args.mode == "sample":
-        z_fix, _, pair = _solve(params.k, params.lam, critical_lambda(params.k), args.tol)
+        z_fix, _, pair = _solve(params.k, params.lam, args.tol)
         z1, z2 = pair[:2] if pair else (z_fix, z_fix)
         # counted block by block: the spins are never all held
         _, _, violations, metadata = _draw(params, z1, z2, depth, args.samples, args.seed, root,
@@ -469,12 +470,10 @@ def _cmd_oracle(args):
     _require_ball_enumerable(params.k, depth, root)
     ball = FiniteBall(params.k, depth, root)
     if args.mode == "periodic":
-        lam_cr = critical_lambda(params.k)
-        pair = _solve(params.k, params.lam, lam_cr, args.tol)[2]
+        pair = _solve(params.k, params.lam, args.tol)[2]
         if pair is None:
-            raise DomainError(
-                f"periodic mode needs an activity above the critical one ({_fmt(lam_cr)})"
-            )
+            raise DomainError("periodic mode needs an activity above the critical one "
+                              f"({_fmt(critical_lambda(params.k))})")
         z1, z2 = values = pair[:2]
         assignment = [z1 if ball.level[v] % 2 == 1 else z2 for v in range(ball.n_vertices)]
     else:

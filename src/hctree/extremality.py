@@ -22,7 +22,7 @@ from .core import (
     ModelParams,
     recursion_map,
 )
-from .solvers import _thresholds, solve_two_periodic, solve_two_periodic_k3_closed
+from .solvers import _DEFAULT_TOL, _thresholds, solve_two_periodic, solve_two_periodic_k3_closed
 
 __all__ = [
     "ExtremalityReport",
@@ -161,7 +161,7 @@ def report_for_law(params: ModelParams, law: BoundaryLaw) -> ExtremalityReport:
     return ExtremalityReport(law, *_certificates(params.k, params.lam, law.values))
 
 
-def classify(params: ModelParams, tol: float = 1e-12) -> tuple[ExtremalityReport, ...]:
+def classify(params: ModelParams, tol: float = _DEFAULT_TOL) -> tuple[ExtremalityReport, ...]:
     """Solve at this activity and report a verdict per law found.
 
     The invariant law uses the single-step chain with k_eff = k; the

@@ -144,12 +144,15 @@ def _vertex_cap_error(got) -> SizeCapError:
                         f"got {got}")
 
 
-def _enumeration_refusal(ball: FiniteBall) -> SizeCapError | None:
+def _enumeration_refusal(ball: FiniteBall, count: int | None = None) -> SizeCapError | None:
     """Why the ball is too large to enumerate, or None: over 40 vertices (tested
-    first, in O(1)) or over 2**24 configurations as the recursion counts them."""
+    first, in O(1)) or over 2**24 configurations as the recursion counts them
+    (count, where the caller has it at hand)."""
     if ball.n_vertices > ENUMERATION_VERTEX_CAP:
         return _vertex_cap_error(ball.n_vertices)
-    if (count := _count_recursion(ball)) > _ENUMERATION_CONFIGURATION_CAP:
+    if count is None:
+        count = _count_recursion(ball)
+    if count > _ENUMERATION_CONFIGURATION_CAP:
         return SizeCapError(f"enumeration supports at most {_ENUMERATION_CONFIGURATION_CAP} "
                             f"configurations, got {count}")
     return None
@@ -266,9 +269,7 @@ def count_admissible(ball: FiniteBall, method: str = "auto") -> int:
     if method not in ("recursion", "auto"):
         raise DomainError(f"unknown counting method {method!r}")
     total = _count_recursion(ball)
-    # the caps of _enumeration_refusal, with the count already at hand
-    if method == "auto" and ball.n_vertices <= ENUMERATION_VERTEX_CAP \
-            and total <= _ENUMERATION_CONFIGURATION_CAP:
+    if method == "auto" and _enumeration_refusal(ball, total) is None:
         if (check := _count_enumeration(ball)) != total:
             raise InternalCheckError(
                 f"admissible-count mismatch: enumeration {check}, recursion {total}")

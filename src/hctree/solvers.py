@@ -117,8 +117,8 @@ def _fixed_point(k: int, lam: float, tol: float) -> tuple[float, float]:
             hi, ghi, moved = mid, g, -1
             slow = slow + 1 if mid > m else 0
     z = 0.5 * (lo + hi)
-    # recursion_map's check: z is 0 where the fixed point is below every float
-    residual = abs((1.0 + lam * _check_positive("z", z)) ** (-k) - z)
+    _check_found(z, lam, "fixed point below the smallest positive float", bracket=(lo, hi))
+    residual = abs((1.0 + lam * z) ** (-k) - z)
     if residual > tol:
         raise ConvergenceError(
             "translation-invariant bisection stalled",
@@ -143,7 +143,7 @@ def solve_two_periodic_k2_closed(lam: float) -> tuple[float, float]:
     # lam*(lam-4) overflows from about 1.3e154, where sqrt(1 - 4/lam) rounds to 1
     s = min(math.sqrt(lam * (lam - 4.0)), lam)
     x_lo = 2.0 / (lam + s)
-    _check_pair_found(x_lo * x_lo, lam)
+    _check_found(x_lo * x_lo, lam)
     x_hi = (lam + s) / (2.0 * lam)
     return (x_lo * x_lo, x_hi * x_hi)
 
@@ -183,17 +183,18 @@ def solve_two_periodic_k3_closed(lam: float) -> tuple[float, float]:
     # the discriminant is below 0 only by rounding right at the critical activity
     s = math.sqrt(max(a ** 4 * lam * lam - 4.0 * a * lam, 0.0))
     z1 = (2.0 / (lam * a * a + s)) ** 3
-    _check_pair_found(z1, lam)
+    _check_found(z1, lam)
     # the other root t_hi**3 can round above 1; z2 = f(z1) cannot
     return (z1, (1.0 + lam * z1) ** -3)
 
 
-def _check_pair_found(z1: float, lam: float, **diagnostics) -> None:
-    """Refuse a pair whose small value underflowed to 0 (or is NaN where the
-    closed form's terms overflow, far past that underflow)."""
-    if not z1 > 0.0:
-        raise ConvergenceError("two-cycle below the smallest positive float; pair not found",
-                               lam=lam, **diagnostics)
+def _check_found(z: float, lam: float,
+                 message: str = "two-cycle below the smallest positive float; pair not found",
+                 **diagnostics) -> None:
+    """Refuse a value that underflowed to 0 (or is NaN where a closed form's terms overflow):
+    the pair's small value, or the fixed point's under its own message."""
+    if not z > 0.0:
+        raise ConvergenceError(message, lam=lam, **diagnostics)
 
 
 def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]:
@@ -262,7 +263,7 @@ def _solve_pair_generic(k: int, lam: float, z_fix: float) -> tuple[float, float]
         # log form about 6 times as many probed pairs at k >= 10**4 fail the residual gate
         z1 = (1.0 + lam * (1.0 + lam * z1) ** (-k)) ** (-k)
     # z1 is 0 where u**k (or the pass) underflows: the pair is below every float
-    _check_pair_found(z1, lam, bracket=(lo, hi))
+    _check_found(z1, lam, bracket=(lo, hi))
     return z1, (1.0 + lam * z1) ** (-k)
 
 
@@ -293,12 +294,13 @@ def _has_pair(lam: float, lam_cr: float) -> bool:
     return lam > lam_cr and not _degenerate(lam, lam_cr)
 
 
-def _solve(k: int, lam: float, lam_cr: float, tol: float):
+def _solve(k: int, lam: float, tol: float):
     """The laws at one activity on floats: (z_fix, its residual, pair), the pair (z1, z2, its
     residual) from _solve_pair where _has_pair holds, else None. Every command that solves an
     activity reads this; only solve_two_periodic builds records from it."""
     z_fix, residual = _fixed_point(k, lam, tol)
-    return z_fix, residual, (_solve_pair(k, lam, z_fix, tol) if _has_pair(lam, lam_cr) else None)
+    pair = _has_pair(lam, _thresholds(k)[0].lambda_cr)
+    return z_fix, residual, (_solve_pair(k, lam, z_fix, tol) if pair else None)
 
 
 def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveReport:
@@ -310,7 +312,7 @@ def solve_two_periodic(params: ModelParams, tol: float = _DEFAULT_TOL) -> SolveR
     """
     k, lam = params.k, params.lam
     lam_cr = critical_lambda(k)
-    z_fix, residual, pair = _solve(k, lam, lam_cr, tol)
+    z_fix, residual, pair = _solve(k, lam, tol)
     solutions, residuals = [translation_invariant_law(z_fix)], [residual]
     if pair is not None:
         solutions.append(two_periodic_law(*pair[:2]))

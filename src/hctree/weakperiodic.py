@@ -43,7 +43,7 @@ from .core import (
     _check_int,
     weak_periodic_law,
 )
-from .solvers import _solve, critical_lambda, solve_translation_invariant
+from .solvers import _DEFAULT_TOL, _solve, critical_lambda, solve_translation_invariant
 
 __all__ = [
     "WeakPeriodicParams",
@@ -278,7 +278,7 @@ def _reduced_pairs(wp, invariant_set, z):
         past = np.flatnonzero((fp > 0.0) == below)
         if past.size == 0:
             raise ConvergenceError("the pair split off the constant point is below resolution",
-                                   point=(z, z), bracket=(t[-1], c))
+                                   point=(z, z), bracket=(t[-1].item(), c))
         j = past[0]
         a, b = np.append(a, probes[j - 1]), np.append(b, probes[j])
         fa, fb, ya = np.append(fa, fp[j - 1]), np.append(fb, fp[j]), np.append(ya, yp[j - 1])
@@ -291,23 +291,24 @@ def _reduced_pairs(wp, invariant_set, z):
 
 
 def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
-                        tol: float = 1e-12) -> WeakSolveReport:
+                        tol: float = _DEFAULT_TOL) -> WeakSolveReport:
     """All fixed points of W on one plane: solve_two_periodic's on I2 (see the
-    module docstring), the reduction's on I3 and I4, each solved at tol; the
-    constant point is exactly diagonal. Every point must meet the relative residual
-    max |W(z) - z| / z <= tol, or ConvergenceError reports it, with its
-    bracket on I3 and I4. Results are sorted by coordinates."""
+    module docstring), the reduction's on I3 and I4 above lambda_cr, each solved
+    at tol; the constant point is exactly diagonal. Every point must meet the
+    relative residual max |W(z) - z| / z <= tol, or ConvergenceError reports
+    it, with its bracket on I3 and I4. Results are sorted by coordinates."""
     if invariant_set not in SOLVE_SETS:
         raise DomainError(f"invariant_set must be one of {SOLVE_SETS}, got {invariant_set!r}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
     if invariant_set == "I2":
-        z, _, pair = _solve(wp.k, wp.lam, critical_lambda(wp.k), tol)
+        z, _, pair = _solve(wp.k, wp.lam, tol)
         pairs = np.array(pair[:2] if pair else ()).reshape(-1, 2)
         brackets = [None] * len(pairs)
     else:
         z = solve_translation_invariant(wp.model(), tol)
-        pairs, brackets = _reduced_pairs(wp, invariant_set, z)
+        pairs, brackets = np.empty((0, 2)), []
+        # at lam <= lam_cr the Gibbs measure is unique, and every fixed point of W gives one
+        if wp.lam > critical_lambda(wp.k):
+            pairs, brackets = _reduced_pairs(wp, invariant_set, z)
     # the constant point, then each pair and its mirror image
     embedded = np.concatenate(([(z, z)], pairs, pairs[:, ::-1]))[:, _EMBED[invariant_set]]
     error = np.abs(weak_system_map(wp, embedded) - embedded)

@@ -98,6 +98,16 @@ class TestSolveCommand:
         assert err == error_lines("two-cycle below the smallest positive float; pair not found",
                                   lam=lam)
 
+    # the fixed point itself is below every float: a failed solve, not a bad argument
+    @pytest.mark.parametrize("command", ["solve", "classify --json", "weak --set I2",
+                                         "weak --set I3", "weak --set I4"])
+    def test_fixed_point_below_the_float_range_exits_1(self, capsys, command):
+        code, out, err = run(capsys, *command.split(), "-k", "10000000000000000000",
+                             "-l", "1.7976931348623157e308")
+        assert (code, out) == (1, "")
+        assert err == error_lines("fixed point below the smallest positive float",
+                                  lam=1.7976931348623157e308, bracket=(0.0, 5e-324))
+
     def test_bad_lambda_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "-k", "2", "-l", "-3")
         assert code == 2

@@ -101,6 +101,12 @@ COMMANDS = [
     "-- solve -k 2 -l 5",
     # the two-cycle lies below the smallest positive float: exit code 1
     *(f"solve -k 100 -l 2000{fmt}" for fmt in FORMATS),
+    # so does the fixed point itself: exit code 1 too
+    *(f"{command} -k 10000000000000000000 -l 1.7976931348623157e308"
+      for command in ("solve", "classify --json", "weak --set I3")),
+    # below the critical activity I3 and I4 hold the constant point alone
+    "weak -k 2 -l 1e-16 --set I3",
+    "weak -k 3 -l 1e-13 --set I4 --json",
     "classify -k 0 -l 5 --json",
     "sweep -k 2 -lmin 1 -lmax 2",
     "sweep --quantity ks -lmin 1 -lmax 2",

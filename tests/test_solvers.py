@@ -461,7 +461,7 @@ class TestTinyRoots:
 # checked step. The solvers evaluate the map inline; the bits must not move.
 
 
-def reference_translation_invariant(params, tol=1e-12):
+def reference_translation_invariant(params, tol=solvers._DEFAULT_TOL):
     if tol <= 0:
         raise DomainError("tol must be positive")
     lo, hi = 0.0, 1.0
@@ -477,6 +477,9 @@ def reference_translation_invariant(params, tol=1e-12):
         else:
             hi = mid
     z = 0.5 * (lo + hi)
+    if z == 0.0:  # the fixed point is below every float
+        raise ConvergenceError("fixed point below the smallest positive float", lam=params.lam,
+                               bracket=(lo, hi))
     residual = abs(recursion_map(params, z) - z)
     if residual > tol:
         raise ConvergenceError("translation-invariant bisection stalled",
@@ -588,7 +591,7 @@ def reference_newton_start(k, lam, evaluations):
     return ("fallback",)
 
 
-def reference_fixed_point(params, tol=1e-12, probes=None, newton=True):
+def reference_fixed_point(params, tol=solvers._DEFAULT_TOL, probes=None, newton=True):
     """_fixed_point's steps, each g through the checked recursion_map: the
     probes from Newton's bracket, or from (0, 1) where it does not hold or
     newton is False. Appends its map evaluations (Newton steps, bracket ends
@@ -609,6 +612,9 @@ def reference_fixed_point(params, tol=1e-12, probes=None, newton=True):
     if lo == hi:
         return lo
     z = 0.5 * (lo + hi)
+    if z == 0.0:  # the fixed point is below every float
+        raise ConvergenceError("fixed point below the smallest positive float", lam=params.lam,
+                               bracket=(lo, hi))
     residual = abs(recursion_map(params, z) - z)
     if residual > tol:
         raise ConvergenceError("translation-invariant bisection stalled",

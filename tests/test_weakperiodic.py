@@ -231,6 +231,20 @@ class TestSolver:
         rep = solve_weak_periodic(WeakPeriodicParams(2, 1, lam), "I2")
         assert rep.count == 3
 
+    @pytest.mark.parametrize("invariant_set", ["I3", "I4"])
+    def test_below_the_critical_activity_only_the_constant_point(self, invariant_set):
+        # the Gibbs measure is unique at lam <= lam_cr, so every fixed point of W is
+        # the constant one; the reduction's scan is not run there, and below lam_cr it
+        # stopped at 76 of these activities per plane on a pair split "below resolution"
+        for k in range(2, 9):
+            lam_cr = critical_lambda(k)
+            for i in range(1, k + 2):
+                for ratio in (1e-16, 1e-13, 1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 0.999999,
+                              1.0):
+                    rep = solve_weak_periodic(WeakPeriodicParams(k, i, lam_cr * ratio),
+                                              invariant_set)
+                    assert rep.ti_flags == (True,), (k, i, ratio)
+
     def test_second_plane_holds_only_diagonal(self):
         # on I3 the alternating pair is not available; only the constant
         # point survives even far above the threshold
