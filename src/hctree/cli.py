@@ -31,7 +31,8 @@ from .extremality import Verdict, _certificates, _verdict, classify, g_function,
 from .solvers import (
     _DEFAULT_TOL,
     _has_pair,
-    _solve,
+    _last_law,
+    _solve_pair,
     asymptotic_bound,
     critical_lambda,
     critical_values,
@@ -369,13 +370,8 @@ def _sweep_values(args, grid: list[float]) -> list:
         for lam in grid:
             _check_positive("lam", lam)
         if quantity in _CERT_INDEX:
-            # the pair, where it exists, is the last law classify reports
             index = _CERT_INDEX[quantity]
-            rows = []
-            for lam in grid:
-                z_fix, _, pair = _solve(k, lam, args.tol)
-                rows.append(_certificates(k, lam, pair[:2] if pair else (z_fix,))[index])
-            return rows
+            return [_certificates(k, lam, _last_law(k, lam, args.tol))[index] for lam in grid]
         # not solved: the pair exists at every activity _has_pair admits, and
         # it is extremal there (its s2 is at most 1/k**2, so msw < 1); the
         # invariant law's verdict needs only lam
@@ -449,8 +445,8 @@ def _cmd_oracle(args):
             "mode": args.mode, "root": root.value}
 
     if args.mode == "sample":
-        z_fix, _, pair = _solve(params.k, params.lam, args.tol)
-        z1, z2 = pair[:2] if pair else (z_fix, z_fix)
+        values = _last_law(params.k, params.lam, args.tol)
+        z1, z2 = values[0], values[-1]
         # counted block by block: the spins are never all held
         _, _, violations, metadata = _draw(params, z1, z2, depth, args.samples, args.seed, root,
                                            False)
@@ -470,11 +466,11 @@ def _cmd_oracle(args):
     _require_ball_enumerable(params.k, depth, root)
     ball = FiniteBall(params.k, depth, root)
     if args.mode == "periodic":
-        pair = _solve(params.k, params.lam, args.tol)[2]
-        if pair is None:
-            raise DomainError("periodic mode needs an activity above the critical one "
-                              f"({_fmt(critical_lambda(params.k))})")
-        z1, z2 = values = pair[:2]
+        lam_cr = critical_lambda(params.k)
+        if not _has_pair(params.lam, lam_cr):
+            raise DomainError(
+                f"periodic mode needs an activity above the critical one ({_fmt(lam_cr)})")
+        z1, z2 = values = _solve_pair(params.k, params.lam, args.tol)[:2]
         assignment = [z1 if ball.level[v] % 2 == 1 else z2 for v in range(ball.n_vertices)]
     else:
         z = solve_translation_invariant(params, args.tol)

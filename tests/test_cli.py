@@ -265,6 +265,33 @@ class TestSweepCommand:
                     lams.append(lam)
             assert set(thresholds) <= set(lams)
 
+    def test_msw_rows_where_the_fixed_point_is_refused_equal_mpmath(self, capsys):
+        # at k = 10**6 the fixed point's gate refuses it at the first activity
+        # (solve exits 1 there), but the msw sweep reads only the pair
+        mpmath = pytest.importorskip("mpmath")
+        k = 10**6
+        doc = run_json(capsys, "sweep", "-k", str(k), "--quantity", "msw",
+                       "-lmin", "8.154857717661334e-06", "-lmax", "1e-5", "-n", "2", "--json")
+        assert len(doc["rows"]) == 2
+        for row in doc["rows"]:
+            lam = row["lambda"]
+            start = math.log(solvers._solve_pair(k, lam, 1e-12)[0])
+            with mpmath.workdps(60):
+                lam_mp = mpmath.mpf(lam)
+
+                def f(z):
+                    return mpmath.exp(-k * mpmath.log1p(lam_mp * z))
+
+                # log z1 polished on log(z/f(f(z))) = 0; a two-cycle, not the fixed point
+                y = mpmath.findroot(lambda y: y - mpmath.log(f(f(mpmath.exp(y)))),
+                                    (start, start * (1 + 2.0 ** -40)))
+                z1 = mpmath.exp(y)
+                z2 = f(z1)
+                assert abs(z2 - z1) > z1 / 100
+                a, b = lam_mp * z1 / (1 + lam_mp * z1), lam_mp * z2 / (1 + lam_mp * z2)
+                msw = k * k * a * b * lam_mp / (lam_mp + 1)
+                assert abs(row["value"] - msw) <= 1e-9 * msw, (lam, row["value"], msw)
+
     @pytest.mark.parametrize("k,grid,rows", [
         (2, ("-lmin", "1e4", "-lmax", "1e300", "-n", "200"), 200),
         (100, ("-lmin", "0.01", "-lmax", "1e12", "-n", "400"), 400),
@@ -515,12 +542,67 @@ class TestOracleCommand:
         assert err == ("error: enumeration supports at most 16777216 configurations, "
                        "got 2298661010\n")
 
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_boundary_values_equal_classify_bit_for_bit(self, capsys, k):
+        # a log grid across the critical activity, its float neighbours and
+        # 1.01*lam_cr, where the pair's Newton hands over to the probe loop
+        lam_cr = critical_values(k).lambda_cr
+        lams = [10.0 ** (-1.3 + 5.3 * j / 29) for j in range(30)]
+        lams += [math.nextafter(lam_cr, 0.0), lam_cr, math.nextafter(lam_cr, math.inf),
+                 1.01 * lam_cr]
+        pairs = 0
+        for lam in lams:
+            want = list(classify(ModelParams(k, lam))[-1].law.values)
+            head = ("oracle", "-k", str(k), "-l", repr(lam), "-n", "1")
+            doc = run_json(capsys, *head, "--mode", "sample", "--samples", "1", "--json")
+            assert [doc["metadata"]["z1"], doc["metadata"]["z2"]] == [want[0], want[-1]], lam
+            if len(want) == 2:
+                doc = run_json(capsys, *head, "--mode", "periodic", "--json")
+                assert doc["boundary_values"] == want, lam
+                pairs += 1
+        assert 0 < pairs < len(lams)
+
     def test_full_root_supported(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "-k", "2", "-l", "2.5", "-n", "2", "--root", "full"
         )
         assert code == 0
         assert out.strip().endswith("PASS")
+
+
+def counted_fixed_point(monkeypatch):
+    """solvers._fixed_point, unchanged, behind a counter: the list of its calls."""
+    calls, fixed_point = [], solvers._fixed_point
+
+    def counted(*args):
+        calls.append(args)
+        return fixed_point(*args)
+
+    monkeypatch.setattr(solvers, "_fixed_point", counted)
+    return calls
+
+
+class TestFixedPointSolvedWhereRead:
+    """A command solves the fixed point only where it prints it or the
+    pair's probe loop brackets with it."""
+
+    def test_msw_sweep(self, capsys, monkeypatch):
+        calls = counted_fixed_point(monkeypatch)
+        code, out, _ = run(capsys, "sweep", "-k", "7", "--quantity", "msw", "-lmin", "0.1",
+                           "-lmax", "100", "-n", "1000", "--scale", "log")
+        assert code == 0 and len(out.splitlines()) == 1001
+        # the 230 activities without the pair, and the 54 where Newton hands over
+        assert len(calls) == 284
+
+    @pytest.mark.parametrize("k,lam,solved", [(2, "5", 0), (3, "2", 0), (4, "3", 0),
+                                              (4, "1.07", 1)])
+    def test_oracle_periodic(self, capsys, monkeypatch, k, lam, solved):
+        # the closed forms and the pair's Newton solve none; next to lam_cr
+        # Newton hands over, and the probe loop's bracket needs it
+        calls = counted_fixed_point(monkeypatch)
+        code, _, _ = run(capsys, "oracle", "-k", str(k), "-l", lam, "-n", "2",
+                         "--mode", "periodic")
+        assert (code, len(calls)) == (0, solved)
 
 
 class TestCriticalCommand:

@@ -127,6 +127,10 @@ COMMANDS = [
     "sweep -k 2 --quantity solutions -lmin 1 -lmax 1e308 -n 5",
     # the verdict sweep decides past the pair's underflow without solving
     "sweep -k 100 --quantity verdict -lmin 0.01 -lmax 1e12 -n 400 --scale log",
+    # at k = 10**6 the fixed point's gate refuses it at this activity: solve,
+    # which prints it, exits 1; the msw sweep reads only the pair and exits 0
+    "solve -k 1000000 -l 8.154857717661334e-06",
+    "sweep --quantity msw -k 1000000 -lmin 8.154857717661334e-06 -lmax 1e-5 -n 2",
     "oracle -k 2 -l 5",
     "oracle -k 2 -l 2 -n 3 --mode periodic",
     "oracle -k 2 -l 5 -n 5",

@@ -196,9 +196,7 @@ class TestPairClosedForms:
 
     @pytest.mark.parametrize("lam", [1.8, 2.5, 4.0, 20.0])
     def test_k3_generic_solver_matches_closed_form(self, lam):
-        p = ModelParams(3, lam)
-        z_fix = solve_translation_invariant(p)
-        got = _solve_pair_generic(3, lam, z_fix)
+        got = _solve_pair_generic(3, lam, 1e-12)
         want = solve_two_periodic_k3_closed(lam)
         assert got[0] == pytest.approx(want[0], rel=1e-9)
         assert got[1] == pytest.approx(want[1], rel=1e-9)
@@ -211,7 +209,7 @@ class TestSolvePair:
     def test_ascending_and_a_two_cycle(self, k):
         for lam in (critical_lambda(k) * 1.01, 5.0, 100.0):
             z_fix = solve_translation_invariant(ModelParams(k, lam))
-            z1, z2, residual = _solve_pair(k, lam, z_fix, 1e-12)
+            z1, z2, residual = _solve_pair(k, lam, 1e-12)
             assert 0.0 < z1 < z_fix < z2 < 1.0
             assert residual <= 1e-12
             # z2 = f(z1) in the pow form, or in the log form of the Newton pair
@@ -221,16 +219,27 @@ class TestSolvePair:
 
     # k >= 4: the closing pass leaves most pairs with residual 0, but not these
     @pytest.mark.parametrize("k,lam", [(2, 5.0), (3, 3.0), (4, 1.1), (7, 0.8)])
-    def test_pair_gated_at_tol(self, k, lam):
+    def test_pair_gated_at_tol(self, k, lam, monkeypatch):
         # no 1e-9 floor: a tol below the pair's residual refuses it, with one
-        # message for the closed forms and the probe loop
-        z_fix = solve_translation_invariant(ModelParams(k, lam))
+        # message for the closed forms and the probe loop. The probe loop's
+        # bracket end, the fixed point, is solved at the default tol here: at
+        # 1e-300 its own gate would refuse it first
+        fixed_point = solvers._fixed_point
+        monkeypatch.setattr(solvers, "_fixed_point", lambda k, lam, _: fixed_point(k, lam, 1e-12))
         with pytest.raises(ConvergenceError) as err:
-            _solve_pair(k, lam, z_fix, 1e-300)
+            _solve_pair(k, lam, 1e-300)
         assert err.value.args == ("alternating pair residual above tolerance",)
         assert sorted(err.value.diagnostics) == ["pair", "residual", "tol"]
         assert err.value.diagnostics["tol"] == 1e-300
         assert err.value.diagnostics["residual"] > 1e-300
+
+    def test_bracketing_fixed_point_gated_at_tol(self):
+        # next to lam_cr Newton hands over, and the fixed point that brackets
+        # the probe loop must pass its own gate at the pair's tol, as in _solve
+        with pytest.raises(ConvergenceError) as err:
+            _solve_pair(4, 1.1, 1e-300)
+        assert err.value.args == ("translation-invariant bisection stalled",)
+        assert err.value.diagnostics["tol"] == 1e-300
 
     def test_has_pair_is_above_the_critical_activity_off_its_window(self):
         lam_cr = critical_lambda(4)
@@ -683,12 +692,14 @@ def reference_deflated(k, lam, z_fix, probes, f=None):
     return z1, f(z1)
 
 
-def reference_pair_generic(k, lam, z_fix, evaluations=None):
-    """_solve_pair_generic step by step: Newton, else the probe loop. Appends
-    its evaluations, Newton steps plus any probes, to evaluations."""
+def reference_pair_generic(k, lam, tol, evaluations=None):
+    """_solve_pair_generic step by step: Newton, else the probe loop from the
+    checked fixed point at tol. Appends its evaluations, Newton steps plus any
+    probes, to evaluations."""
     counts = []
     try:
-        return reference_newton(k, lam, counts) or reference_deflated(k, lam, z_fix, counts)
+        return reference_newton(k, lam, counts) or reference_deflated(
+            k, lam, reference_fixed_point_floats(k, lam, tol)[0], counts)
     finally:
         if evaluations is not None:
             evaluations.append(sum(counts))
@@ -793,8 +804,8 @@ class TestIllinoisProbes:
                                            False)
         else:
             if k >= 4:
-                assert (outcome(reference_pair_generic, k, lam, z_fix, probes)
-                        == outcome(_solve_pair_generic, k, lam, z_fix))
+                assert (outcome(reference_pair_generic, k, lam, 1e-12, probes)
+                        == outcome(_solve_pair_generic, k, lam, 1e-12))
             with pytest.raises(ConvergenceError) as err:
                 solve_two_periodic(ModelParams(k, lam))
             assert err.value.args == ("two-cycle below the smallest positive float; pair not found",)
@@ -819,8 +830,8 @@ class TestIllinoisProbes:
             assert (got, counted.products - (residual > 0.0)) == (z_fix, fixed[-1]), lam
             fallbacks += counted.sums
             if solvers._has_pair(lam, lam_cr):
-                assert (reference_pair_generic(k, lam, z_fix, pair)
-                        == _solve_pair_generic(k, lam, z_fix))
+                assert (reference_pair_generic(k, lam, 1e-12, pair)
+                        == _solve_pair_generic(k, lam, 1e-12))
                 newton.append(reference_newton(k, lam, []) is not None)
                 reference_deflated(k, lam, z_fix, probes)
         assert len(fixed) == 1000 and len(pair) > 700
@@ -942,7 +953,7 @@ class TestPairNewton:
             except (ConvergenceError, DomainError):
                 continue  # the fixed point's residual is above tol at large k
             steps = []
-            got = outcome(_solve_pair_generic, k, lam, z_fix)
+            got = outcome(_solve_pair_generic, k, lam, 1e-12)
             pair = reference_newton(k, lam, steps)
             assert steps[0] < solvers._NEWTON_STEPS
             if pair is None:
