@@ -286,7 +286,8 @@ def _solve_pair(k: int, lam: float, tol: float) -> tuple[float, float, float]:
 
 
 def _degenerate(lam: float, lam_cr: float) -> bool:
-    """On the critical activity to 1e-12 relative: the pair collapses there."""
+    """Within 1e-12*max(1, lam_cr) of the critical activity, where the pair collapses: relative
+    for lam_cr >= 1, absolute for lam_cr < 1 (k >= 5). ROADMAP item 3 plans an exact test."""
     return abs(lam - lam_cr) <= 1e-12 * max(1.0, lam_cr)
 
 

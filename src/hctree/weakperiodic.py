@@ -22,8 +22,8 @@ On I3 and I4 a fixed point solves E(a, b) = 0 and E(b, a) = 0 for one E
 monotone in its second argument, so b = F(a) and a = F(b): the fixed points
 are the constant point and the two-cycles of F, roots of E(F(t), t) found by
 sign changes along log t and refined to adjacent floats. The scan runs on
-numpy arrays; each bracket is then refined on its own, on Python floats with
-math.
+numpy arrays; each bracket is then refined on its own, and each fixed point
+checked against W on its own, on Python floats.
 """
 
 from __future__ import annotations
@@ -75,38 +75,58 @@ class WeakPeriodicParams:
 _ZA, _ZB, _ZC = [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]
 
 
+def _component(k, i, lam, za, zb, zc):
+    """W's component with inputs (za, zb, zc), its numerator and its middle factor's power."""
+    base = 1.0 + lam * za
+    num = base ** k
+    den = (base ** (k / i) + lam * zb ** (1.0 - 1.0 / i)) ** i
+    return num, den, num / (den * (1.0 + lam * zc) ** (k - i))
+
+
 def weak_system_map(wp: WeakPeriodicParams, z):
     """One application of the four-component update W.
 
-    A 4-sequence gives a tuple of four floats; a non-positive or non-finite
-    entry raises DomainError and an overflowing power OverflowError. An
-    array of shape (..., 4) maps row by row, and a row that would raise
-    comes back as NaN.
+    A 4-sequence gives a tuple of four floats, computed on Python floats; a
+    non-positive or non-finite entry raises DomainError and an overflowing
+    power OverflowError. An array of shape (..., 4) maps row by row in
+    numpy, and a row that would raise comes back as NaN.
     """
-    arr = np.asarray(z, dtype=float)
+    try:  # a flat sequence of numbers is one point; a nested one an array
+        point = None if isinstance(z, np.ndarray) and z.ndim != 1 else tuple(map(float, z))
+    except TypeError:
+        point = None
+    if point is None:
+        arr = np.asarray(z, dtype=float)
+        if arr.ndim == 1:  # a flat sequence that float() refuses, such as one holding None
+            point = tuple(arr.tolist())
+    k, i, lam = wp.k, wp.i, wp.lam
+    if point is not None:
+        if len(point) != 4:
+            raise DomainError(f"weak-system values must have 4 components, got {z!r}")
+        if not all(0.0 < x < math.inf for x in point):
+            raise DomainError(f"weak-system values must be positive, got {z!r}")
+        try:
+            nums, dens, out = zip(*[_component(k, i, lam, point[a], point[b], point[c])
+                                    for a, b, c in zip(_ZA, _ZB, _ZC)])
+            finite = max(nums + dens) < math.inf  # each is >= 1 or inf, never NaN
+        except (OverflowError, ZeroDivisionError):  # x / 0 only where some power is infinite
+            finite = False
+        if not finite:
+            raise OverflowError(f"weak-system power overflows at {z!r}")
+        return out
     if arr.shape[-1:] != (4,):
         raise DomainError(f"weak-system values must have 4 components, got {z!r}")
-    k, i, lam = wp.k, wp.i, wp.lam
     with np.errstate(all="ignore"):
-        base = 1.0 + lam * arr[..., _ZA]
-        num = base ** k
-        den = (base ** (k / i) + lam * arr[..., _ZB] ** (1.0 - 1.0 / i)) ** i
+        num, den, out = _component(k, i, lam, arr[..., _ZA], arr[..., _ZB], arr[..., _ZC])
         # base >= 1, so no other power in a row exceeds its largest num
         no_overflow = (np.isfinite(num) & np.isfinite(den)).all(axis=-1)
-        out = num / (den * (1.0 + lam * arr[..., _ZC]) ** (k - i))
     in_domain = ((arr > 0) & np.isfinite(arr)).all(axis=-1)
-    if arr.ndim == 1:
-        if not in_domain:
-            raise DomainError(f"weak-system values must be positive, got {z!r}")
-        if not no_overflow:
-            raise OverflowError(f"weak-system power overflows at {z!r}")
-        return tuple(out.tolist())
     out[~(in_domain & no_overflow)] = np.nan
     return out
 
 
 # which of the plane coordinates (a, b) fills each of z1..z4
-_EMBED = {"I2": [0, 1, 0, 1], "I3": [0, 0, 1, 1], "I4": [0, 1, 1, 0]}
+_EMBED = {"I2": itemgetter(0, 1, 0, 1), "I3": itemgetter(0, 0, 1, 1), "I4": itemgetter(0, 1, 1, 0)}
 # the reduced planes' first fixed-point equation, z1 = W(z)[0], in the slots
 # (v, za, zb, zc) of _log_equation, filled with x, y or zero
 _SLOTS = {"I3": "yxxy", "I4": "yxyx"}
@@ -287,7 +307,7 @@ def _reduced_pairs(wp, invariant_set, z):
     if any(y <= c for _, y in roots):
         raise ConvergenceError("a two-cycle lies below the constant point",
                                images=[y for _, y in roots])
-    return np.array([red.to_plane(t, y) for t, y in roots]).reshape(-1, 2), list(zip(a, b))
+    return [red.to_plane(t, y) for t, y in roots], list(zip(a, b))
 
 
 def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
@@ -301,25 +321,29 @@ def solve_weak_periodic(wp: WeakPeriodicParams, invariant_set: str,
         raise DomainError(f"invariant_set must be one of {SOLVE_SETS}, got {invariant_set!r}")
     if invariant_set == "I2":
         z, _, pair = _solve(wp.k, wp.lam, tol)
-        pairs = np.array(pair[:2] if pair else ()).reshape(-1, 2)
+        pairs = [pair[:2]] if pair else []
         brackets = [None] * len(pairs)
     else:
         z = solve_translation_invariant(wp.model(), tol)
-        pairs, brackets = np.empty((0, 2)), []
+        pairs, brackets = [], []
         # at lam <= lam_cr the Gibbs measure is unique, and every fixed point of W gives one
         if wp.lam > critical_lambda(wp.k):
             pairs, brackets = _reduced_pairs(wp, invariant_set, z)
-    # the constant point, then each pair and its mirror image
-    embedded = np.concatenate(([(z, z)], pairs, pairs[:, ::-1]))[:, _EMBED[invariant_set]]
-    error = np.abs(weak_system_map(wp, embedded) - embedded)
-    residuals, relative = error.max(axis=1), (error / embedded).max(axis=1)
-    for m in np.flatnonzero(~(relative <= tol)):
-        raise ConvergenceError("refined root fails the relative 4-component residual gate",
-                               point=tuple(embedded[m].tolist()), residual=residuals[m].item(),
-                               relative_residual=relative[m].item(), tol=tol,
-                               bracket=brackets[(m - 1) % len(brackets)] if m else None)
+    # the constant point, then each pair and its mirror image, gated one at a time on floats
+    points = [_EMBED[invariant_set](ab) for ab in [(z, z), *pairs, *((b, a) for a, b in pairs)]]
+    residuals = []
+    for point, bracket in zip(points, [None, *brackets, *brackets]):
+        try:
+            error = [abs(w - x) for w, x in zip(weak_system_map(wp, point), point)]
+        except (DomainError, OverflowError):  # a point W cannot map fails with NaN residuals
+            error = [math.nan]
+        residual, relative = max(error), max(e / x for e, x in zip(error, point))
+        if not relative <= tol:
+            raise ConvergenceError("refined root fails the relative 4-component residual gate",
+                                   point=point, residual=residual, relative_residual=relative,
+                                   tol=tol, bracket=bracket)
+        residuals.append(residual)
     flags = [True] + [False] * 2 * len(pairs)
-    found = sorted(zip(map(tuple, embedded.tolist()), residuals.tolist(), flags))
-    values, residuals, flags = zip(*found)
+    values, residuals, flags = zip(*sorted(zip(points, residuals, flags)))
     laws = tuple(weak_periodic_law(v, invariant_set) for v in values)
     return WeakSolveReport(wp, invariant_set, laws, residuals, flags)

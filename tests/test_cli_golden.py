@@ -146,6 +146,9 @@ COMMANDS = [
     "weak -k 2 -l 5 -i 7",
     "weak -k 2 -l 5 --set I1",
     "weak -k 2 -l 5 --tol 0",
+    # (1+lam)**2 overflows inside W at the pair, so its gate refuses the pair
+    # that solve prints: exit code 1, with residual=nan
+    "weak -k 2 -l 1.35e154",
 ]
 
 

@@ -100,6 +100,13 @@ class TestSystemMap:
         assert np.isnan(rows[[0, 2]]).all()
         np.testing.assert_allclose(rows[1], weak_system_map(wp, z[1].tolist()), rtol=1e-14)
 
+    def test_nested_single_row_maps_as_an_array(self):
+        wp = WeakPeriodicParams(3, 2, 1.5)
+        row = [0.5, 1.0, 1.5, 2.0]
+        rows = weak_system_map(wp, [row])
+        assert isinstance(rows, np.ndarray) and rows.shape == (1, 4)
+        np.testing.assert_allclose(rows[0], weak_system_map(wp, row), rtol=1e-14)
+
     @given(
         st.integers(min_value=2, max_value=6),
         st.floats(min_value=0.1, max_value=20.0),
@@ -275,14 +282,31 @@ class TestSolver:
         rep = solve_weak_periodic(WeakPeriodicParams(6, 1, lam), "I4")
         assert rep.count == expected
 
+    @pytest.mark.parametrize("k,i,lam,invariant_set", [
+        (2, 1, 5.0, "I2"), (3, 2, 3.0, "I2"), (6, 7, 10.0, "I2"),
+        (6, 6, 10.0, "I3"), (7, 7, 1000.0, "I3"), (2, 3, 6.0, "I3"), (5, 6, 30.0, "I3"),
+        (6, 1, 10.0, "I4"), (7, 1, 100.0, "I4"), (7, 1, 3.0, "I4"),
+    ])
+    def test_reported_residuals_match_the_per_point_map(self, k, i, lam, invariant_set):
+        # each reported residual is, to the bit, the sup-norm distance that one
+        # public call of W on that point alone gives; i = k+1 on I3 solves for
+        # substituted unknowns and maps back
+        wp = WeakPeriodicParams(k, i, lam)
+        rep = solve_weak_periodic(wp, invariant_set)
+        assert rep.count == (1 if invariant_set == "I3" and i == k + 1 else 3)
+        for fp, residual in zip(rep.fixed_points, rep.residuals):
+            image = weak_system_map(wp, fp.values)
+            assert residual == max(abs(w - z) for w, z in zip(image, fp.values))
+
     def test_gate_failure_raises_with_its_bracket(self):
         # a tolerance between the constant point's relative residual and the
         # pair's rejects the pair: the solve raises with the bracket the pair
         # was refined in, it drops nothing
         wp = WeakPeriodicParams(6, 1, 10.0)
         rep = solve_weak_periodic(wp, "I4")
-        points = np.array([fp.values for fp in rep.fixed_points])
-        relative = (np.abs(weak_system_map(wp, points) - points) / points).max(axis=1)
+        # the gate's arithmetic: one call of W per point, on floats
+        relative = [max(abs(w - z) / z for w, z in zip(weak_system_map(wp, fp.values), fp.values))
+                    for fp in rep.fixed_points]
         constant = relative[list(rep.ti_flags).index(True)]
         pair = min(r for r, flag in zip(relative, rep.ti_flags) if not flag)
         assert constant < pair
