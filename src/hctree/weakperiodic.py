@@ -70,59 +70,39 @@ class WeakPeriodicParams:
         return ModelParams(self.k, self.lam)
 
 
-# inputs of W's four components: za feeds the numerator and the powered part
-# of the middle factor, zb the additive part, zc the plain divisor
-_ZA, _ZB, _ZC = [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]
+def weak_system_map(wp: WeakPeriodicParams, z) -> tuple[float, float, float, float]:
+    """One application of the four-component update W to one point.
 
-
-def _component(k, i, lam, za, zb, zc):
-    """W's component with inputs (za, zb, zc), its numerator and its middle factor's power."""
-    base = 1.0 + lam * za
-    num = base ** k
-    den = (base ** (k / i) + lam * zb ** (1.0 - 1.0 / i)) ** i
-    return num, den, num / (den * (1.0 + lam * zc) ** (k - i))
-
-
-def weak_system_map(wp: WeakPeriodicParams, z):
-    """One application of the four-component update W.
-
-    A 4-sequence gives a tuple of four floats, computed on Python floats; a
-    non-positive or non-finite entry raises DomainError and an overflowing
-    power OverflowError. An array of shape (..., 4) maps row by row in
-    numpy, and a row that would raise comes back as NaN.
+    z is a 4-sequence of numbers (a list, a tuple or a 1-D array), mapped on
+    Python floats to a tuple of four floats. Anything else, a non-positive or
+    non-finite entry included, raises DomainError; a power that overflows
+    anywhere in a component raises OverflowError.
     """
-    try:  # a flat sequence of numbers is one point; a nested one an array
-        point = None if isinstance(z, np.ndarray) and z.ndim != 1 else tuple(map(float, z))
-    except TypeError:
-        point = None
-    if point is None:
-        arr = np.asarray(z, dtype=float)
-        if arr.ndim == 1:  # a flat sequence that float() refuses, such as one holding None
-            point = tuple(arr.tolist())
-    k, i, lam = wp.k, wp.i, wp.lam
-    if point is not None:
-        if len(point) != 4:
-            raise DomainError(f"weak-system values must have 4 components, got {z!r}")
-        if not all(0.0 < x < math.inf for x in point):
-            raise DomainError(f"weak-system values must be positive, got {z!r}")
-        try:
-            nums, dens, out = zip(*[_component(k, i, lam, point[a], point[b], point[c])
-                                    for a, b, c in zip(_ZA, _ZB, _ZC)])
-            finite = max(nums + dens) < math.inf  # each is >= 1 or inf, never NaN
-        except (OverflowError, ZeroDivisionError):  # x / 0 only where some power is infinite
-            finite = False
-        if not finite:
-            raise OverflowError(f"weak-system power overflows at {z!r}")
-        return out
-    if arr.shape[-1:] != (4,):
+    try:
+        point = tuple(map(float, z))
+    except (TypeError, ValueError):  # a nested sequence, a 2-D array, a None entry
+        raise DomainError(f"weak-system values must be a sequence of numbers, got {z!r}") from None
+    if len(point) != 4:
         raise DomainError(f"weak-system values must have 4 components, got {z!r}")
-    with np.errstate(all="ignore"):
-        num, den, out = _component(k, i, lam, arr[..., _ZA], arr[..., _ZB], arr[..., _ZC])
-        # base >= 1, so no other power in a row exceeds its largest num
-        no_overflow = (np.isfinite(num) & np.isfinite(den)).all(axis=-1)
-    in_domain = ((arr > 0) & np.isfinite(arr)).all(axis=-1)
-    out[~(in_domain & no_overflow)] = np.nan
-    return out
+    if not all(0.0 < x < math.inf for x in point):
+        raise DomainError(f"weak-system values must be positive, got {z!r}")
+    k, i, lam = wp.k, wp.i, wp.lam
+    z1, z2, z3, z4 = point
+    out = []
+    try:
+        # za feeds the numerator and the powered part of the middle factor,
+        # zb the additive part, zc the plain divisor
+        for za, zb, zc in ((z3, z4, z2), (z4, z3, z1), (z1, z2, z4), (z2, z1, z3)):
+            base = 1.0 + lam * za
+            den = (base ** (k / i) + lam * zb ** (1.0 - 1.0 / i)) ** i
+            out.append(base ** k / (den * (1.0 + lam * zc) ** (k - i)))
+    except (OverflowError, ZeroDivisionError):  # x / 0 only where some power is infinite
+        out = [math.nan]
+    # the numerator is >= 1, so a component is 0, inf or NaN only where a
+    # power or the quotient overflowed
+    if not all(0.0 < w < math.inf for w in out):
+        raise OverflowError(f"weak-system power overflows at {z!r}")
+    return tuple(out)
 
 
 # which of the plane coordinates (a, b) fills each of z1..z4
@@ -134,7 +114,7 @@ _GRID_POINTS = 512  # log-spaced samples of the residual below the constant poin
 _NEWTON_MAX_ITER = 100
 _MAX_LOG_STEP = 30.0
 _REFINE_MAX_ITER = 200
-_SLOPE_ROUNDING = 64 * np.finfo(float).eps
+_SLOPE_ROUNDING = 64 * math.ulp(1.0)
 
 
 def _log_equation(wp, v, za, zb, zc, partials=False, log=np.log, log1p=np.log1p):

@@ -49,3 +49,24 @@ def test_tracer_wraps_and_restores_around_cli_commands(capsys, monkeypatch):
         tracer.uninstall()
     assert attributes() == before
     capsys.readouterr()
+
+
+def test_tracer_counts_one_gate_call_per_reported_point(capsys, monkeypatch):
+    # solve_weak_periodic maps each of a plane's 3 points through W once, its
+    # residual gate; the solvers before it never call W
+    _load("reference", monkeypatch)
+    tracing = _load("tracing", monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        seen = 0
+        for argv in (["weak", "-k", "2", "-l", "5"],
+                     ["weak", "-k", "6", "-i", "1", "-l", "10", "--set", "I4"]):
+            assert cli.main(argv) == 0, argv
+            # read once per command: each read advances the counter by one
+            total = tracer.counts()["weakperiodic.map_calls"]
+            assert total - seen == 3, argv
+            seen = total + 1
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()

@@ -76,36 +76,42 @@ class TestSystemMap:
         with pytest.raises(DomainError):
             weak_system_map(wp, (0.5, 1.0, bad, 2.0))
 
-    def test_scalar_call_raises_on_overflowing_power(self):
-        with pytest.raises(OverflowError):
-            weak_system_map(WeakPeriodicParams(6, 1, 10.0), (1e300, 1.0, 1.0, 1.0))
+    @pytest.mark.parametrize("lam,z", [
+        (10.0, (1e300, 1.0, 1.0, 1.0)),
+        # (1+lam)**k and the middle factor stay finite, but their product with
+        # (1+lam)**(k-i) passes the largest float; each component is about
+        # 1e-200, so a quotient of 0.0 would be wrong, not small
+        (1e40, (1.0, 1.0, 1.0, 1.0)),
+    ])
+    def test_scalar_call_raises_on_overflowing_power(self, lam, z):
+        with pytest.raises(OverflowError, match="overflows"):
+            weak_system_map(WeakPeriodicParams(6, 1, lam), z)
+
+    @pytest.mark.parametrize("z", [
+        [[0.5, 1.0, 1.5, 2.0]],
+        np.array([[0.5, 1.0, 1.5, 2.0]]),
+        np.full((2, 4), 0.5),
+        (0.5, None, 1.5, 2.0),
+        1.0,
+    ])
+    def test_refuses_all_but_one_flat_point(self, z):
+        with pytest.raises(DomainError, match="sequence of numbers"):
+            weak_system_map(WeakPeriodicParams(3, 2, 1.5), z)
+
+    def test_flat_array_maps_as_its_list(self):
+        wp = WeakPeriodicParams(3, 2, 1.5)
+        z = np.array([0.5, 1.0, 1.5, 2.0])
+        image = weak_system_map(wp, z)
+        assert type(image) is tuple and all(type(w) is float for w in image)
+        assert image == weak_system_map(wp, z.tolist())
 
     @pytest.mark.parametrize("k,i,lam", [(2, 1, 4.0), (3, 2, 1.5), (6, 1, 10.0), (4, 5, 0.3)])
-    def test_array_rows_match_scalar_calls(self, k, i, lam):
+    def test_points_match_the_reference_formula(self, k, i, lam):
+        # both evaluate each component in the same order on Python floats
         wp = WeakPeriodicParams(k, i, lam)
-        z = np.exp(np.random.default_rng(k * 10 + i).uniform(-9.0, 5.0, size=(200, 4)))
-        rows = weak_system_map(wp, z)
-        assert rows.shape == (200, 4)
-        expect = np.array([weak_system_map(wp, row) for row in z.tolist()])
-        np.testing.assert_allclose(rows, expect, rtol=1e-14, atol=0.0)
-        # numpy and the C library may round a power one ulp apart, and each
-        # component passes through five of them
-        formula = np.array([plain_float_map(k, i, lam, row) for row in z.tolist()])
-        np.testing.assert_allclose(rows, formula, rtol=1e-13, atol=0.0)
-
-    def test_array_rows_that_would_raise_are_nan(self):
-        wp = WeakPeriodicParams(6, 1, 10.0)
-        z = np.array([[0.5, 1.0, 0.0, 2.0], [0.5, 1.0, 1.5, 2.0], [1e300, 1.0, 1.0, 1.0]])
-        rows = weak_system_map(wp, z)
-        assert np.isnan(rows[[0, 2]]).all()
-        np.testing.assert_allclose(rows[1], weak_system_map(wp, z[1].tolist()), rtol=1e-14)
-
-    def test_nested_single_row_maps_as_an_array(self):
-        wp = WeakPeriodicParams(3, 2, 1.5)
-        row = [0.5, 1.0, 1.5, 2.0]
-        rows = weak_system_map(wp, [row])
-        assert isinstance(rows, np.ndarray) and rows.shape == (1, 4)
-        np.testing.assert_allclose(rows[0], weak_system_map(wp, row), rtol=1e-14)
+        rows = np.exp(np.random.default_rng(k * 10 + i).uniform(-9.0, 5.0, size=(200, 4)))
+        for row in rows.tolist():
+            assert weak_system_map(wp, row) == plain_float_map(k, i, lam, row)
 
     @given(
         st.integers(min_value=2, max_value=6),
