@@ -65,6 +65,33 @@ def _num(x):
     return x if math.isfinite(x) else None
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte, for obj starting at the line
+    break and indentation pad. Exact types render here; anything else (a subclass, a key that is
+    not a str, a non-finite float) goes to json.dumps, whose newlines are all indentation, as it
+    escapes every control character in a string."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is float and obj - obj == 0.0:  # finite
+        return float.__repr__(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    if t is list or t is tuple:
+        items, ends = [_dumps(v, inner) for v in obj], "[]"
+    elif t is dict and all(type(key) is str for key in obj):
+        items, ends = [_quote(key) + ": " + _dumps(v, inner) for key, v in obj.items()], "{}"
+    else:
+        return json.dumps(obj, indent=2, allow_nan=False).replace("\n", pad)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -418,9 +445,9 @@ def _cmd_sweep(args):
         }
 
     def csv():
-        return [f"lambda,{args.quantity}",
-                *(f"{_fmt(lam)},{val if isinstance(val, (int, str)) else _fmt(val)}"
-                  for lam, val in zip(grid, values))]
+        # "%.15g" % x is _fmt(x) for every float; int and verdict columns print as str does
+        row = "%.15g,%s" if isinstance(values[0], (int, str)) else "%.15g,%.15g"
+        return [f"lambda,{args.quantity}", *map(row.__mod__, zip(grid, values))]
 
     return doc, csv, None
 
@@ -600,7 +627,7 @@ def main(argv=None) -> int:
             raise DomainError("tol must be positive")
         doc, csv, text = args.run(args)
         if args.json:
-            lines = [json.dumps(doc(), indent=2, allow_nan=False)]
+            lines = [_dumps(doc())]
         else:
             lines = (csv if text is None or getattr(args, "csv", False) else text)()
         _emit("\n".join(lines) + "\n", getattr(args, "out", None))

@@ -337,8 +337,13 @@ def _grouped_sums(n_vertices: int, parent: Sequence[int], lam, leaves: Mapping[i
     # float64 only where every factor is a float (same rounding); exact ones stay Python objects
     bases = (lam, *(z for _, z in classes))
     dtype = float if all(isinstance(x, float) for x in bases) else object
-    powers = [np.array([base ** j for j in range(top + 1)], dtype=dtype)
-              for base, top in zip(bases, tops)]
+    powers = []
+    for base, top in zip(bases, tops):
+        try:
+            powers.append(np.array([base ** j for j in range(top + 1)], dtype=dtype))
+        except OverflowError:  # a float power past the float range
+            raise OverflowError(f"weight {base!r} to the power {top} overflows a float; "
+                                "int or Fraction weights have no such limit") from None
     sums: dict[int, Any] = {}
 
     def finish(keys, counts):

@@ -197,7 +197,7 @@ def _check_found(z: float, lam: float,
         raise ConvergenceError(message, lam=lam, **diagnostics)
 
 
-def _solve_pair_generic(k: int, lam: float, tol: float) -> tuple[float, float]:
+def _solve_pair_generic(k: int, lam: float, tol: float, z_fix=None) -> tuple[float, float]:
     """Two-cycle (z1, z2), z1 < z_fix < z2, of f(z) = (1 + lam*z)**-k.
 
     Newton on Phi(y) = y + k*log1p(lam*f(e**y)) = log(z/f(f(z))) in y = log z1, from
@@ -210,8 +210,8 @@ def _solve_pair_generic(k: int, lam: float, tol: float) -> tuple[float, float]:
     u = z1**(1/k), v = z2**(1/k). Next to lam_cr Phi has three close roots (z1, z_fix, z2) and
     loses eps/(lam/lam_cr - 1); G keeps k*eps/sqrt(lam/lam_cr - 1). G(0+) = -1 and G(u_fix) =
     |f'(z_fix)| - 1 > 0 above lam_cr: (0, u_fix) brackets the pair with no margin, and only
-    there is z_fix solved, at tol. The sum is v**(k-1)*(1 - r**k)/d, r = u/v = 1 - d:
-    -expm1(k*log1p(-d)) where v**k - u**k cancels, and v**k - u**k for d >= 0.5.
+    there is z_fix solved, at tol, where the caller has not. The sum is v**(k-1)*(1 - r**k)/d,
+    r = u/v = 1 - d: -expm1(k*log1p(-d)) where v**k - u**k cancels, and v**k - u**k for d >= 0.5.
     """
     log1p, expm1, exp = math.log1p, math.expm1, math.exp
     y = -k * log1p(lam)
@@ -230,7 +230,7 @@ def _solve_pair_generic(k: int, lam: float, tol: float) -> tuple[float, float]:
                 return z1, exp(-k * log1p(lam * z1))
             break
     # G inlined as p = G + 1: below 1 at lo, above at hi; the ends' G is known
-    z_fix = _fixed_point(k, lam, tol)[0]
+    z_fix = _fixed_point(k, lam, tol)[0] if z_fix is None else z_fix
     lo, hi = 0.0, z_fix ** (1.0 / k)
     glo, ghi, moved, slow = -1.0, k * (lam * z_fix / (1.0 + lam * z_fix)) - 1.0, 0, 0
     for _ in range(_MAX_PROBES):
@@ -268,11 +268,11 @@ def _solve_pair_generic(k: int, lam: float, tol: float) -> tuple[float, float]:
     return z1, (1.0 + lam * z1) ** (-k)
 
 
-def _solve_pair(k: int, lam: float, tol: float) -> tuple[float, float, float]:
-    """The alternating pair (z1, z2), ascending, and its residual, gated at tol: the closed
-    form for k=2 and 3, _solve_pair_generic otherwise. Call it only where _has_pair holds."""
+def _solve_pair(k: int, lam: float, tol: float, z_fix=None) -> tuple[float, float, float]:
+    """The alternating pair (z1, z2), ascending, and its residual, gated at tol: the closed form
+    for k=2 and 3, else _solve_pair_generic, from z_fix if given. Only where _has_pair holds."""
     if k >= 4:
-        z1, z2 = _solve_pair_generic(k, lam, tol)
+        z1, z2 = _solve_pair_generic(k, lam, tol, z_fix)
     else:
         z1, z2 = (solve_two_periodic_k2_closed if k == 2 else solve_two_periodic_k3_closed)(lam)
     # recursion_map inlined on positive floats; z2 = f(z1) in the Newton pair's log form, or else
@@ -302,7 +302,7 @@ def _solve(k: int, lam: float, tol: float):
     I2 read this; only solve_two_periodic builds records from it."""
     z_fix, residual = _fixed_point(k, lam, tol)
     pair = _has_pair(lam, _thresholds(k)[0].lambda_cr)
-    return z_fix, residual, (_solve_pair(k, lam, tol) if pair else None)
+    return z_fix, residual, (_solve_pair(k, lam, tol, z_fix) if pair else None)
 
 
 def _last_law(k: int, lam: float, tol: float) -> tuple:

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, config files."""
 
+import enum
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hctree import cli, oracle, solvers
 from hctree.cli import main
@@ -584,7 +586,16 @@ def counted_fixed_point(monkeypatch):
 
 class TestFixedPointSolvedWhereRead:
     """A command solves the fixed point only where it prints it or the
-    pair's probe loop brackets with it."""
+    pair's probe loop brackets with it, and once per activity."""
+
+    @pytest.mark.parametrize("command", ["solve -k 7 -l 0.5", "classify -k 7 -l 0.5 --json",
+                                         "weak -k 7 -l 0.5",
+                                         "classify -k 4 -l 1.0640329218106996"])
+    def test_solved_once_where_newton_hands_over(self, capsys, monkeypatch, command):
+        # the pair's probe loop brackets with the fixed point the report prints
+        calls = counted_fixed_point(monkeypatch)
+        code, _, _ = run(capsys, *command.split())
+        assert (code, len(calls)) == (0, 1)
 
     def test_msw_sweep(self, capsys, monkeypatch):
         calls = counted_fixed_point(monkeypatch)
@@ -888,6 +899,54 @@ class TestRendersOnlyItsFormat:
         assert code == 0
         monkeypatch.setattr(cli, "_fmt" if fmt == " --json" else "_num", _raises)
         assert run(capsys, *argv) == (0, want, "")
+
+
+class _Color(str, enum.Enum):
+    RED = "red"
+
+
+class _Doc(dict):
+    pass
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+
+
+class TestDumps:
+    """cli._dumps renders --json as json.dumps(obj, indent=2, allow_nan=False), byte for byte."""
+
+    @given(st.recursive(_scalars, lambda children: st.lists(children)
+                        | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+                        max_leaves=40))
+    def test_matches_json_dumps(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("obj", [
+        _Color.RED, {"color": _Color.RED}, {_Color.RED: [1, 2]}, _Doc(a=[1, _Doc()]),
+        {1: "a", 2: [0.5, {}]}, {"a": {1: None}, "b": [{}, [], ()]}, {}, [], (),
+        [-0.0, 5e-324, 1.7976931348623157e308, 10**40, "\x00\n\"\\ \u00e9 \U0001f600"],
+    ])
+    def test_matches_json_dumps_off_the_fast_path(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise(self, x):
+        for obj in (x, [1.0, x], {"a": {"b": x}}):
+            with pytest.raises(ValueError):
+                json.dumps(obj, indent=2, allow_nan=False)
+            with pytest.raises(ValueError):
+                cli._dumps(obj)
+
+
+@given(st.floats())
+@example(-0.0)
+@example(5e-324)
+@example(-math.inf)
+@example(math.nan)
+def test_percent_format_is_fmt(x):
+    # the sweep's CSV rows format floats with "%.15g" in place of _fmt
+    assert "%.15g" % x == cli._fmt(x)
 
 
 class TestEntryPoints:

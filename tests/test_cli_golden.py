@@ -137,6 +137,8 @@ COMMANDS = [
     "oracle -k 2 -l 5 -n 0",
     "oracle -k 2 -l 5 -n -1",
     "oracle -k 2 -l 5 -n 3 --mode sample --samples 0",
+    # the enumeration's float powers of the activity pass the float range: exit code 1
+    "oracle -k 2 -l 1e15 -n 3 --root full",
     "critical",
     "critical -k 1",
     "critical -k 3 --epsilon -1",
@@ -181,6 +183,28 @@ def test_matches_golden(command):
     assert result == GOLDEN_DATA[command]
     if "--json" in command and result["code"] == 0:
         jsonschema.validate(json.loads(result.get("file", result["stdout"])), SCHEMA)
+
+
+# the successful --json commands; the document is in stdout, or in the --out file
+JSON_COMMANDS = [c for c in COMMANDS if "--json" in c and GOLDEN_DATA.get(c, {}).get("code") == 0]
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+def test_json_is_two_space_indented(command):
+    entry = GOLDEN_DATA[command]
+    text = entry.get("file", entry["stdout"])
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+def test_json_renders_without_json_dumps(command, monkeypatch):
+    """Every golden document takes cli._dumps' fast path: a value it leaves to
+    json.dumps (an Enum, a numpy scalar, an int key) fails here."""
+    def refuse(*_, **__):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    assert run_command(command) == GOLDEN_DATA[command]
 
 
 def test_parser_built_once_and_left_unchanged(monkeypatch, tmp_path):

@@ -263,6 +263,16 @@ class TestPartitionFunction:
         assert (partition_function(ball, 7, 5, "enumeration")
                 == partition_function(ball, 7, 5, "recursion") == 2470177087919607459464)
 
+    def test_float_power_past_the_float_range_is_named(self):
+        # auto mode cross-checks with the enumeration, whose table holds lam**22
+        ball = FiniteBall(2, 3, RootDegree.FULL)
+        with pytest.raises(OverflowError) as info:
+            partition_function(ball, 1e15, 1.0)
+        assert str(info.value) == ("weight 1000000000000000.0 to the power 22 overflows a "
+                                   "float; int or Fraction weights have no such limit")
+        assert (partition_function(ball, 10**15, 1, "enumeration")
+                == partition_function(ball, 10**15, 1, "recursion"))
+
     def test_per_vertex_and_mapping_boundaries(self):
         ball = FiniteBall(2, 1)
         by_scalar = partition_function(ball, 2.0, 0.5)

@@ -692,14 +692,18 @@ def reference_deflated(k, lam, z_fix, probes, f=None):
     return z1, f(z1)
 
 
-def reference_pair_generic(k, lam, tol, evaluations=None):
+def reference_pair_generic(k, lam, tol, z_fix=None, evaluations=None):
     """_solve_pair_generic step by step: Newton, else the probe loop from the
-    checked fixed point at tol. Appends its evaluations, Newton steps plus any
-    probes, to evaluations."""
+    checked fixed point at tol, which a z_fix passed in must equal. Appends its
+    evaluations, Newton steps plus any probes, to evaluations."""
     counts = []
     try:
-        return reference_newton(k, lam, counts) or reference_deflated(
-            k, lam, reference_fixed_point_floats(k, lam, tol)[0], counts)
+        pair = reference_newton(k, lam, counts)
+        if pair is None:
+            checked = reference_fixed_point_floats(k, lam, tol)[0]
+            assert z_fix in (None, checked)
+            pair = reference_deflated(k, lam, checked, counts)
+        return pair
     finally:
         if evaluations is not None:
             evaluations.append(sum(counts))
@@ -804,7 +808,7 @@ class TestIllinoisProbes:
                                            False)
         else:
             if k >= 4:
-                assert (outcome(reference_pair_generic, k, lam, 1e-12, probes)
+                assert (outcome(reference_pair_generic, k, lam, 1e-12, None, probes)
                         == outcome(_solve_pair_generic, k, lam, 1e-12))
             with pytest.raises(ConvergenceError) as err:
                 solve_two_periodic(ModelParams(k, lam))
@@ -830,7 +834,7 @@ class TestIllinoisProbes:
             assert (got, counted.products - (residual > 0.0)) == (z_fix, fixed[-1]), lam
             fallbacks += counted.sums
             if solvers._has_pair(lam, lam_cr):
-                assert (reference_pair_generic(k, lam, 1e-12, pair)
+                assert (reference_pair_generic(k, lam, 1e-12, evaluations=pair)
                         == _solve_pair_generic(k, lam, 1e-12))
                 newton.append(reference_newton(k, lam, []) is not None)
                 reference_deflated(k, lam, z_fix, probes)
