@@ -16,8 +16,8 @@ from .solvers import *
 
 __version__ = "0.1.0"
 
-# oracle and weakperiodic import numpy, so their public names are served on
-# first use (PEP 562) and `import hctree` stays free of numpy
+# oracle imports numpy, and weakperiodic does where its I3/I4 scan runs; their
+# public names are served on first use (PEP 562), so `import hctree` loads neither
 _LAZY = {
     "oracle": ("ENUMERATION_VERTEX_CAP", "FiniteBall", "RootDegree", "SampleResult",
                "conditional_child_distribution", "consistency_check", "count_admissible",

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-# oracle and weakperiodic import numpy: the commands that use them import them
+# oracle (and numpy) and weakperiodic are imported by the commands that use them
 from .core import (
     SOLVE_SETS,
     ConvergenceError,
@@ -115,7 +115,7 @@ def _build_parser():
         p = subs.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file supplying defaults; flags override it")
-        p.set_defaults(command=name, run=run)
+        p.set_defaults(run=run)
         return p
 
     def add_k(p):

@@ -92,8 +92,8 @@ class LawKind(str, Enum):
 
 
 _WEAK_SETS = ("I1", "I2", "I3", "I4")
-# the planes solve_weak_periodic accepts, here for the parser, which must not
-# import weakperiodic (and numpy) to build
+# the planes solve_weak_periodic accepts, here so that the parser builds
+# without loading weakperiodic
 SOLVE_SETS = _WEAK_SETS[1:]
 
 

@@ -21,18 +21,17 @@ would give s > 1 > r, so s = r, and then s = r = 1: a = B**-k, b = A**-k.
 On I3 and I4 a fixed point solves E(a, b) = 0 and E(b, a) = 0 for one E
 monotone in its second argument, so b = F(a) and a = F(b): the fixed points
 are the constant point and the two-cycles of F, roots of E(F(t), t) found by
-sign changes along log t and refined to adjacent floats. The scan runs on
-numpy arrays; each bracket is then refined on its own, and each fixed point
-checked against W on its own, on Python floats.
+sign changes along log t and refined to adjacent floats. Only that scan runs
+on numpy arrays, and only it imports numpy; each bracket is then refined, and
+each fixed point checked against W, on its own on Python floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
-
-import numpy as np
 
 from .core import (
     SOLVE_SETS,
@@ -108,29 +107,13 @@ def weak_system_map(wp: WeakPeriodicParams, z) -> tuple[float, float, float, flo
 # which of the plane coordinates (a, b) fills each of z1..z4
 _EMBED = {"I2": itemgetter(0, 1, 0, 1), "I3": itemgetter(0, 0, 1, 1), "I4": itemgetter(0, 1, 1, 0)}
 # the reduced planes' first fixed-point equation, z1 = W(z)[0], in the slots
-# (v, za, zb, zc) of _log_equation, filled with x, y or zero
+# (v, za, zb, zc) of _Reduction.equation, filled with x, y or zero
 _SLOTS = {"I3": "yxxy", "I4": "yxyx"}
 _GRID_POINTS = 512  # log-spaced samples of the residual below the constant point
 _NEWTON_MAX_ITER = 100
 _MAX_LOG_STEP = 30.0
 _REFINE_MAX_ITER = 200
 _SLOPE_ROUNDING = 64 * math.ulp(1.0)
-
-
-def _log_equation(wp, v, za, zb, zc, partials=False, log=np.log, log1p=np.log1p):
-    """log(v / w) / i, for w the component of W with inputs (za, zb, zc):
-    log(v)/i + log1p(lam * zb**p * (1+lam*za)**-q) + r * log1p(lam*zc) with
-    p = 1 - 1/i, q = k/i, r = k/i - 1. partials=True gives its derivatives
-    in log v, log za, log zb and log zc instead. Arrays take numpy's log and
-    log1p (under np.errstate), floats math's."""
-    k, i, lam = wp.k, wp.i, wp.lam
-    p, q, r = 1.0 - 1.0 / i, k / i, k / i - 1.0
-    mid = lam * zb ** p * (1.0 + lam * za) ** -q
-    if not partials:
-        return log(v) / i + log1p(mid) + r * log1p(lam * zc)
-    share = mid / (1.0 + mid)
-    return (1.0 / i, -q * share * lam * za / (1.0 + lam * za), p * share,
-            r * lam * zc / (1.0 + lam * zc))
 
 
 class _Reduction:
@@ -141,8 +124,9 @@ class _Reduction:
 
     def __init__(self, wp, invariant_set, z):
         k, i, lam = wp.k, wp.i, wp.lam
+        self.i, self.lam, self.p, self.q, self.r = i, lam, 1.0 - 1.0 / i, k / i, k / i - 1.0
         # each component of W lies in ((1+lam)**-k, 1) for i <= k; I4 at i = k+1 has no pair
-        self.wp, slots, self.lo, self.centre = wp, _SLOTS[invariant_set], (1.0 + lam) ** -k, z
+        slots, self.lo, self.centre = _SLOTS[invariant_set], (1.0 + lam) ** -k, z
         self.to_plane = lambda x, y: (x, y)
         if i == k + 1 and invariant_set == "I3":
             # r < 0 and p = q: the equations read X = f(Y), Y = f(X) for
@@ -156,12 +140,23 @@ class _Reduction:
         self._fill = itemgetter(*("xy0".index(s) for s in slots))
         self._x_slots, self._y_slots = ([n for n, s in enumerate(slots) if s == w] for w in "xy")
 
-    def equation(self, x, y, partials=False, log=np.log, log1p=np.log1p):
-        return _log_equation(self.wp, *self._fill((x, y, 0.0)), partials, log, log1p)
+    def _mid(self, za, zb):
+        return self.lam * zb ** self.p * (1.0 + self.lam * za) ** -self.q
+
+    def equation(self, x, y, log, log1p):
+        """E(x, y) = log(v / w) / i for w the component of W on (za, zb, zc),
+        with x, y or 0 in the slots (v, za, zb, zc): numpy's log and log1p on
+        arrays (under np.errstate), math's on floats."""
+        v, za, zb, zc = self._fill((x, y, 0.0))
+        return log(v) / self.i + log1p(self._mid(za, zb)) + self.r * log1p(self.lam * zc)
 
     def slopes(self, x, y):
         """The derivatives of E in log x and in log y."""
-        d = self.equation(x, y, partials=True)
+        _, za, zb, zc = self._fill((x, y, 0.0))
+        lam, mid = self.lam, self._mid(za, zb)
+        share = mid / (1.0 + mid)
+        d = (1.0 / self.i, -self.q * share * lam * za / (1.0 + lam * za), self.p * share,
+             self.r * lam * zc / (1.0 + lam * zc))
         return [sum(d[n] for n in slots) for slots in (self._x_slots, self._y_slots)]
 
     def residual(self, t, y):
@@ -169,16 +164,19 @@ class _Reduction:
         [-1, 1] by tanh, on arrays. E is convex in log y: Newton descends
         monotonically from above the root and overshoots at most once from
         below."""
+        import numpy as np
+
         y, todo = y.copy(), np.arange(y.size)
         with np.errstate(all="ignore"):
             for _ in range(_NEWTON_MAX_ITER):
                 tt, yt = t[todo], y[todo]
-                step = np.minimum(-self.equation(tt, yt) / self.slopes(tt, yt)[1], _MAX_LOG_STEP)
+                e = self.equation(tt, yt, np.log, np.log1p)
+                step = np.minimum(-e / self.slopes(tt, yt)[1], _MAX_LOG_STEP)
                 y[todo] = yt * np.exp(step)
                 # convergence is quadratic, so the step just taken was the last
                 todo = todo[~(np.abs(step) <= 1e-9)]
                 if todo.size == 0:
-                    return y, np.tanh(self.equation(y, t))
+                    return y, np.tanh(self.equation(y, t, np.log, np.log1p))
         raise ConvergenceError("elimination Newton did not converge", point=t[todo].tolist())
 
     def residual_at(self, t, y):
@@ -186,16 +184,14 @@ class _Reduction:
         with math. Where math raises (log(0), an overflow), numpy would carry
         an inf or a NaN that never converges: both end in the same
         ConvergenceError."""
-        def equation(x, y):
-            return self.equation(x, y, False, math.log, math.log1p)
-
         try:
             for _ in range(_NEWTON_MAX_ITER):
+                e = self.equation(t, y, math.log, math.log1p)
                 # min keeps a NaN step, as np.minimum does
-                step = min(-equation(t, y) / self.slopes(t, y)[1], _MAX_LOG_STEP)
+                step = min(-e / self.slopes(t, y)[1], _MAX_LOG_STEP)
                 y *= math.exp(step)
                 if abs(step) <= 1e-9:
-                    return y, math.tanh(equation(y, t))
+                    return y, math.tanh(self.equation(y, t, math.log, math.log1p))
         except (ArithmeticError, ValueError):
             pass
         raise ConvergenceError("elimination Newton did not converge", point=t)
@@ -257,8 +253,10 @@ def _reduced_pairs(wp, invariant_set, z):
     sampled at 512 log-spaced t below z. Just below z, R has the sign of its
     slope there, which decides a pitchfork split; a slope within rounding of
     zero, as at the bifurcation activity itself, splits nothing."""
+    import numpy as np
+
     red = _Reduction(wp, invariant_set, z)
-    if red.lo < np.finfo(float).tiny:  # the log-spaced grid needs a normal lower end
+    if red.lo < sys.float_info.min:  # the log-spaced grid needs a normal lower end
         raise ConvergenceError("the lower end of the plane's search grid underflows "
                                "at this activity", lower_end=red.lo)
     c, n = red.centre, _GRID_POINTS

@@ -969,6 +969,10 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "k = 2" in proc.stdout
 
+    # exit 3 where main's command loaded numpy
+    NO_NUMPY = ("import sys\nfrom hctree.cli import main\ncode = main(sys.argv[1:])\n"
+                "sys.exit(3 if 'numpy' in sys.modules else code)")
+
     @pytest.mark.parametrize("command", [
         ("solve", "-k", "2", "-l", "5"),
         ("classify", "-k", "3", "-l", "2"),
@@ -977,10 +981,35 @@ class TestEntryPoints:
            "-n", "50", "--scale", "log") for quantity in ("s2", "msw", "verdict", "solutions")),
     ])
     def test_closed_form_commands_do_not_import_numpy(self, command):
-        script = ("import sys\nfrom hctree.cli import main\ncode = main(sys.argv[1:])\n"
-                  "sys.exit(3 if 'numpy' in sys.modules else code)")
-        proc = subprocess.run([sys.executable, "-c", script, *command],
+        proc = subprocess.run([sys.executable, "-c", self.NO_NUMPY, *command],
                               capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", [
+        ("weak", "-k", "2", "-l", "5"),
+        # I3 and I4 at or below lambda_cr (4 at k = 2, 27/16 at k = 3) do not scan
+        ("weak", "-k", "2", "-l", "3", "--set", "I3"),
+        ("weak", "-k", "3", "-l", "1", "--set", "I4"),
+        ("sweep", "-k", "2", "--quantity", "weakperiodic_count", "-lmin", "3", "-lmax", "6",
+         "-n", "4"),
+    ])
+    def test_weak_commands_without_a_scan_do_not_import_numpy(self, command):
+        proc = subprocess.run([sys.executable, "-c", self.NO_NUMPY, *command],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_weakperiodic_module_does_not_import_numpy(self):
+        script = ("import sys\nimport hctree.weakperiodic\n"
+                  "sys.exit(3 if 'numpy' in sys.modules else 0)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_weak_scan_above_the_critical_activity_imports_numpy(self):
+        # the control: the I3/I4 scan above lambda_cr still runs on arrays
+        script = ("import sys\nfrom hctree.cli import main\n"
+                  "code = main(['weak', '-k', '2', '-l', '5', '--set', 'I3'])\n"
+                  "sys.exit(code if 'numpy' in sys.modules else 3)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_solve_sets_do_not_import_numpy(self):

@@ -381,6 +381,66 @@ class TestSolver:
         assert firsts == sorted(firsts)
 
 
+# I3 and I4 in the plane's own coordinates (a, b), and I3 at i = k+1, in the
+# substituted unknowns X, Y with the za and zc slots zero
+PLANE_EQUATIONS = [(2, 1, "I3", 5.0), (3, 2, "I3", 30.0), (2, 1, "I4", 5.0), (6, 1, "I4", 10.0),
+                   (4, 3, "I4", 7.0), (3, 4, "I4", 5.0)]
+EQUATION_CASES = PLANE_EQUATIONS + [(2, 3, "I3", 5.0), (3, 4, "I3", 2.0), (5, 6, "I3", 0.5)]
+
+
+class TestEquation:
+    """E and its slopes, which decide the Newton for F and the pitchfork split."""
+
+    @staticmethod
+    def reduction_and_points(k, i, invariant_set, lam):
+        wp = WeakPeriodicParams(k, i, lam)
+        red = weakperiodic._Reduction(wp, invariant_set, solve_translation_invariant(wp.model()))
+        # on I3 at i = k+1 the substituted unknowns stay below 1/lam
+        top = 1.0 / lam if invariant_set == "I3" and i == k + 1 and lam > 1 else 1.0
+        ts = np.geomspace(red.lo, top, 7)[1:-1].tolist() + [red.centre]
+        return red, [(x, y) for x in ts for y in ts]
+
+    @pytest.mark.parametrize("k,i,invariant_set,lam", EQUATION_CASES)
+    def test_slopes_are_central_differences_of_the_equation(self, k, i, invariant_set, lam):
+        red, points = self.reduction_and_points(k, i, invariant_set, lam)
+        h = 1e-5
+
+        def equation(x, y):
+            return red.equation(x, y, math.log, math.log1p)
+
+        for x, y in points:
+            slope_x, slope_y = red.slopes(x, y)
+            diff_x = (equation(x * math.exp(h), y) - equation(x * math.exp(-h), y)) / (2 * h)
+            diff_y = (equation(x, y * math.exp(h)) - equation(x, y * math.exp(-h))) / (2 * h)
+            assert diff_x == pytest.approx(slope_x, rel=1e-6, abs=1e-8), (x, y)
+            assert diff_y == pytest.approx(slope_y, rel=1e-6, abs=1e-8), (x, y)
+            # E increases with y, so F is a function
+            assert slope_y > 0.0, (x, y)
+
+    @pytest.mark.parametrize("k,i,invariant_set,lam", EQUATION_CASES)
+    def test_floats_with_math_agree_with_arrays_with_numpy(self, k, i, invariant_set, lam):
+        red, points = self.reduction_and_points(k, i, invariant_set, lam)
+        xs, ys = (np.array(v) for v in zip(*points))
+        on_arrays = red.equation(xs, ys, np.log, np.log1p).tolist()
+        for (x, y), e in zip(points, on_arrays):
+            on_floats = red.equation(x, y, math.log, math.log1p)
+            # within a few ulps of a bound on each term, |log v| or k*log1p(lam)
+            scale = abs(math.log(min(x, y))) + k * math.log1p(lam)
+            assert abs(on_floats - e) <= 8 * math.ulp(scale), (x, y)
+
+    @pytest.mark.parametrize("k,i,invariant_set,lam", PLANE_EQUATIONS)
+    def test_equation_is_the_log_ratio_to_w(self, k, i, invariant_set, lam):
+        # where the plane's own coordinates are the slots, i*E(x, y) is
+        # log(z1 / W(z)[0]) at z = (y, x) on the plane, with W from plain floats
+        red, points = self.reduction_and_points(k, i, invariant_set, lam)
+        embed = weakperiodic._EMBED[invariant_set]
+        for x, y in points:
+            z = embed((y, x))
+            want = math.log(z[0] / plain_float_map(k, i, lam, z)[0])
+            got = i * red.equation(x, y, math.log, math.log1p)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * k * math.log1p(lam)), (x, y)
+
+
 # planes with a pair: I4 inside k = 6's window, and I3 in the substituted
 # unknowns at i = k+1
 REFINED_PAIRS = [(6, 1, "I4", 5.8), (6, 1, "I4", 10.0), (6, 1, "I4", 63.0),
