@@ -23,7 +23,8 @@ monotone in its second argument, so b = F(a) and a = F(b): the fixed points
 are the constant point and the two-cycles of F, roots of E(F(t), t) found by
 sign changes along log t and refined to adjacent floats. Only that scan runs
 on numpy arrays, and only it imports numpy; each bracket is then refined, and
-each fixed point checked against W, on its own on Python floats.
+each fixed point checked against W, on its own on Python floats. Newton for F
+reads E and its log-y slope in one evaluation, the pitchfork test both slopes.
 """
 
 from __future__ import annotations
@@ -159,6 +160,19 @@ class _Reduction:
              self.r * lam * zc / (1.0 + lam * zc))
         return [sum(d[n] for n in slots) for slots in (self._x_slots, self._y_slots)]
 
+    def newton(self, x, y, log, log1p):
+        """E and its log-y slope, bit for bit as equation and slopes(x, y)[1]
+        but sharing mid and lam*zc: 1/i from v, plus zb's term (I4) or zc's (I3)."""
+        v, za, zb, zc = self._fill((x, y, 0.0))
+        mid, lam_zc = self._mid(za, zb), self.lam * zc
+        e = log(v) / self.i + log1p(mid) + self.r * log1p(lam_zc)
+        slope = 1.0 / self.i
+        if 2 in self._y_slots:
+            slope += self.p * (mid / (1.0 + mid))
+        elif 3 in self._y_slots:
+            slope += self.r * self.lam * zc / (1.0 + lam_zc)
+        return e, slope
+
     def residual(self, t, y):
         """F(t), by Newton on log y from the starts y, and R(t) mapped into
         [-1, 1] by tanh, on arrays. E is convex in log y: Newton descends
@@ -166,18 +180,17 @@ class _Reduction:
         below."""
         import numpy as np
 
-        y, todo = y.copy(), np.arange(y.size)
+        done = np.zeros(t.size, dtype=bool)
         with np.errstate(all="ignore"):
             for _ in range(_NEWTON_MAX_ITER):
-                tt, yt = t[todo], y[todo]
-                e = self.equation(tt, yt, np.log, np.log1p)
-                step = np.minimum(-e / self.slopes(tt, yt)[1], _MAX_LOG_STEP)
-                y[todo] = yt * np.exp(step)
+                e, slope = self.newton(t, y, np.log, np.log1p)
+                step = np.minimum(-e / slope, _MAX_LOG_STEP)
+                y = np.where(done, y, y * np.exp(step))
                 # convergence is quadratic, so the step just taken was the last
-                todo = todo[~(np.abs(step) <= 1e-9)]
-                if todo.size == 0:
+                done |= np.abs(step) <= 1e-9
+                if done.all():
                     return y, np.tanh(self.equation(y, t, np.log, np.log1p))
-        raise ConvergenceError("elimination Newton did not converge", point=t[todo].tolist())
+        raise ConvergenceError("elimination Newton did not converge", point=t[~done].tolist())
 
     def residual_at(self, t, y):
         """residual's F(t) and R(t) at one float t from one start y, on floats
@@ -186,9 +199,9 @@ class _Reduction:
         ConvergenceError."""
         try:
             for _ in range(_NEWTON_MAX_ITER):
-                e = self.equation(t, y, math.log, math.log1p)
+                e, slope = self.newton(t, y, math.log, math.log1p)
                 # min keeps a NaN step, as np.minimum does
-                step = min(-e / self.slopes(t, y)[1], _MAX_LOG_STEP)
+                step = min(-e / slope, _MAX_LOG_STEP)
                 y *= math.exp(step)
                 if abs(step) <= 1e-9:
                     return y, math.tanh(self.equation(y, t, math.log, math.log1p))
@@ -260,7 +273,9 @@ def _reduced_pairs(wp, invariant_set, z):
         raise ConvergenceError("the lower end of the plane's search grid underflows "
                                "at this activity", lower_end=red.lo)
     c, n = red.centre, _GRID_POINTS
-    t = np.geomspace(red.lo, c, n + 1)[:-1]
+    # np.geomspace(red.lo, c, n + 1)[:-1] bit for bit, without its sign and dtype handling
+    t = 10.0 ** np.linspace(np.log10(red.lo), np.log10(c), n + 1)[:-1]
+    t[0] = red.lo
     y, f = red.residual(t, np.full(n, c))
     cells = np.flatnonzero((f[:-1] > 0.0) != (f[1:] > 0.0))
     a, b, fa, fb, ya = t[cells], t[cells + 1], f[cells], f[cells + 1], y[cells]

@@ -382,9 +382,10 @@ class TestSolver:
 
 
 # I3 and I4 in the plane's own coordinates (a, b), and I3 at i = k+1, in the
-# substituted unknowns X, Y with the za and zc slots zero
-PLANE_EQUATIONS = [(2, 1, "I3", 5.0), (3, 2, "I3", 30.0), (2, 1, "I4", 5.0), (6, 1, "I4", 10.0),
-                   (4, 3, "I4", 7.0), (3, 4, "I4", 5.0)]
+# substituted unknowns X, Y with the za and zc slots zero; I3 at (4, 3) has
+# r = 1/3, where the zc term's rounding depends on its operation order
+PLANE_EQUATIONS = [(2, 1, "I3", 5.0), (3, 2, "I3", 30.0), (4, 3, "I3", 7.0), (2, 1, "I4", 5.0),
+                   (6, 1, "I4", 10.0), (4, 3, "I4", 7.0), (3, 4, "I4", 5.0)]
 EQUATION_CASES = PLANE_EQUATIONS + [(2, 3, "I3", 5.0), (3, 4, "I3", 2.0), (5, 6, "I3", 0.5)]
 
 
@@ -428,6 +429,20 @@ class TestEquation:
             scale = abs(math.log(min(x, y))) + k * math.log1p(lam)
             assert abs(on_floats - e) <= 8 * math.ulp(scale), (x, y)
 
+    @pytest.mark.parametrize("k,i,invariant_set,lam", EQUATION_CASES)
+    def test_newton_is_the_equation_and_its_y_slope_bit_for_bit(self, k, i, invariant_set, lam):
+        # the Newton's one evaluation runs the operations of equation and of
+        # slopes(x, y)[1] in the same order, on arrays and on floats
+        red, points = self.reduction_and_points(k, i, invariant_set, lam)
+        xs, ys = (np.array(v) for v in zip(*points))
+        e, slope = red.newton(xs, ys, np.log, np.log1p)
+        assert e.tobytes() == red.equation(xs, ys, np.log, np.log1p).tobytes()
+        assert np.asarray(slope).tobytes() == np.asarray(red.slopes(xs, ys)[1]).tobytes()
+        for x, y in points:
+            e, slope = red.newton(x, y, math.log, math.log1p)
+            assert e == red.equation(x, y, math.log, math.log1p), (x, y)
+            assert slope == red.slopes(x, y)[1], (x, y)
+
     @pytest.mark.parametrize("k,i,invariant_set,lam", PLANE_EQUATIONS)
     def test_equation_is_the_log_ratio_to_w(self, k, i, invariant_set, lam):
         # where the plane's own coordinates are the slots, i*E(x, y) is
@@ -445,6 +460,11 @@ class TestEquation:
 # unknowns at i = k+1
 REFINED_PAIRS = [(6, 1, "I4", 5.8), (6, 1, "I4", 10.0), (6, 1, "I4", 63.0),
                  (3, 4, "I3", 2.0), (5, 6, "I3", 1.0)]
+# the scans above, the benchmark's two I4 points, and every i on I3 and I4
+# at k = 2..4 up to lam = 1e15
+GRID_CASES = REFINED_PAIRS + [(6, 1, "I4", 70.0)] + [
+    (k, i, invariant_set, lam) for k in (2, 3, 4) for i in range(1, k + 2)
+    for invariant_set in ("I3", "I4") for lam in (5.0, 1e3, 1e15)]
 
 
 class TestFloatRefine:
@@ -480,6 +500,23 @@ class TestFloatRefine:
                           if s in values]
             assert f == 0.0 or any((values[s] > 0.0) != (f > 0.0) for s in neighbours)
 
+    @pytest.mark.parametrize("k,i,invariant_set,lam", GRID_CASES)
+    def test_scan_grid_is_geomspace_bit_for_bit(self, k, i, invariant_set, lam, monkeypatch):
+        grids, residual = [], weakperiodic._Reduction.residual
+
+        def recording_residual(red, t, y):
+            grids.append((red, t.copy()))
+            return residual(red, t, y)
+
+        monkeypatch.setattr(weakperiodic._Reduction, "residual", recording_residual)
+        try:
+            solve_weak_periodic(WeakPeriodicParams(k, i, lam), invariant_set)
+        except ConvergenceError:  # the grid was scanned before the failure
+            pass
+        # the first scan is the grid; any later one probes toward the constant point
+        red, t = grids[0]
+        assert t.tobytes() == np.geomspace(red.lo, red.centre, 513)[:-1].tobytes()
+
     def test_refine_failure_raises_with_its_bracket(self, monkeypatch):
         monkeypatch.setattr(weakperiodic, "_REFINE_MAX_ITER", 1)
         wp = WeakPeriodicParams(6, 1, 10.0)
@@ -498,11 +535,34 @@ class TestFloatRefine:
         with pytest.raises(ConvergenceError, match="elimination Newton") as err:
             red.residual_at(t, red.centre)
         assert err.value.diagnostics["point"] == t
-        # the grid's Newton on arrays reports every point it left unconverged
-        with pytest.raises(ConvergenceError, match="elimination Newton") as err:
-            solve_weak_periodic(wp, "I4")
-        point = err.value.diagnostics["point"]
-        assert point and all(red.lo <= p < red.centre for p in point)
+        # the grid's Newton on arrays reports every point it left unconverged,
+        # as Python floats in grid order: those whose Newton alone fails. At
+        # i = 1, E is linear in log y and one step is exact; at i = 3 the
+        # third step converges at most points, but not at all
+        wp = WeakPeriodicParams(6, 3, 10.0)
+        red = weakperiodic._Reduction(wp, "I4", solve_translation_invariant(wp.model()))
+        grid = np.geomspace(red.lo, red.centre, 513)[:-1]
+        for max_iter in (1, 2, 3):
+            monkeypatch.setattr(weakperiodic, "_NEWTON_MAX_ITER", max_iter)
+            with pytest.raises(ConvergenceError, match="elimination Newton") as err:
+                solve_weak_periodic(wp, "I4")
+            point = err.value.diagnostics["point"]
+            unconverged = []
+            for s in grid.tolist():
+                try:
+                    red.residual(np.array([s]), np.array([red.centre]))
+                except ConvergenceError:
+                    unconverged.append(s)
+            assert point and point == unconverged
+            assert all(type(p) is float for p in point)
+        assert len(point) < grid.size
+        # the Newton leaves its start array as it found it, failing or not
+        start = np.full(grid.size, red.centre)
+        with pytest.raises(ConvergenceError):
+            red.residual(grid, start)
+        monkeypatch.undo()
+        red.residual(grid, start)
+        assert start.tobytes() == np.full(grid.size, red.centre).tobytes()
 
     @pytest.mark.parametrize("start", [0.0, math.inf, math.nan])
     @pytest.mark.parametrize("invariant_set,i", [("I3", 1), ("I4", 1), ("I4", 3), ("I3", 7)])
